@@ -1,7 +1,6 @@
 """Fractional operators, power-law kernels, fractional field equations, and
 long-range oscillator chains on periodic grids."""
 
-from ._accel import BACKEND
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError, TailBoundError)
 from .grids import FractionalOrder, GridSpec, SampledFunction, TimeGrid

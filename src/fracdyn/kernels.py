@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TailBoundError
-from .fracops import caputo_left_l1, l1_weights
-from ._accel import l1_apply
+from .fracops import caputo_left_l1, l1_apply, l1_weights
 
 __all__ = [
     "Support",

@@ -4,6 +4,8 @@ summation, and high-precision arithmetic (mpmath), never from the code path
 under test."""
 
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fracops import (caputo_left_l1, caputo_left_quadrature_oracle,
-                             caputo_right_l1, l1_weights, mittag_leffler,
+                             caputo_right_l1, l1_apply, l1_weights,
+                             mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral,
                              riesz_quadrature_oracle)
 from fracdyn.grids import GridSpec
@@ -29,6 +32,74 @@ def test_l1_weights_basic():
     assert np.all(w > 0)
     # classical limit: backward difference
     assert np.array_equal(l1_weights(1.0, 4), [1.0, 0.0, 0.0, 0.0])
+
+
+# ------------------------------------------------------------ L1 history sum
+
+
+def _l1_rows(inc, w, scale):
+    """Reference history sum: one reversed-weight dot product per row."""
+    n, m = inc.shape
+    out = np.zeros((n + 1, m), dtype=inc.dtype)
+    for j in range(1, n + 1):
+        out[j] = w[j - 1::-1] @ inc[:j]
+        out[j] *= scale
+    return out
+
+
+def _increments(rng, shape, is_complex):
+    inc = rng.standard_normal(shape)
+    if is_complex:
+        inc = inc + 1j * rng.standard_normal(shape)
+    return inc
+
+
+def _assert_matches_rows(inc, w, scale):
+    ref = _l1_rows(inc if inc.ndim == 2 else inc[:, None], w, scale)
+    out = l1_apply(inc, w, scale)
+    assert out.shape == (inc.shape[0] + 1,) + inc.shape[1:]
+    assert out.dtype == ref.dtype
+    if inc.ndim == 1:
+        ref = ref[:, 0]
+    # FFT rounding is global: bound the error by the largest output entry
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("shape", [(1,), (1, 3), (997,), (997, 5), (4000,),
+                                   (4000, 6)])
+def test_l1_apply_matches_row_loop(shape, is_complex):
+    rng = np.random.default_rng(shape[0] + len(shape))
+    inc = _increments(rng, shape, is_complex)
+    _assert_matches_rows(inc, l1_weights(0.6, shape[0]), 3.7)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_l1_apply_long_decaying_history(is_complex):
+    # increments die out after a few dozen steps while the sums keep a slowly
+    # decaying tail for thousands of rows
+    n = 4000
+    rng = np.random.default_rng(11)
+    inc = _increments(rng, (n, 3), is_complex) * np.exp(-np.arange(n) / 20.0)[:, None]
+    _assert_matches_rows(inc, l1_weights(0.3, n), 0.9)
+
+
+def test_l1_apply_1d_roundtrip():
+    rng = np.random.default_rng(9)
+    inc = rng.standard_normal(50)
+    w = l1_weights(0.5, 50)
+    out = l1_apply(inc, w, 2.0)
+    assert out.shape == (51,)
+    assert out[0] == 0.0
+    # row 1 is just scale * w0 * inc0
+    assert out[1] == pytest.approx(2.0 * w[0] * inc[0], rel=1e-15)
+
+
+def test_import_does_not_load_scipy_signal():
+    code = "import sys, fracdyn; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ left Caputo

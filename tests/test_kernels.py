@@ -67,6 +67,15 @@ def test_memory_convolution_constant_zero():
     assert np.all(out == 0.0)
 
 
+def test_memory_convolution_empty_history():
+    # no steps yet: only the zero value at t_0
+    kern = MemoryKernel(beta=0.3)
+    out = memory_convolution(kern, np.empty((0, 4)), 0.01)
+    assert out.shape == (1, 4)
+    assert np.all(out == 0.0)
+    assert np.array_equal(memory_convolution(kern, np.empty(0), 0.01), [0.0])
+
+
 def test_memory_convolution_rejects_two_sided():
     with pytest.raises(DomainError):
         memory_convolution(MemoryKernel(beta=0.3, support=Support.TWO_SIDED),
