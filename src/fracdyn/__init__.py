@@ -19,7 +19,6 @@ from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      residual, sine_gordon_energy, stationary_fgle_solve,
                      stationary_residual)
 from .chain import (ChainContinuumReport, ChainSpec, ChainState,
-                    chain_fourier, chain_fourier_inverse, chain_wavenumbers,
                     continuum_limit_compare, evolve_chain,
                     interaction_sum_direct, interaction_sum_fft)
 from .analysis import (DispersionReport, LaplaceSymbolReport,

@@ -9,7 +9,10 @@ The equation of motion is
 with ``J(d) = 1/d^(alpha+1)`` on minimal-image ring distances.  The coupling
 sum is a circular convolution and is evaluated by FFT in O(N log N); a direct
 O(N^2) double loop is kept as the brute-force cross-check.  Only the kinetic
-term carries memory; the interaction acts at equal times.
+term carries memory; the interaction acts at equal times.  In mode space the
+chain is the field equation of ``fields.evolve_field`` with spatial multiplier
+``g0 (J^(k) - J^(0))`` and time coefficient 1, and it is advanced by the same
+stepper.
 
 For a single lattice mode the linear equation closes exactly:
 
@@ -35,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .errors import BlowUpError, DomainError
-from .fields import FieldState, Interaction, ModelSpec, Potential
-from .fracops import l1_weights, mittag_leffler
+from .errors import DomainError
+from .fields import (FieldState, Interaction, ModelSpec, Potential,
+                     _evolve_linear_implicit)
+from .fracops import mittag_leffler
 from .grids import GridSpec, TimeGrid, validate_temporal_order
 from .kernels import LatticeCoupling, renormalized_constant
 
@@ -45,9 +49,6 @@ __all__ = [
     "ChainSpec",
     "ChainState",
     "evolve_chain",
-    "chain_fourier",
-    "chain_fourier_inverse",
-    "chain_wavenumbers",
     "interaction_sum_direct",
     "interaction_sum_fft",
     "continuum_limit_compare",
@@ -111,21 +112,6 @@ class ChainState(FieldState):
                                 initial_velocity=initial_velocity)
 
 
-def chain_wavenumbers(n_particles, dx):
-    """FFT-ordered ring wavenumbers ``k_m = 2 pi m / (N dx)``."""
-    return 2.0 * np.pi * np.fft.fftfreq(n_particles, d=dx)
-
-
-def chain_fourier(u, dx):
-    """Discrete transform ``u^(k_m) = sum_n u_n exp(-i k_m x_n)``, ``x_n = n dx``."""
-    return np.fft.fft(np.asarray(u), axis=-1)
-
-
-def chain_fourier_inverse(u_hat, dx):
-    """Exact inverse of :func:`chain_fourier`."""
-    return np.fft.ifft(np.asarray(u_hat), axis=-1)
-
-
 def interaction_sum_fft(spec: ChainSpec, u):
     """Coupling sums ``S_n = sum_m J[f(u_m) - f(u_n)]`` by circular convolution."""
     fu = spec.local.interaction_apply(np.asarray(u, dtype=float))
@@ -156,108 +142,33 @@ def interaction_sum_direct(spec: ChainSpec, u):
     return out
 
 
+def _coupling_symbol(spec: ChainSpec):
+    """Chain multiplier ``g0 (J^(k) - J^(0))`` on rfft modes."""
+    kern = spec.ring_kernel()
+    return spec.g0 * (np.fft.rfft(kern).real - kern.sum())
+
+
 def _lattice_mode_rates(spec: ChainSpec):
     """Per-mode linear rate ``-g0 (J^(k) - J^(0)) - a`` on rfft modes."""
-    kern = spec.ring_kernel()
-    jhat = np.fft.rfft(kern).real
     a_lin = spec.local.a if spec.local.potential is Potential.GINZBURG_LANDAU else 0.0
-    return -spec.g0 * (jhat - kern.sum()) - a_lin
+    return -_coupling_symbol(spec) - a_lin
 
 
 def evolve_chain(spec: ChainSpec, state: ChainState):
     """Advance the chain over the state's whole time grid.
 
-    Same semi-implicit L1 scheme as ``evolve_field``: memory sum explicit
-    except its newest weight, the linear coupling implicit in mode space
-    when ``f`` is the identity, on-site force and nonlinear coupling
-    explicit.  Orders in (1, 2] need an initial velocity.
+    This is the field stepper of ``evolve_field`` with spatial multiplier
+    ``g0 (J^(k) - J^(0))`` on rfft modes and time coefficient 1: memory sum
+    explicit except its newest weight, the linear coupling implicit in mode
+    space when ``f`` is the identity, on-site force and nonlinear coupling
+    lagged one level.  Orders in (1, 2] need an initial velocity.
     """
-    beta = spec.beta
-    n = state.time.n_steps
-    dt = state.time.dt
     npart = spec.n_particles
-    u = state.history
-    if u.shape[1] != npart:
+    if state.history.shape[1] != npart:
         raise DomainError("state does not match the chain size")
-    kern = spec.ring_kernel()
-    ksum = kern.sum()
-    khat = np.fft.rfft(kern).real
-    identity_f = spec.local.interaction is Interaction.IDENTITY
-    lin = spec.g0 * (khat - ksum) if identity_f else np.zeros_like(khat)
-
-    no_force = (spec.local.potential is Potential.NONE and identity_f)
-
-    def explicit(uj):
-        out = spec.local.force(uj)
-        if not identity_f:
-            out = out + spec.g0 * interaction_sum_fft(spec, uj)
-        return out
-
-    fwd = np.fft.rfft
-    inv = lambda v: np.fft.irfft(v, n=npart)
-
-    if beta <= 1.0:
-        c = dt ** (-beta) / math.gamma(2.0 - beta)
-        w = l1_weights(beta, n)
-        denom = c + lin
-        if np.any(denom == 0):
-            raise DomainError("implicit chain system singular")
-        has_memory = beta < 1.0
-        inc_hat = np.zeros((n, khat.shape[0]), dtype=complex) if has_memory else None
-        uhat = fwd(u[0])
-        prev_norm = float(np.max(np.abs(u[0])))
-        for j in range(n):
-            hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
-            rhs = c * (uhat - hist)
-            if not no_force:
-                rhs = rhs - fwd(explicit(u[j]))
-            new_hat = rhs / denom
-            u[j + 1] = inv(new_hat)
-            if has_memory:
-                inc_hat[j] = new_hat - uhat
-            uhat = new_hat
-            prev_norm = _chain_guard(u[j + 1], j + 1, prev_norm)
-            state.n_completed = j + 1
-        return state
-
-    if state.initial_velocity is None:
-        raise DomainError("orders in (1, 2] require an initial velocity")
-    bp = beta - 1.0
-    cp = dt ** (-bp) / math.gamma(2.0 - bp)
-    w = l1_weights(bp, n)
-    has_memory = bp < 1.0
-    dq_prev = fwd(state.initial_velocity)
-    dinc_hat = np.zeros((n, khat.shape[0]), dtype=complex) if has_memory else None
-    uhat_prev = None
-    uhat = fwd(u[0])
-    prev_norm = float(np.max(np.abs(u[0])))
-    for j in range(n):
-        rhs_force = 0.0 if no_force else fwd(explicit(u[j]))
-        if j == 0:
-            new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / (cp / dt + lin)
-        else:
-            hist = (w[1:j + 1][::-1] @ dinc_hat[:j]) if has_memory else 0.0
-            rhs = (cp * (uhat / dt + dq_prev - hist)
-                   - 0.5 * lin * uhat_prev - rhs_force)
-            new_hat = rhs / (cp / dt + 0.5 * lin)
-        u[j + 1] = inv(new_hat)
-        dq_new = (new_hat - uhat) / dt
-        if has_memory:
-            dinc_hat[j] = dq_new - dq_prev
-        dq_prev = dq_new
-        uhat_prev, uhat = uhat, new_hat
-        prev_norm = _chain_guard(u[j + 1], j + 1, prev_norm)
-        state.n_completed = j + 1
-    return state
-
-
-def _chain_guard(u, step, prev_norm):
-    norm = float(np.max(np.abs(u)))
-    if not np.isfinite(norm):
-        raise BlowUpError(f"non-finite displacements at step {step}", step=step, norm=norm)
-    if prev_norm > 0 and norm > 1.0e3 * prev_norm:
-        raise BlowUpError(f"displacement blow-up at step {step}", step=step, norm=norm)
-    return norm
+    return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
+                                   _coupling_symbol(spec), np.fft.rfft,
+                                   lambda v: np.fft.irfft(v, n=npart))
 
 
 @dataclass

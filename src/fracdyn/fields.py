@@ -25,7 +25,9 @@ except its newest-level weight, linear spatial terms are solved implicitly in
 Fourier space, and nonlinear parts lag one level.  Orders ``beta`` in (1, 2]
 require an initial velocity and treat the linear term by the symmetric
 two-level average, which reduces to a standard second-order implicit wave
-scheme at ``beta = 2``.
+scheme at ``beta = 2``.  One stepper serves both this module and
+``chain.evolve_chain``: the chain is the same scheme with spatial multiplier
+``g0 (J^(k) - J^(0))`` in place of ``sum_s g_s |k|^s`` and time coefficient 1.
 """
 
 import enum
@@ -220,11 +222,11 @@ def _guard(u, step, prev_norm):
     return norm
 
 
-def _explicit_terms(model, u, k, fwd, inv):
-    """Force plus spatial terms applied to f(u) when f is not the identity."""
+def _explicit_terms(model, u, sym, fwd, inv):
+    """Force plus the spatial multiplier ``sym`` applied to f(u) when f is
+    not the identity."""
     out = model.force(u)
     if model.interaction is not Interaction.IDENTITY:
-        sym = model.spatial_symbol(k)
         out = out + inv(sym * fwd(model.interaction_apply(u)))
     return out
 
@@ -240,35 +242,41 @@ def evolve_field(model: ModelSpec, state: FieldState, beta):
     if model.g0_prime != 0:
         raise DomainError("right-derivative weight g0_prime is acausal in forward "
                           "stepping; evaluate it with residual() instead")
+    k, fwd, inv = _transforms(state)
+    return _evolve_linear_implicit(state, beta, model.g0, model,
+                                   model.spatial_symbol(k), fwd, inv)
+
+
+def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
+    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the state's time grid,
+    where ``S`` is the spatial operator with multiplier ``sym`` on the modes
+    of ``fwd``.  ``S`` is implicit when ``f`` is the identity and lags one
+    level otherwise; the on-site force ``F`` always lags."""
     if beta > 1.0 and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
-
-    k, fwd, inv = _transforms(state)
     implicit = model.interaction is Interaction.IDENTITY
-    lin = model.spatial_symbol(k) if implicit else np.zeros_like(k)
+    lin = sym if implicit else np.zeros_like(sym)
+    no_force = model.potential is Potential.NONE and implicit
     n = state.time.n_steps
     dt = state.time.dt
     u = state.history
-
-    no_force = (model.potential is Potential.NONE
-                and model.interaction is Interaction.IDENTITY)
+    uhat = fwd(u[0])
+    prev_norm = float(np.max(np.abs(u[0])))
 
     if beta <= 1.0:
-        c = model.g0 * dt ** (-beta) / math.gamma(2.0 - beta)
+        c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
         w = l1_weights(beta, n)
         denom = c + lin
         if np.any(denom == 0):
             raise DomainError("implicit system singular: g0 * c + symbol vanishes")
         # at beta = 1 every weight beyond the newest vanishes: no memory sum
         has_memory = beta < 1.0
-        inc_hat = np.zeros((n, k.shape[0]), dtype=complex) if has_memory else None
-        uhat = fwd(u[0])
-        prev_norm = float(np.max(np.abs(u[0])))
+        inc_hat = np.zeros((n, sym.shape[0]), dtype=complex) if has_memory else None
         for j in range(n):
             hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
             rhs = c * (uhat - hist)
             if not no_force:
-                rhs = rhs - fwd(_explicit_terms(model, u[j], k, fwd, inv))
+                rhs = rhs - fwd(_explicit_terms(model, u[j], sym, fwd, inv))
             new_hat = rhs / denom
             u[j + 1] = inv(new_hat)
             if has_memory:
@@ -280,28 +288,26 @@ def evolve_field(model: ModelSpec, state: FieldState, beta):
 
     # beta in (1, 2]: order-(beta-1) weights on difference quotients
     bp = beta - 1.0
-    cp = model.g0 * dt ** (-bp) / math.gamma(2.0 - bp)
+    cp = g0 * dt ** (-bp) / math.gamma(2.0 - bp)
     w = l1_weights(bp, n)
+    first_denom = cp / dt + lin
+    denom = cp / dt + 0.5 * lin
+    if np.any(first_denom == 0):
+        raise DomainError("implicit system singular at the first step")
+    if np.any(denom == 0):
+        raise DomainError("implicit system singular: cp/dt + symbol/2 vanishes")
     has_memory = bp < 1.0  # beta = 2 is the classical wave stepper
     dq_prev = fwd(state.initial_velocity.astype(u.dtype))
-    dinc_hat = np.zeros((n, k.shape[0]), dtype=complex) if has_memory else None
+    dinc_hat = np.zeros((n, sym.shape[0]), dtype=complex) if has_memory else None
     uhat_prev = None
-    uhat = fwd(u[0])
-    prev_norm = float(np.max(np.abs(u[0])))
     for j in range(n):
         rhs_force = 0.0
         if not no_force:
-            rhs_force = fwd(_explicit_terms(model, u[j], k, fwd, inv))
+            rhs_force = fwd(_explicit_terms(model, u[j], sym, fwd, inv))
         if j == 0:
-            denom = cp / dt + lin
-            if np.any(denom == 0):
-                raise DomainError("implicit system singular at the first step")
-            new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / denom
+            new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / first_denom
         else:
             hist = (w[1:j + 1][::-1] @ dinc_hat[:j]) if has_memory else 0.0
-            denom = cp / dt + 0.5 * lin
-            if np.any(denom == 0):
-                raise DomainError("implicit system singular: cp/dt + symbol/2 vanishes")
             rhs = cp * (uhat / dt + dq_prev - hist) - 0.5 * lin * uhat_prev - rhs_force
             new_hat = rhs / denom
         u[j + 1] = inv(new_hat)
@@ -324,8 +330,6 @@ def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one):
     """
     if not 1.0 < beta_plus_one <= 2.0:
         raise DomainError("sine-Gordon stepping needs temporal order in (1, 2]")
-    if state.initial_velocity is None:
-        raise DomainError("sine-Gordon stepping needs an initial velocity")
     return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one)
 
 

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fracdyn.chain import (ChainSpec, ChainState, chain_fourier,
-                           chain_fourier_inverse, chain_wavenumbers,
-                           continuum_limit_compare, evolve_chain,
-                           interaction_sum_direct, interaction_sum_fft)
-from fracdyn.errors import DomainError
+from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
+                           evolve_chain, interaction_sum_direct,
+                           interaction_sum_fft)
+from fracdyn.errors import BlowUpError, DomainError
 from fracdyn.fields import Interaction, ModelSpec, Potential
 from fracdyn.fracops import mittag_leffler
 from fracdyn.grids import TimeGrid
@@ -20,35 +19,6 @@ def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
     local = ModelSpec(**local_kw) if local_kw else ModelSpec()
     return ChainSpec(n_particles=n, dx=1.0, alpha=alpha, g0=g0, beta=beta,
                      coupling_cutoff=cutoff, local=local)
-
-
-# ------------------------------------------------------------ transforms
-
-
-def test_chain_fourier_round_trip():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(64)
-    back = chain_fourier_inverse(chain_fourier(u, 0.5), 0.5)
-    assert np.max(np.abs(back - u)) < 1e-12
-
-
-def test_chain_fourier_cosine_two_modes():
-    n = 64
-    u = np.cos(2 * np.pi * 3 * np.arange(n) / n)
-    uh = chain_fourier(u, 1.0)
-    mags = np.abs(uh)
-    assert mags[3] == pytest.approx(n / 2, rel=1e-12)
-    assert mags[-3] == pytest.approx(n / 2, rel=1e-12)
-    others = np.delete(mags, [3, n - 3])
-    assert np.max(others) < 1e-10
-
-
-def test_chain_fourier_parseval():
-    rng = np.random.default_rng(1)
-    u = rng.standard_normal(128)
-    uh = chain_fourier(u, 1.0)
-    assert np.sum(np.abs(u) ** 2) == pytest.approx(np.sum(np.abs(uh) ** 2) / 128,
-                                                   rel=1e-12)
 
 
 # ------------------------------------------------------------ coupling sums
@@ -87,6 +57,32 @@ def test_zero_chain_stays_zero():
     state = ChainState.from_chain(spec, TimeGrid(50, 0.01), np.zeros(128))
     evolve_chain(spec, state)
     assert np.all(state.history == 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.5])
+def test_lagged_nonlinear_coupling_matches_pair_sum(beta):
+    # with f = u^2 the coupling lags a level, so the first step is explicit:
+    # u1 = u0 - h (F(u0) + g0 S(u0)), S the brute-force pair sum
+    n, dt = 64, 0.01
+    spec = _spec(n=n, beta=beta, potential=Potential.SINE_GORDON,
+                 interaction=Interaction.SQUARE)
+    u0 = np.random.default_rng(6).standard_normal(n)
+    v0 = np.zeros(n) if beta > 1.0 else None
+    state = ChainState.from_chain(spec, TimeGrid(1, dt), u0, initial_velocity=v0)
+    evolve_chain(spec, state)
+    h = math.gamma((2.0 if beta <= 1.0 else 3.0) - beta) * dt ** beta
+    expected = u0 - h * (np.sin(u0) + spec.g0 * interaction_sum_direct(spec, u0))
+    assert np.max(np.abs(state.history[1] - expected)) < 1e-14
+
+
+def test_chain_blow_up_guard_trips():
+    # du/dt = +u^3 on every particle: finite-time blow-up from u = 10
+    spec = _spec(n=16, potential=Potential.GINZBURG_LANDAU, b=-1.0)
+    state = ChainState.from_chain(spec, TimeGrid(1000, 0.05), np.full(16, 10.0))
+    with pytest.raises(BlowUpError) as info:
+        evolve_chain(spec, state)
+    assert info.value.step == 3
+    assert info.value.norm > 1e10
 
 
 @pytest.mark.parametrize("beta,tol", [(0.5, 1e-3), (1.0, 1e-3)])
@@ -161,6 +157,10 @@ def test_chain_validation():
     with pytest.raises(DomainError):
         ChainSpec(n_particles=64, dx=1.0, alpha=1.5, g0=1.0, beta=0.5,
                   local=ModelSpec(spatial_terms=((1.5, 1.0),)))
+    spec = _spec(n=16, beta=1.5)
+    with pytest.raises(DomainError):  # orders in (1, 2] need a velocity
+        evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(10, 0.01),
+                                                 np.ones(16)))
 
 
 # ------------------------------------------------------------ continuum limit

@@ -188,8 +188,10 @@ def test_blow_up_guard_trips():
     state = FieldState.from_initial(grid, tg, np.full(16, 10.0))
     # du/dt = +u^3 in flow form: finite-time blow-up from u = 10
     model = ModelSpec(g0=1.0, a=0.0, b=-1.0, potential=Potential.GINZBURG_LANDAU)
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as info:
         evolve_field(model, state, 1.0)
+    assert info.value.step == 3
+    assert info.value.norm > 1e10
 
 
 # ------------------------------------------------------------ sine-Gordon
