@@ -3,15 +3,15 @@ long-range oscillator chains on periodic grids."""
 
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError, TailBoundError)
-from .grids import FractionalOrder, GridSpec, SampledFunction, TimeGrid
+from .grids import GridSpec, TimeGrid
 from .fracops import (caputo_left_l1, caputo_left_quadrature_oracle,
                       caputo_right_l1, l1_weights, mittag_leffler,
                       riemann_liouville_left, riesz_derivative_spectral,
                       riesz_quadrature_oracle)
 from .kernels import (InteractionKernel, LatticeCoupling, MemoryKernel,
-                      Support, cutoff_for_tolerance, gamma_negative,
-                      lattice_symbol, lattice_symbol_increment,
-                      memory_convolution, renormalized_constant, zeta_sum)
+                      cutoff_for_tolerance, gamma_negative, lattice_symbol,
+                      lattice_symbol_increment, memory_convolution,
+                      renormalized_constant, zeta_sum)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      StationaryResult, evolve_field, evolve_sine_gordon,
                      field_mass, free_energy, free_energy_gradient,

@@ -137,8 +137,7 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0, amplitude=None,
 
         def misfit(p):
             lam = p[0] + 1j * p[1]
-            model = np.array([mittag_leffler(beta, lam * t ** beta) for t in times])
-            d = model - series / series[0]
+            d = mittag_leffler(beta, lam * times ** beta) - series / series[0]
             return np.concatenate([d.real, d.imag])
 
         sol = scipy.optimize.least_squares(

@@ -55,6 +55,8 @@ __all__ = [
     "ChainContinuumReport",
 ]
 
+_FIT_LEVELS = 25  # time levels per mode-rate fit
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -112,12 +114,16 @@ class ChainState(FieldState):
                                 initial_velocity=initial_velocity)
 
 
+def _ring_symbol(spec: ChainSpec):
+    """Ring coupling increment ``J^(k) - J^(0)`` on rfft modes."""
+    kern = spec.ring_kernel()
+    return np.fft.rfft(kern).real - kern.sum()
+
+
 def interaction_sum_fft(spec: ChainSpec, u):
     """Coupling sums ``S_n = sum_m J[f(u_m) - f(u_n)]`` by circular convolution."""
     fu = spec.local.interaction_apply(np.asarray(u, dtype=float))
-    kern = spec.ring_kernel()
-    conv = np.fft.irfft(np.fft.rfft(kern) * np.fft.rfft(fu), n=spec.n_particles)
-    return conv - fu * kern.sum()
+    return np.fft.irfft(_ring_symbol(spec) * np.fft.rfft(fu), n=spec.n_particles)
 
 
 def interaction_sum_direct(spec: ChainSpec, u):
@@ -142,16 +148,10 @@ def interaction_sum_direct(spec: ChainSpec, u):
     return out
 
 
-def _coupling_symbol(spec: ChainSpec):
-    """Chain multiplier ``g0 (J^(k) - J^(0))`` on rfft modes."""
-    kern = spec.ring_kernel()
-    return spec.g0 * (np.fft.rfft(kern).real - kern.sum())
-
-
 def _lattice_mode_rates(spec: ChainSpec):
     """Per-mode linear rate ``-g0 (J^(k) - J^(0)) - a`` on rfft modes."""
     a_lin = spec.local.a if spec.local.potential is Potential.GINZBURG_LANDAU else 0.0
-    return -_coupling_symbol(spec) - a_lin
+    return -spec.g0 * _ring_symbol(spec) - a_lin
 
 
 def evolve_chain(spec: ChainSpec, state: ChainState):
@@ -167,7 +167,7 @@ def evolve_chain(spec: ChainSpec, state: ChainState):
     if state.history.shape[1] != npart:
         raise DomainError("state does not match the chain size")
     return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
-                                   _coupling_symbol(spec), np.fft.rfft,
+                                   spec.g0 * _ring_symbol(spec), np.fft.rfft,
                                    lambda v: np.fft.irfft(v, n=npart))
 
 
@@ -218,8 +218,7 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
         return float(np.log(amps[-1] / a0) / times[-1])
 
     def misfit(lam):
-        model = np.array([mittag_leffler(beta, lam[0] * t ** beta) for t in times[1:]])
-        return model - amps[1:] / a0
+        return mittag_leffler(beta, lam[0] * times[1:] ** beta) - amps[1:] / a0
 
     sol = scipy.optimize.least_squares(misfit, x0=[rate_guess], xtol=1e-14, ftol=1e-14)
     if not sol.success:
@@ -228,7 +227,7 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
 
 
 def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
-                            fit_horizon=2.0, subsample=25):
+                            fit_horizon=2.0):
     """Evolve lattice modes and compare their rates with the continuum law.
 
     ``modes`` are ring mode numbers; each must satisfy ``k dx <= 0.2`` (the
@@ -264,13 +263,13 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     state = ChainState.from_chain(spec, time, u0)
     evolve_chain(spec, state)
 
-    # fit on a subsample of time levels; transform only the rows needed
+    # fit on a few time levels per mode; transform only the rows needed
     sels = {}
     for m in modes:
         lam_latt = float(rates_lattice_all[m])
         horizon = fit_horizon / max(abs(lam_latt), 1e-300)
         jmax = min(n_steps, max(2, int(round(horizon / dt))))
-        sels[m] = np.unique(np.linspace(0, jmax, min(subsample, jmax + 1)).astype(int))
+        sels[m] = np.unique(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1)).astype(int))
     rows = np.unique(np.concatenate(list(sels.values())))
     row_of = {j: i for i, j in enumerate(rows)}
     mode_series = np.fft.rfft(state.history[rows], axis=1)

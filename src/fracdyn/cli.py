@@ -74,7 +74,7 @@ def _parse_float_list(text):
 REQUIRED = object()
 
 _SCHEMA = {
-    "experiment": {"kind": (str, REQUIRED), "seed": (int, 0), "threads": (int, 1)},
+    "experiment": {"kind": (str, REQUIRED), "seed": (int, 0)},
     "grid": {"n_points": (int, REQUIRED), "length": (float, REQUIRED)},
     "time": {"dt": (float, REQUIRED), "n_steps": (int, REQUIRED)},
     "model": {"g0": (float, 1.0), "g0_prime": (float, 0.0), "beta": (float, 1.0),
@@ -130,20 +130,17 @@ class ExperimentConfig:
 
     kind: str
     seed: int = 0
-    threads: int = 1
     sections: dict = field(default_factory=dict)
 
     def section(self, name):
         return self.sections.get(name, {})
 
     def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed, "threads": self.threads,
-                "sections": self.sections}
+        return {"kind": self.kind, "seed": self.seed, "sections": self.sections}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(kind=data["kind"], seed=data["seed"], threads=data["threads"],
-                   sections=data["sections"])
+        return cls(kind=data["kind"], seed=data["seed"], sections=data["sections"])
 
 
 def _resolve_section(name, raw):
@@ -186,6 +183,14 @@ def _validate_ranges(cfg: ExperimentConfig):
     if "chain" in cfg.sections:
         beta = cfg.sections["chain"]["beta"]
         check(0.0 < beta <= 2.0, "beta", f"must be in (0, 2], got {beta}")
+    for sec in ("model", "chain"):
+        if sec in cfg.sections:
+            for key, enum_type in (("potential", Potential),
+                                   ("interaction", Interaction)):
+                allowed = [e.value for e in enum_type]
+                value = cfg.sections[sec][key]
+                check(value in allowed, key,
+                      f"'{value}' in [{sec}] is not one of {', '.join(allowed)}")
     if "sine_gordon" in cfg.sections:
         bp1 = cfg.sections["sine_gordon"]["beta_plus_one"]
         check(1.0 < bp1 <= 2.0, "beta_plus_one", f"must be in (1, 2], got {bp1}")
@@ -199,14 +204,12 @@ def _validate_ranges(cfg: ExperimentConfig):
         check(cfg.sections["time"]["n_steps"] >= 1, "n_steps", "need >= 1")
 
 
-def load_config(path, kind=None, seed=None, threads=None):
+def load_config(path, kind=None, seed=None):
     """Parse and validate an INI experiment config into an ExperimentConfig."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
@@ -239,10 +242,7 @@ def load_config(path, kind=None, seed=None, threads=None):
             sections[name] = _resolve_section(name, {})
     cfg = ExperimentConfig(kind=exp["kind"],
                            seed=exp["seed"] if seed is None else int(seed),
-                           threads=exp["threads"] if threads is None else int(threads),
                            sections=sections)
-    if cfg.threads < 1:
-        raise ConfigError("invalid 'threads': must be >= 1")
     _validate_ranges(cfg)
     return cfg
 
@@ -571,15 +571,13 @@ def _make_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
 def main(argv=None):
     args = _make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, kind=args.kind, seed=args.seed,
-                          threads=args.threads)
+        cfg = load_config(args.config, kind=args.kind, seed=args.seed)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BlowUpError, DomainError
 from .fracops import caputo_left_l1, caputo_right_l1, l1_weights, mittag_leffler
@@ -68,14 +69,12 @@ class Potential(enum.Enum):
     NONE = "none"
     GINZBURG_LANDAU = "ginzburg_landau"   # U = a u^2/2 + b u^4/4
     SINE_GORDON = "sine_gordon"           # U = -cos u
-    CUSTOM = "custom"
 
 
 class Interaction(enum.Enum):
     IDENTITY = "identity"
     SQUARE = "square"                     # f(u) = u^2
     QUADRATIC_MIX = "quadratic_mix"       # f(u) = u - mix * u^2
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,13 @@ class ModelSpec:
     a: float = 0.0
     b: float = 0.0
     potential: Potential = Potential.NONE
-    force_fn: object = None        # F(u) for Potential.CUSTOM
     interaction: Interaction = Interaction.IDENTITY
-    interaction_fn: object = None  # f(u) for Interaction.CUSTOM
     interaction_mix: float = 0.0
     field_kind: str = "real"
 
     def __post_init__(self):
         for order, _ in self.spatial_terms:
             validate_spatial_order(order)
-        if self.potential is Potential.CUSTOM and self.force_fn is None:
-            raise DomainError("custom potential needs force_fn")
-        if self.interaction is Interaction.CUSTOM and self.interaction_fn is None:
-            raise DomainError("custom interaction needs interaction_fn")
         if self.field_kind not in ("real", "complex"):
             raise DomainError("field_kind must be 'real' or 'complex'")
 
@@ -114,18 +107,14 @@ class ModelSpec:
             return np.zeros_like(u)
         if self.potential is Potential.GINZBURG_LANDAU:
             return self.a * u + self.b * u ** 3
-        if self.potential is Potential.SINE_GORDON:
-            return np.sin(u)
-        return self.force_fn(u)
+        return np.sin(u)
 
     def interaction_apply(self, u):
         if self.interaction is Interaction.IDENTITY:
             return u
         if self.interaction is Interaction.SQUARE:
             return u ** 2
-        if self.interaction is Interaction.QUADRATIC_MIX:
-            return u - self.interaction_mix * u ** 2
-        return self.interaction_fn(u)
+        return u - self.interaction_mix * u ** 2
 
     def spatial_symbol(self, wavenumbers):
         """``sum_s g_s |k|^s`` on the given wavenumber set."""
@@ -133,12 +122,6 @@ class ModelSpec:
         for order, coeff in self.spatial_terms:
             sym += coeff * np.abs(wavenumbers) ** order
         return sym
-
-    @classmethod
-    def ginzburg_landau_sum_form(cls, g0, alpha, g_spatial, a, b, **kw):
-        """All terms on one side: ``g0 D^b u + g (-Lap)^(a/2) u + a u + b u^3 = 0``."""
-        return cls(g0=g0, spatial_terms=((alpha, g_spatial),), a=a, b=b,
-                   potential=Potential.GINZBURG_LANDAU, **kw)
 
     @classmethod
     def ginzburg_landau_flow_form(cls, alpha, g, a, b, **kw):
@@ -379,10 +362,7 @@ def nls_linear_mode_evolution(alpha, beta, g, a, k, u0, t):
     """
     beta = validate_temporal_order(beta, allow_high=False)
     lam = 1j * (-g * abs(k) ** float(alpha) + a)
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return u0 * mittag_leffler(beta, lam * float(t) ** beta)
-    return u0 * np.asarray([mittag_leffler(beta, lam * tv ** beta) for tv in t])
+    return u0 * mittag_leffler(beta, lam * np.asarray(t, dtype=float) ** beta)
 
 
 def _riesz_apply(u, alpha, grid):
@@ -418,11 +398,10 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
     u = np.asarray(initial_guess, dtype=float).copy()
     if u.shape != (grid.n_points,):
         raise DomainError("initial guess does not match the grid")
-    e0 = np.zeros(grid.n_points)
+    n = grid.n_points
+    e0 = np.zeros(n)
     e0[0] = 1.0
     col = g * _riesz_apply(e0, alpha, grid)
-    idx = (np.arange(grid.n_points)[:, None] - np.arange(grid.n_points)) % grid.n_points
-    spatial_mat = col[idx]
 
     res = stationary_residual(u, grid, alpha, g, a, b)
     rnorm = float(np.max(np.abs(res)))
@@ -430,7 +409,8 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
     for it in range(1, max_iter + 1):
         if rnorm < tol:
             return StationaryResult(u=u, residual_norm=rnorm, n_iter=it - 1, converged=True)
-        jac = spatial_mat + np.diag(a + 3.0 * b * u ** 2)
+        jac = scipy.linalg.circulant(col)
+        jac.flat[::n + 1] += a + 3.0 * b * u ** 2
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -485,7 +465,7 @@ def residual(model: ModelSpec, state: FieldState, beta):
 
     Evaluates ``g0 D^beta_left u + g0' D^beta_right u + sum_s g_s
     (-Lap)^(s/2) f(u) + F(u)`` at every node; this is the only place the
-    right-derivative weight ``g0_prime`` is honored.
+    right-derivative weight ``g0_prime`` is honored, for ``beta <= 1``.
     """
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
@@ -495,8 +475,6 @@ def residual(model: ModelSpec, state: FieldState, beta):
     out = model.g0 * caputo_left_l1(u, beta, dt,
                                     initial_velocity=state.initial_velocity)
     if model.g0_prime != 0:
-        if beta > 1.0:
-            raise DomainError("right derivative residual is implemented for beta <= 1")
         out = out + model.g0_prime * caputo_right_l1(u, beta, dt)
     k, fwd, inv = _transforms(state)
     sym = model.spatial_symbol(k)

@@ -132,20 +132,17 @@ def caputo_left_l1(u, beta, dt, initial_velocity=None):
     return l1_apply(np.diff(dq, axis=0), l1_weights(bp, n), scale)
 
 
-def caputo_right_l1(u, beta, dt, terminal_velocity=None):
+def caputo_right_l1(u, beta, dt):
     """Right Caputo derivative on ``[0, T]`` via time reversal.
 
     A change of variables turns the right derivative of ``u`` into the left
     derivative of the reversed samples, read back in reversed order.  Used
     for residual evaluation of completed trajectories only; a right (future-
-    looking) derivative cannot drive causal stepping.
+    looking) derivative cannot drive causal stepping.  Orders are in (0, 1].
     """
+    beta = validate_temporal_order(beta, allow_high=False)
     u = _check_history(u)
-    tv = None
-    if terminal_velocity is not None:
-        tv = -np.asarray(terminal_velocity)
-    out = caputo_left_l1(u[::-1], beta, dt, initial_velocity=tv)
-    return out[::-1]
+    return caputo_left_l1(u[::-1], beta, dt)[::-1]
 
 
 def _require(fn, name, beta):

@@ -1,18 +1,18 @@
-"""Validated domain types: fractional orders, periodic spatial grids, and
-uniform time grids.
+"""Range checks for fractional orders, and validated periodic spatial grids
+and uniform time grids.
 
 All solvers in this package work on a uniform periodic grid ``[0, L)`` with
 the standard FFT wavenumber set, and on uniform time grids ``t_j = j dt``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["FractionalOrder", "GridSpec", "TimeGrid", "SampledFunction",
-           "validate_spatial_order", "validate_temporal_order"]
+__all__ = ["GridSpec", "TimeGrid", "validate_spatial_order",
+           "validate_temporal_order"]
 
 
 def validate_spatial_order(alpha, *, real_space=False):
@@ -43,18 +43,6 @@ def validate_temporal_order(beta, *, allow_high=True):
     if not 0.0 < beta <= hi:
         raise DomainError(f"temporal order beta must be in (0, {hi:g}], got {beta}")
     return beta
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Pair of spatial order ``alpha`` and temporal order ``beta``."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        validate_spatial_order(self.alpha)
-        validate_temporal_order(self.beta)
 
 
 @dataclass(frozen=True)
@@ -113,18 +101,3 @@ class TimeGrid:
     def t_final(self):
         return self.n_steps * self.dt
 
-
-@dataclass
-class SampledFunction:
-    """Finite samples of a field over a spatial or time grid."""
-
-    grid: object
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        n = self.grid.n_points if isinstance(self.grid, GridSpec) else self.grid.n_steps + 1
-        if self.values.shape[0] != n:
-            raise DomainError(f"expected {n} samples, got {self.values.shape[0]}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("samples must all be finite")

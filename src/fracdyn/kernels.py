@@ -9,17 +9,15 @@ increment behaves as ``|k dx|^alpha``, which is the mechanism by which a
 long-range chain acquires a fractional spatial derivative in the continuum.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, TailBoundError
-from .fracops import caputo_left_l1, l1_apply, l1_weights
+from .fracops import l1_apply, l1_weights
 
 __all__ = [
-    "Support",
     "MemoryKernel",
     "InteractionKernel",
     "LatticeCoupling",
@@ -33,17 +31,6 @@ __all__ = [
 ]
 
 
-class Support(enum.Enum):
-    """Which time half-axis a memory kernel acts on, and whether it enters
-    the action differentiated (plain) or undifferentiated (integrated, which
-    raises the effective derivative order by one)."""
-
-    LEFT = "left"
-    TWO_SIDED = "two-sided"
-    INTEGRATED_LEFT = "integrated-left"
-    INTEGRATED_TWO_SIDED = "integrated-two-sided"
-
-
 @dataclass(frozen=True)
 class MemoryKernel:
     """Power-law memory function ``M(t) = g0 t^(-beta) / Gamma(1-beta)``.
@@ -54,8 +41,6 @@ class MemoryKernel:
 
     beta: float = 0.5
     g0: float = 1.0
-    g0_prime: float = 0.0
-    support: Support = Support.LEFT
     is_delta: bool = False
 
     def __post_init__(self):
@@ -67,15 +52,6 @@ class MemoryKernel:
     @classmethod
     def delta(cls):
         return cls(is_delta=True)
-
-    @property
-    def effective_order(self):
-        """Order of the Caputo derivative the kernel produces."""
-        if self.is_delta:
-            return 1.0
-        if self.support in (Support.INTEGRATED_LEFT, Support.INTEGRATED_TWO_SIDED):
-            return self.beta + 1.0
-        return self.beta
 
     def __call__(self, t):
         if self.is_delta:
@@ -156,10 +132,6 @@ def memory_convolution(kernel: MemoryKernel, du_dt, dt):
     du_dt = np.asarray(du_dt)
     if kernel.is_delta:
         return du_dt
-    if kernel.support is not Support.LEFT:
-        raise DomainError("memory_convolution implements the left (causal) kernel; "
-                          "two-sided and integrated kernels are handled by the "
-                          "field-equation residual")
     if dt <= 0:
         raise DomainError("dt must be positive")
     increments = du_dt * dt

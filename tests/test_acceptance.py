@@ -414,9 +414,9 @@ def test_15_cli_determinism(tmp_path):
     cfg.write_text(DETERMINISM_CONFIG)
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     rc1 = cli_main(["nls", "--config", str(cfg), "--out", str(d1),
-                    "--seed", "99", "--threads", "1"])
+                    "--seed", "99"])
     rc2 = cli_main(["nls", "--config", str(cfg), "--out", str(d2),
-                    "--seed", "99", "--threads", "1"])
+                    "--seed", "99"])
     identical = all((d1 / f).read_bytes() == (d2 / f).read_bytes()
                     for f in ("metadata.json", "snapshots.csv", "summary.json"))
     ok = rc1 == rc2 == 0 and identical

@@ -64,6 +64,19 @@ amplitude = 0.75
 mode = 3
 """
 
+CHAIN_CONFIG = """
+[experiment]
+kind = chain
+
+[time]
+dt = 0.01
+n_steps = 10
+
+[chain]
+n_particles = 32
+alpha = 1.5
+"""
+
 SELFTEST_CONFIG = """
 [experiment]
 kind = operator_selftest
@@ -106,6 +119,27 @@ def test_alpha_out_of_range_names_key(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("kind, text, key, value", [
+    ("evolve_field", EVOLVE_CONFIG.replace("potential = ginzburg_landau",
+                                           "potential = bogus"),
+     "potential", "bogus"),
+    ("evolve_field", EVOLVE_CONFIG.replace("potential = ginzburg_landau",
+                                           "potential = custom"),
+     "potential", "custom"),
+    ("evolve_field", EVOLVE_CONFIG.replace("b = 1.0", "b = 1.0\ninteraction = cubic"),
+     "interaction", "cubic"),
+    ("chain", CHAIN_CONFIG + "potential = custom\n", "potential", "custom"),
+    ("chain", CHAIN_CONFIG + "interaction = cubic\n", "interaction", "cubic"),
+], ids=["model-bogus", "model-custom", "model-cubic", "chain-custom", "chain-cubic"])
+def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
+    cfgp = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"invalid '{key}': '{value}'"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+
+
 def test_kind_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, EVOLVE_CONFIG), kind="nls")
@@ -139,9 +173,9 @@ def test_determinism_bytes(tmp_path):
     cfgp = _write(tmp_path, NLS_CONFIG)
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["nls", "--config", str(cfgp), "--out", str(d1),
-                 "--seed", "11", "--threads", "1"]) == EXIT_OK
+                 "--seed", "11"]) == EXIT_OK
     assert main(["nls", "--config", str(cfgp), "--out", str(d2),
-                 "--seed", "11", "--threads", "1"]) == EXIT_OK
+                 "--seed", "11"]) == EXIT_OK
     for name in ("metadata.json", "snapshots.csv", "summary.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 

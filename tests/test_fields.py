@@ -45,8 +45,6 @@ def test_interaction_choices():
 def test_model_validation():
     with pytest.raises(DomainError):
         ModelSpec(spatial_terms=((2.5, 1.0),))
-    with pytest.raises(DomainError):
-        ModelSpec(potential=Potential.CUSTOM)
 
 
 # ------------------------------------------------------------ evolve_field

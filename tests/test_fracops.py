@@ -4,8 +4,10 @@ summation, and high-precision arithmetic (mpmath), never from the code path
 under test."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracdyn
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fracops import (caputo_left_l1, caputo_left_quadrature_oracle,
                              caputo_right_l1, l1_apply, l1_weights,
@@ -97,8 +100,10 @@ def test_l1_apply_1d_roundtrip():
 
 def test_import_does_not_load_scipy_signal():
     code = "import sys, fracdyn; print('scipy.signal' in sys.modules)"
+    # the child imports the same fracdyn sources as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(fracdyn.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert res.stdout.strip() == "False"
 
 
@@ -238,6 +243,8 @@ def test_oracle_requires_derivative():
 def test_right_caputo_constant_zero():
     out = caputo_right_l1(np.full(32, 1.23), 0.4, 0.05)
     assert np.all(out == 0.0)
+    with pytest.raises(DomainError, match=r"\(0, 1\]"):
+        caputo_right_l1(np.full(32, 1.23), 1.5, 0.05)
 
 
 def test_right_caputo_linear_closed_form():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fracdyn.errors import DomainError
-from fracdyn.grids import (FractionalOrder, GridSpec, SampledFunction,
-                           TimeGrid, validate_spatial_order,
+from fracdyn.grids import (GridSpec, TimeGrid, validate_spatial_order,
                            validate_temporal_order)
 
 
@@ -42,25 +41,17 @@ def test_time_grid_uniform_increasing():
 
 
 def test_fractional_order_ranges():
-    FractionalOrder(alpha=1.5, beta=0.5)
-    FractionalOrder(alpha=2.0, beta=2.0)  # classical limits allowed
+    assert validate_spatial_order(1.5) == 1.5
+    assert validate_temporal_order(0.5) == 0.5
+    # classical limits allowed
+    assert validate_spatial_order(2.0) == 2.0
+    assert validate_temporal_order(2.0) == 2.0
     with pytest.raises(DomainError):
-        FractionalOrder(alpha=2.5, beta=0.5)
+        validate_spatial_order(2.5)
     with pytest.raises(DomainError):
-        FractionalOrder(alpha=1.5, beta=0.0)
+        validate_temporal_order(0.0)
     with pytest.raises(DomainError):
         validate_spatial_order(1.0, real_space=True)
     validate_spatial_order(1.0)  # spectral form is regular at alpha = 1
     with pytest.raises(DomainError):
         validate_temporal_order(1.5, allow_high=False)
-
-
-def test_sampled_function_checks():
-    g = GridSpec(8, 1.0)
-    SampledFunction(g, np.zeros(8))
-    with pytest.raises(DomainError):
-        SampledFunction(g, np.zeros(7))
-    bad = np.zeros(8)
-    bad[3] = np.nan
-    with pytest.raises(DomainError):
-        SampledFunction(g, bad)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fracdyn.errors import DomainError, TailBoundError
 from fracdyn.fracops import caputo_left_l1
 from fracdyn.kernels import (InteractionKernel, LatticeCoupling, MemoryKernel,
-                             Support, cutoff_for_tolerance, gamma_negative,
+                             cutoff_for_tolerance, gamma_negative,
                              lattice_symbol, lattice_symbol_increment,
                              memory_convolution, renormalized_constant,
                              zeta_sum)
@@ -35,12 +35,6 @@ def test_memory_kernel_positive():
         m(0.0)
     with pytest.raises(DomainError):
         MemoryKernel(beta=1.0)
-
-
-def test_memory_kernel_effective_order():
-    assert MemoryKernel(beta=0.4).effective_order == 0.4
-    assert MemoryKernel(beta=0.4, support=Support.INTEGRATED_LEFT).effective_order == 1.4
-    assert MemoryKernel.delta().effective_order == 1.0
 
 
 def test_memory_convolution_delta_identity():
@@ -74,12 +68,6 @@ def test_memory_convolution_empty_history():
     assert out.shape == (1, 4)
     assert np.all(out == 0.0)
     assert np.array_equal(memory_convolution(kern, np.empty(0), 0.01), [0.0])
-
-
-def test_memory_convolution_rejects_two_sided():
-    with pytest.raises(DomainError):
-        memory_convolution(MemoryKernel(beta=0.3, support=Support.TWO_SIDED),
-                           np.zeros(10), 0.1)
 
 
 # ------------------------------------------------------------ interaction kernel
