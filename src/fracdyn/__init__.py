@@ -2,16 +2,13 @@
 long-range oscillator chains on periodic grids."""
 
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
-                     FracdynError, TailBoundError)
+                     FracdynError)
 from .grids import GridSpec, TimeGrid
-from .fracops import (caputo_left_l1, caputo_left_quadrature_oracle,
-                      caputo_right_l1, l1_weights, mittag_leffler,
-                      riemann_liouville_left, riesz_derivative_spectral,
-                      riesz_quadrature_oracle)
-from .kernels import (InteractionKernel, LatticeCoupling, MemoryKernel,
-                      cutoff_for_tolerance, gamma_negative, lattice_symbol,
-                      lattice_symbol_increment, memory_convolution,
-                      renormalized_constant, zeta_sum)
+from .fracops import (caputo_left_l1, caputo_right_l1, l1_weights,
+                      mittag_leffler, riemann_liouville_left,
+                      riesz_derivative_spectral)
+from .kernels import (LatticeCoupling, MemoryKernel, memory_convolution,
+                      renormalized_constant)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      StationaryResult, evolve_field, evolve_sine_gordon,
                      field_mass, free_energy, free_energy_gradient,
@@ -20,9 +17,7 @@ from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      stationary_residual)
 from .chain import (ChainContinuumReport, ChainSpec, ChainState,
                     continuum_limit_compare, evolve_chain,
-                    interaction_sum_direct, interaction_sum_fft)
-from .analysis import (DispersionReport, LaplaceSymbolReport,
-                       convergence_order, dispersion_check,
-                       laplace_symbol_check, principal_iomega_power)
+                    interaction_sum_fft)
+from .analysis import DispersionReport, dispersion_check
 
 __version__ = "0.1.0"

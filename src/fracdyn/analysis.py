@@ -1,37 +1,24 @@
-"""Symbol-level diagnostics: dispersion-law extraction from trajectories,
-the Laplace-transform identity of the Caputo derivative, and empirical
-convergence-order estimation.
+"""Dispersion-law extraction from trajectories.
+
+The Laplace-symbol identity of the Caputo derivative and the empirical
+convergence-order fit that the tests use live in ``tests/oracles.py``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.optimize
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .fields import FieldState
-from .fracops import caputo_left_quadrature_oracle, mittag_leffler
+from .fracops import mittag_leffler
 from .grids import validate_temporal_order
 
 __all__ = [
     "DispersionReport",
     "dispersion_check",
-    "principal_iomega_power",
-    "LaplaceSymbolReport",
-    "laplace_symbol_check",
-    "convergence_order",
 ]
-
-
-def principal_iomega_power(omega, beta):
-    """``(i omega)^beta`` for real ``omega`` on the principal branch:
-    ``|omega|^beta * exp(i beta pi/2 * sign(omega))``."""
-    omega = float(omega)
-    if omega == 0.0:
-        return 0.0 + 0.0j
-    return abs(omega) ** beta * np.exp(1j * beta * math.pi / 2.0 * np.sign(omega))
 
 
 @dataclass
@@ -153,86 +140,3 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0, amplitude=None,
     expo = _fit_exponent(kv, disp)
     return DispersionReport(beta=beta, k=kv, measured=meas, predicted=pred,
                             rel_err=rel, fitted_exponent=expo)
-
-
-@dataclass
-class LaplaceSymbolReport:
-    beta: float
-    horizon: float
-    s: list
-    lhs: list
-    rhs: list
-    rel_discrepancy: list
-
-    @property
-    def max_discrepancy(self):
-        return max(self.rel_discrepancy)
-
-    def to_dict(self):
-        return {"beta": self.beta, "horizon": self.horizon, "s": list(self.s),
-                "lhs": list(self.lhs), "rhs": list(self.rhs),
-                "rel_discrepancy": list(self.rel_discrepancy),
-                "max_discrepancy": self.max_discrepancy}
-
-
-def laplace_symbol_check(u_fn, du_fn, beta, s_values, horizon=40.0,
-                         tail_tol=1e-8):
-    """Forward-direction check of the Laplace symbol of the Caputo derivative.
-
-    For each ``s``: the left side transforms the quadrature-oracle derivative,
-    ``int_0^T exp(-s t) D^beta u dt``; the right side is
-    ``s^beta v(s) - s^(beta-1) u(0)`` with ``v`` the numerical transform of
-    ``u``.  Two independent quadratures, agreeing when the symbol relation
-    holds.  The horizon must make the truncated tails negligible; the
-    estimated tail is checked against ``tail_tol``.  Only the forward
-    direction is verified; no contour inversion is attempted.
-    """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError("laplace_symbol_check requires beta in (0, 1)")
-    u0 = float(u_fn(0.0))
-    svals, lhs_all, rhs_all, rel = [], [], [], []
-    for s in s_values:
-        s = float(s)
-        if s <= 0:
-            raise DomainError("Laplace variable s must be positive")
-        tail = abs(u_fn(horizon)) * math.exp(-s * horizon) / s
-        if tail > tail_tol:
-            raise ConvergenceError(
-                f"truncation horizon too short: tail estimate {tail:.2e}",
-                estimate=tail)
-        lhs, _ = scipy.integrate.quad(
-            lambda t: math.exp(-s * t)
-            * caputo_left_quadrature_oracle(u_fn, beta, t, du=du_fn),
-            0.0, horizon, epsabs=1e-13, epsrel=1e-12, limit=400)
-        v, _ = scipy.integrate.quad(lambda t: math.exp(-s * t) * u_fn(t),
-                                    0.0, horizon, epsabs=1e-14, epsrel=1e-13,
-                                    limit=400)
-        rhs = s ** beta * v - s ** (beta - 1.0) * u0
-        svals.append(s)
-        lhs_all.append(lhs)
-        rhs_all.append(rhs)
-        rel.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return LaplaceSymbolReport(beta=beta, horizon=horizon, s=svals,
-                               lhs=lhs_all, rhs=rhs_all, rel_discrepancy=rel)
-
-
-def convergence_order(errors):
-    """Least-squares slope of ``log(error)`` against ``log(step)``.
-
-    ``errors`` is a sequence of ``(step_size, error)`` pairs, at least three,
-    with step sizes in geometric progression and positive errors.
-    """
-    pts = [(float(h), float(e)) for h, e in errors]
-    if len(pts) < 3:
-        raise DomainError("need at least 3 (step, error) points")
-    hs = np.array([p[0] for p in pts])
-    es = np.array([p[1] for p in pts])
-    if np.any(hs <= 0):
-        raise DomainError("step sizes must be positive")
-    if np.any(es <= 0):
-        raise DomainError("errors must be positive")
-    ratios = hs[:-1] / hs[1:]
-    if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-6:
-        raise DomainError("step sizes must form a geometric progression")
-    return float(np.polyfit(np.log(hs), np.log(es), 1)[0])

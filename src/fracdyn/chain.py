@@ -7,12 +7,12 @@ The equation of motion is
     D^beta_t u_n + g0 * sum_{m != n} J(|n - m|) [f(u_m) - f(u_n)] + F(u_n) = 0
 
 with ``J(d) = 1/d^(alpha+1)`` on minimal-image ring distances.  The coupling
-sum is a circular convolution and is evaluated by FFT in O(N log N); a direct
-O(N^2) double loop is kept as the brute-force cross-check.  Only the kinetic
-term carries memory; the interaction acts at equal times.  In mode space the
-chain is the field equation of ``fields.evolve_field`` with spatial multiplier
-``g0 (J^(k) - J^(0))`` and time coefficient 1, and it is advanced by the same
-stepper.
+sum is a circular convolution and is evaluated by FFT in O(N log N); the
+tests check it against a direct O(N^2) pair sum in ``tests/oracles.py``.
+Only the kinetic term carries memory; the interaction acts at equal times.
+In mode space the chain is the field equation of ``fields.evolve_field``
+with spatial multiplier ``g0 (J^(k) - J^(0))`` and time coefficient 1, and
+it is advanced by the same stepper.
 
 For a single lattice mode the linear equation closes exactly:
 
@@ -49,7 +49,6 @@ __all__ = [
     "ChainSpec",
     "ChainState",
     "evolve_chain",
-    "interaction_sum_direct",
     "interaction_sum_fft",
     "continuum_limit_compare",
     "ChainContinuumReport",
@@ -124,28 +123,6 @@ def interaction_sum_fft(spec: ChainSpec, u):
     """Coupling sums ``S_n = sum_m J[f(u_m) - f(u_n)]`` by circular convolution."""
     fu = spec.local.interaction_apply(np.asarray(u, dtype=float))
     return np.fft.irfft(_ring_symbol(spec) * np.fft.rfft(fu), n=spec.n_particles)
-
-
-def interaction_sum_direct(spec: ChainSpec, u):
-    """Brute-force double loop over particle pairs (test oracle)."""
-    u = np.asarray(u, dtype=float)
-    n = spec.n_particles
-    fu = spec.local.interaction_apply(u).tolist()
-    cutoff = spec.cutoff
-    expo = spec.alpha + 1.0
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for m in range(n):
-            if m == i:
-                continue
-            d = abs(i - m)
-            d = min(d, n - d)
-            if d > cutoff:
-                continue
-            acc += (fu[m] - fu[i]) / float(d) ** expo
-        out[i] = acc
-    return out
 
 
 def _lattice_mode_rates(spec: ChainSpec):
@@ -230,8 +207,8 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
                             fit_horizon=2.0):
     """Evolve lattice modes and compare their rates with the continuum law.
 
-    ``modes`` are ring mode numbers; each must satisfy ``k dx <= 0.2`` (the
-    asymptotic regime).  The on-site force must be absent or linear so the
+    ``modes`` are ring mode numbers in ``[1, n_particles // 2]``; each must
+    satisfy ``k dx <= 0.2`` (the asymptotic regime).  The on-site force must be absent or linear so the
     modes close on themselves.  Requires ``beta <= 1`` (monotone amplitude).
     Reports, per mode: the fitted rate, the exact lattice rate, the continuum
     rate ``-g_alpha |k|^alpha - a``, and relative deviations; plus the
@@ -247,6 +224,8 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         raise DomainError("rate comparison requires f = identity")
     modes = [int(m) for m in modes]
     nn = spec.n_particles
+    if not all(1 <= m <= nn // 2 for m in modes):
+        raise DomainError(f"modes must lie in [1, {nn // 2}], got {modes}")
     kvals = 2.0 * math.pi * np.asarray(modes) / (nn * spec.dx)
     kdx = kvals * spec.dx
     if np.any(kdx > 0.2):

@@ -8,7 +8,7 @@ version; it re-parses into an equal configuration), one or more data files
 with pass/fail results against the configured tolerances.  Floats are
 written with 17 significant digits so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (blow-up or non-convergence), 3 I/O error.
 """
 
@@ -202,6 +202,16 @@ def _validate_ranges(cfg: ExperimentConfig):
     if "time" in cfg.sections:
         check(cfg.sections["time"]["dt"] > 0, "dt", "must be positive")
         check(cfg.sections["time"]["n_steps"] >= 1, "n_steps", "need >= 1")
+    if "compare" in cfg.sections:
+        half = cfg.sections["chain"]["n_particles"] // 2
+        for m in cfg.sections["compare"]["modes"]:
+            check(1 <= m <= half, "modes",
+                  f"ring mode {m} is not in [1, n_particles // 2 = {half}]")
+    if "dispersion" in cfg.sections:
+        n = cfg.sections["grid"]["n_points"]
+        for m in cfg.sections["dispersion"]["modes"]:
+            check(abs(m) < n / 2, "modes",
+                  f"grid mode {m} does not satisfy |m| < n_points / 2 = {n / 2:g}")
 
 
 def load_config(path, kind=None, seed=None):
@@ -575,7 +585,10 @@ def _make_parser():
 
 
 def main(argv=None):
-    args = _make_parser().parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = load_config(args.config, kind=args.kind, seed=args.seed)
     except (ConfigError, configparser.Error) as exc:

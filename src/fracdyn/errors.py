@@ -20,10 +20,6 @@ class ConvergenceError(FracdynError):
         self.estimate = estimate
 
 
-class TailBoundError(FracdynError, ValueError):
-    """A truncated lattice sum cannot meet the requested tail tolerance."""
-
-
 class BlowUpError(FracdynError):
     """A time evolution produced non-finite or explosively growing values."""
 

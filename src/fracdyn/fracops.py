@@ -16,9 +16,10 @@ rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
 
 Space-fractional derivatives use the symmetric (Riesz) form.  On a periodic
-grid the operator is defined by its Fourier multiplier ``-|k|^alpha``; the
-real-space quadrature form is provided as an independent cross-check for
-rapidly decaying functions on the line.
+grid the operator is defined by its Fourier multiplier ``-|k|^alpha``.
+
+The quadrature forms of the defining Caputo and Riesz integrals, which the
+tests use as independent cross-checks, live in ``tests/oracles.py``.
 """
 
 import math
@@ -34,10 +35,8 @@ __all__ = [
     "l1_weights",
     "caputo_left_l1",
     "caputo_right_l1",
-    "caputo_left_quadrature_oracle",
     "riemann_liouville_left",
     "riesz_derivative_spectral",
-    "riesz_quadrature_oracle",
     "mittag_leffler",
 ]
 
@@ -145,51 +144,6 @@ def caputo_right_l1(u, beta, dt):
     return caputo_left_l1(u[::-1], beta, dt)[::-1]
 
 
-def _require(fn, name, beta):
-    if fn is None:
-        raise DomainError(f"{name} is required for order beta = {beta}")
-    return fn
-
-
-def caputo_left_quadrature_oracle(u_fn, beta, t, du=None, d2u=None,
-                                  epsabs=1e-12, epsrel=1e-11):
-    """Left Caputo derivative at time ``t`` by adaptive quadrature.
-
-    Evaluates the defining memory integral directly.  The endpoint
-    singularity is removed by the substitution ``z = t - s^(1/(n-beta))``,
-    after which the integrand is smooth:
-
-        D^beta u(t) = 1/Gamma(n-beta+1) * int_0^(t^(n-beta)) u^(n)(t - s^(1/(n-beta))) ds
-
-    with ``n = ceil(beta)``.  Callables for the required derivative must be
-    supplied (``du`` for beta in (0,1), ``d2u`` for beta in (1,2)).  Integer
-    orders return the classical derivative.  Raises ``ConvergenceError`` with
-    the achieved error estimate if the quadrature does not converge.
-    """
-    beta = validate_temporal_order(beta)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if beta == 1.0:
-        return _require(du, "du", beta)(t)
-    if beta == 2.0:
-        return _require(d2u, "d2u", beta)(t)
-    n = math.ceil(beta)
-    g = _require(du, "du", beta) if n == 1 else _require(d2u, "d2u", beta)
-    if t == 0:
-        return 0.0
-    q = n - beta
-    upper = t ** q
-    val, err = scipy.integrate.quad(lambda s: g(t - s ** (1.0 / q)), 0.0, upper,
-                                    epsabs=epsabs, epsrel=epsrel, limit=200)
-    val /= math.gamma(n - beta + 1.0)
-    err /= math.gamma(n - beta + 1.0)
-    if err > 1e-7 * max(1.0, abs(val)):
-        raise ConvergenceError(
-            f"Caputo quadrature did not converge (error estimate {err:.2e})",
-            estimate=err)
-    return val
-
-
 def riemann_liouville_left(u, beta, dt):
     """Left Riemann-Liouville derivative for ``beta`` in (0, 1).
 
@@ -236,58 +190,6 @@ def riesz_derivative_spectral(u, alpha, grid: GridSpec):
         return np.fft.ifft(sym * np.fft.fft(u, axis=-1), axis=-1)
     sym = -grid.wavenumbers_real ** alpha
     return np.fft.irfft(sym * np.fft.rfft(u, axis=-1), n=grid.n_points, axis=-1)
-
-
-def riesz_quadrature_oracle(u_fn, alpha, x, d2u=None, support_radius=None,
-                            epsabs=1e-11, epsrel=1e-10):
-    """Riesz derivative on the line by quadrature of the two-sided kernel.
-
-    Independent of any transform: differentiates under the integral, i.e.
-    convolves ``u''`` with ``|x - z|^(1 - alpha)`` and applies the
-    ``-1/(2 cos(pi alpha/2) Gamma(2 - alpha))`` normalization.  Each side is
-    regularized by ``z = x +- s^(1/(2-alpha))``.  Requires ``alpha`` in
-    (1, 2) (the normalization vanishes at ``alpha = 1`` and the substitution
-    degenerates at 2) and a decaying ``u''`` (``d2u``).
-
-    ``support_radius`` marks where ``u''`` is negligible; it bounds the
-    quadrature window so that far-off evaluation points still see the
-    function's support (used when summing periodic images).
-    """
-    alpha = float(alpha)
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"quadrature oracle requires alpha in (1, 2), got {alpha}")
-    if d2u is None:
-        raise DomainError("d2u (second derivative callable) is required")
-    q = 2.0 - alpha
-    p = 1.0 / q
-
-    def side(sign):
-        if support_radius is None:
-            val, err = scipy.integrate.quad(lambda s: d2u(x + sign * s ** p),
-                                            0.0, np.inf, epsabs=epsabs,
-                                            epsrel=epsrel, limit=400)
-            return val, err
-        # window in s where x + sign*s^p intersects [-R, R]
-        lo = sign * x - support_radius
-        hi = sign * x + support_radius
-        a = max(0.0, -hi) ** q if -hi > 0 else 0.0
-        b = max(0.0, -lo) ** q
-        if b <= a:
-            return 0.0, 0.0
-        val, err = scipy.integrate.quad(lambda s: d2u(x + sign * s ** p), a, b,
-                                        epsabs=epsabs, epsrel=epsrel, limit=400)
-        return val, err
-
-    (vr, er) = side(+1.0)
-    (vl, el) = side(-1.0)
-    pref = -1.0 / (2.0 * math.cos(math.pi * alpha / 2.0) * math.gamma(q))
-    val = pref * (vr + vl) / q
-    err = abs(pref) * (er + el) / q
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise ConvergenceError(
-            f"Riesz quadrature did not converge (error estimate {err:.2e})",
-            estimate=err)
-    return val
 
 
 _SERIES_RADIUS = 5.0

@@ -1,12 +1,14 @@
-"""Power-law memory and interaction kernels, lattice coupling sums, and the
-renormalized continuum coupling constant.
+"""Power-law memory kernel, lattice coupling, and the renormalized
+continuum coupling constant.
 
 The memory kernel ``M(t) = g0 t^(-beta) / Gamma(1-beta)`` turns the time
 convolution of a rate history into a Caputo derivative of order ``beta``.
-The spatial interaction kernel decays as ``|r|^(1-alpha)``; its lattice
-counterpart ``J(n) = 1/|n|^(alpha+1)`` has a Fourier sum whose small-k
-increment behaves as ``|k dx|^alpha``, which is the mechanism by which a
-long-range chain acquires a fractional spatial derivative in the continuum.
+The lattice coupling ``J(n) = 1/|n|^(alpha+1)`` has a Fourier sum whose
+small-k increment behaves as ``|k dx|^alpha``, which is the mechanism by
+which a long-range chain acquires a fractional spatial derivative in the
+continuum.  The chain evaluates that sum on its ring by FFT; the truncated
+cosine sums on the infinite lattice that the tests check it against live in
+``tests/oracles.py``.
 """
 
 import math
@@ -14,20 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TailBoundError
+from .errors import DomainError
 from .fracops import l1_apply, l1_weights
 
 __all__ = [
     "MemoryKernel",
-    "InteractionKernel",
     "LatticeCoupling",
     "memory_convolution",
-    "lattice_symbol",
-    "lattice_symbol_increment",
     "renormalized_constant",
-    "gamma_negative",
-    "zeta_sum",
-    "cutoff_for_tolerance",
 ]
 
 
@@ -63,26 +59,6 @@ class MemoryKernel:
 
 
 @dataclass(frozen=True)
-class InteractionKernel:
-    """Spatial power-law kernel ``C(r) = -g1 |r|^(1-alpha) / (cos(pi a/2) Gamma(2-a))``."""
-
-    alpha: float
-    g1: float = 1.0
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise DomainError(f"interaction kernel requires alpha in (1, 2), got {self.alpha}")
-
-    def __call__(self, r):
-        r = np.abs(np.asarray(r, dtype=float))
-        if np.any(r == 0):
-            raise DomainError("interaction kernel is singular at r = 0")
-        pref = -self.g1 / (math.cos(math.pi * self.alpha / 2.0)
-                           * math.gamma(2.0 - self.alpha))
-        return pref * r ** (1.0 - self.alpha)
-
-
-@dataclass(frozen=True)
 class LatticeCoupling:
     """Interparticle coupling ``J(n) = 1 / |n|^(alpha+1)`` with a cutoff."""
 
@@ -100,10 +76,6 @@ class LatticeCoupling:
         if np.any(n == 0):
             raise DomainError("J(0) is not defined (self-coupling excluded)")
         return 1.0 / n.astype(float) ** (self.alpha + 1.0)
-
-    def total(self):
-        """Full two-sided sum ``sum_{n != 0} J(n) = 2 zeta(alpha+1)``."""
-        return 2.0 * zeta_sum(self.alpha + 1.0)
 
     def ring_kernel(self, n_particles):
         """Length-N circular kernel with minimal-image distances.
@@ -139,74 +111,6 @@ def memory_convolution(kernel: MemoryKernel, du_dt, dt):
     return kernel.g0 * l1_apply(increments, l1_weights(kernel.beta, du_dt.shape[0]), scale)
 
 
-def cutoff_for_tolerance(alpha, tol):
-    """Smallest cutoff whose tail bound ``2 N^(-alpha) / alpha`` is below ``tol``."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    return int(math.ceil((2.0 / (alpha * tol)) ** (1.0 / alpha)))
-
-
-def _check_tail(alpha, cutoff, tol):
-    tail = 2.0 * float(cutoff) ** (-alpha) / alpha
-    if tail > tol:
-        raise TailBoundError(
-            f"cutoff {cutoff} gives tail bound {tail:.3e} > tolerance {tol:.3e}; "
-            f"need at least {cutoff_for_tolerance(alpha, tol)}")
-
-
-_CHUNK = 4_000_000
-
-
-def _coupling_cosine_sum(alpha, theta, cutoff, increment):
-    """Chunked evaluation of ``2 sum_{n=1..cutoff} c_n / n^(alpha+1)`` with
-    ``c_n = cos(n theta)`` (symbol) or ``cos(n theta) - 1`` (increment)."""
-    total = 0.0
-    for start in range(1, cutoff + 1, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, cutoff + 1), dtype=np.float64)
-        c = np.cos(n * theta)
-        if increment:
-            c -= 1.0
-        total += 2.0 * np.sum(c / n ** (alpha + 1.0))
-    return total
-
-
-def lattice_symbol(alpha, k, dx, cutoff, tol=1e-10):
-    """Lattice Fourier sum ``J^(k) = 2 sum_{n>=1} cos(k n dx) / n^(alpha+1)``.
-
-    Real and even in k; ``J^(0) = 2 zeta(alpha+1)``.  Raises
-    ``TailBoundError`` when the cutoff cannot meet ``tol``.
-    """
-    if alpha <= 0:
-        raise DomainError("lattice symbol requires alpha > 0")
-    _check_tail(alpha, cutoff, tol)
-    return _coupling_cosine_sum(alpha, k * dx, int(cutoff), increment=False)
-
-
-def lattice_symbol_increment(alpha, k, dx, cutoff, tol=1e-10):
-    """Cancellation-free evaluation of ``J^(k) - J^(0)``.
-
-    Sums ``2 (cos(k n dx) - 1) / n^(alpha+1)`` directly, which preserves full
-    relative precision in the small-k regime where the increment is tiny
-    against the symbol itself.
-    """
-    if alpha <= 0:
-        raise DomainError("lattice symbol requires alpha > 0")
-    _check_tail(alpha, cutoff, tol)
-    return _coupling_cosine_sum(alpha, k * dx, int(cutoff), increment=True)
-
-
-def gamma_negative(alpha):
-    """``Gamma(-alpha)`` for non-integer ``alpha > 0`` via reflection.
-
-    ``Gamma(-a) = -pi / (sin(pi a) Gamma(1 + a))`` keeps the evaluation on
-    the positive axis.
-    """
-    alpha = float(alpha)
-    if alpha <= 0 or alpha == int(alpha):
-        raise DomainError(f"Gamma(-alpha) has poles at nonnegative integers; got alpha = {alpha}")
-    return -math.pi / (math.sin(math.pi * alpha) * math.gamma(1.0 + alpha))
-
-
 def renormalized_constant(alpha, g0, dx):
     """Continuum coupling ``g_alpha = 2 g0 dx^alpha Gamma(-alpha) cos(pi alpha / 2)``.
 
@@ -220,16 +124,4 @@ def renormalized_constant(alpha, g0, dx):
         raise DomainError(f"renormalized constant requires alpha in (1, 2), got {alpha}")
     if dx <= 0:
         raise DomainError("dx must be positive")
-    return 2.0 * g0 * dx ** alpha * gamma_negative(alpha) * math.cos(math.pi * alpha / 2.0)
-
-
-def zeta_sum(s, terms=20_000):
-    """``zeta(s)`` for ``s > 1`` by direct summation with an Euler-Maclaurin
-    tail correction (no special-function dependency)."""
-    if s <= 1.0:
-        raise DomainError("zeta_sum requires s > 1")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    m = float(terms)
-    head = float(np.sum(n ** (-s)))
-    tail = m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s) + s * m ** (-s - 1.0) / 12.0
-    return head + tail
+    return 2.0 * g0 * dx ** alpha * math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)

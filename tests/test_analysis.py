@@ -6,25 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fracdyn.analysis import (convergence_order, dispersion_check,
-                              laplace_symbol_check, principal_iomega_power)
+from fracdyn.analysis import dispersion_check
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fields import FieldState, nls_evolve, nls_linear_mode_evolution
 from fracdyn.grids import GridSpec, TimeGrid
+from oracles import convergence_order, laplace_symbol_check
 
 TWO_PI = 2 * np.pi
-
-
-# ------------------------------------------------------------ principal branch
-
-
-def test_principal_power_values():
-    assert principal_iomega_power(2.0, 1.0) == pytest.approx(2.0j)
-    assert principal_iomega_power(0.0, 0.7) == 0.0
-    got = principal_iomega_power(1.0, 0.5)
-    assert got == pytest.approx(np.exp(1j * np.pi / 4))
-    got = principal_iomega_power(-1.0, 0.5)
-    assert got == pytest.approx(np.exp(-1j * np.pi / 4))
 
 
 # ------------------------------------------------------------ dispersion

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
-                           evolve_chain, interaction_sum_direct,
-                           interaction_sum_fft)
+                           evolve_chain, interaction_sum_fft)
 from fracdyn.errors import BlowUpError, DomainError
 from fracdyn.fields import Interaction, ModelSpec, Potential
 from fracdyn.fracops import mittag_leffler
 from fracdyn.grids import TimeGrid
+from oracles import interaction_sum_direct
 
 
 def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
@@ -224,3 +224,11 @@ def test_continuum_compare_rejects_nonlinear_force():
                  a=0.1, b=0.5)
     with pytest.raises(DomainError):
         continuum_limit_compare(spec, [3], dt=0.01, n_steps=100)
+
+
+@pytest.mark.parametrize("modes", [[-3, 5], [0, 5]])
+def test_continuum_compare_rejects_modes_outside_ring(modes):
+    # mode -3 would read rfft mode 126 of a 256-particle ring; mode 0 is 0/0
+    spec = _spec(n=256, beta=1.0)
+    with pytest.raises(DomainError, match=r"modes must lie in \[1, 128\]"):
+        continuum_limit_compare(spec, modes, dt=0.02, n_steps=100)

@@ -77,6 +77,47 @@ n_particles = 32
 alpha = 1.5
 """
 
+COMPARE_CONFIG = """
+[experiment]
+kind = continuum_compare
+
+[chain]
+n_particles = 512
+dx = 1.0
+alpha = 1.5
+g0 = -1.0
+beta = 1.0
+
+[time]
+dt = 0.02
+n_steps = 2000
+
+[compare]
+modes = {modes}
+"""
+
+DISPERSION_CONFIG = """
+[experiment]
+kind = dispersion
+
+[grid]
+n_points = 128
+length = 6.283185307179586
+
+[time]
+dt = 0.001
+n_steps = 500
+
+[nls]
+alpha = 1.5
+g = 1.0
+a = 0.0
+b = 0.0
+
+[dispersion]
+modes = {modes}
+"""
+
 SELFTEST_CONFIG = """
 [experiment]
 kind = operator_selftest
@@ -157,6 +198,42 @@ def test_cli_exit_codes(tmp_path):
 
     assert main(["nls", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o3")]) == 3
+
+
+def test_cli_usage_errors_exit_config(tmp_path, capsys):
+    cfgp = _write(tmp_path, NLS_CONFIG)
+    out = tmp_path / "o"
+    assert main(["nls", "--config", str(cfgp), "--out", str(out),
+                 "--bogus"]) == EXIT_CONFIG
+    assert main(["nls", "--config", str(cfgp)]) == EXIT_CONFIG
+    assert main(["no_such_kind"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert main(["--help"]) == EXIT_OK
+    assert main(["nls", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, template, modes", [
+    ("continuum_compare", COMPARE_CONFIG, "-3,5"),
+    ("continuum_compare", COMPARE_CONFIG, "0,5"),
+    ("continuum_compare", COMPARE_CONFIG, "5,257"),
+    ("dispersion", DISPERSION_CONFIG, "3,100"),
+    ("dispersion", DISPERSION_CONFIG, "3,64"),
+    ("dispersion", DISPERSION_CONFIG, "-64,3"),
+], ids=["compare-negative", "compare-zero", "compare-above-half",
+        "dispersion-100", "dispersion-nyquist", "dispersion-minus-nyquist"])
+def test_modes_out_of_range_rejected(tmp_path, kind, template, modes):
+    cfgp = _write(tmp_path, template.format(modes=modes))
+    with pytest.raises(ConfigError, match="invalid 'modes'"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+
+
+def test_modes_in_range_accepted(tmp_path):
+    load_config(_write(tmp_path, COMPARE_CONFIG.format(modes="1,256")))
+    load_config(_write(tmp_path, DISPERSION_CONFIG.format(modes="-63,63")))
 
 
 def test_cli_blowup_exit(tmp_path):
@@ -254,25 +331,7 @@ width = 1.0
 
 
 def test_continuum_compare_cli(tmp_path):
-    text = """
-[experiment]
-kind = continuum_compare
-
-[chain]
-n_particles = 512
-dx = 1.0
-alpha = 1.5
-g0 = -1.0
-beta = 1.0
-
-[time]
-dt = 0.02
-n_steps = 2000
-
-[compare]
-modes = 2,4
-"""
-    cfgp = _write(tmp_path, text, name="cc.ini")
+    cfgp = _write(tmp_path, COMPARE_CONFIG.format(modes="2,4"), name="cc.ini")
     out = tmp_path / "cc"
     code = main(["continuum_compare", "--config", str(cfgp),
                  "--out", str(out)])
@@ -283,28 +342,8 @@ modes = 2,4
 
 
 def test_dispersion_cli(tmp_path):
-    text = """
-[experiment]
-kind = dispersion
-
-[grid]
-n_points = 128
-length = 6.283185307179586
-
-[time]
-dt = 0.001
-n_steps = 500
-
-[nls]
-alpha = 1.5
-g = 1.0
-a = 0.0
-b = 0.0
-
-[dispersion]
-modes = 1,2,3,4,6,8
-"""
-    cfgp = _write(tmp_path, text, name="d.ini")
+    cfgp = _write(tmp_path, DISPERSION_CONFIG.format(modes="1,2,3,4,6,8"),
+                  name="d.ini")
     out = tmp_path / "d"
     assert main(["dispersion", "--config", str(cfgp),
                  "--out", str(out)]) == EXIT_OK

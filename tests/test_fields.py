@@ -138,7 +138,7 @@ def test_mode_law_error_orders():
     # order beta (first step) while the fixed-final-time error converges at
     # first order; the 2-beta rate is recovered only on smooth data (see the
     # operator-level order test on t^3)
-    from fracdyn.analysis import convergence_order
+    from oracles import convergence_order
     beta = 0.5
     dts = (4e-3, 2e-3, 1e-3, 5e-4)
     errs_max, errs_end = [], []

@@ -3,8 +3,10 @@ quadrature of the defining integrals, closed forms for monomials, series
 summation, and high-precision arithmetic (mpmath), never from the code path
 under test."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +20,11 @@ from hypothesis import strategies as st
 
 import fracdyn
 from fracdyn.errors import ConvergenceError, DomainError
-from fracdyn.fracops import (caputo_left_l1, caputo_left_quadrature_oracle,
-                             caputo_right_l1, l1_apply, l1_weights,
-                             mittag_leffler,
-                             riemann_liouville_left, riesz_derivative_spectral,
-                             riesz_quadrature_oracle)
+from fracdyn.fracops import (caputo_left_l1, caputo_right_l1, l1_apply,
+                             l1_weights, mittag_leffler,
+                             riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
+from oracles import caputo_left_quadrature_oracle, riesz_quadrature_oracle
 
 # ------------------------------------------------------------ L1 weights
 
@@ -105,6 +106,27 @@ def test_import_does_not_load_scipy_signal():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert res.stdout.strip() == "False"
+
+
+_TEST_ONLY_NAMES = (
+    # oracles kept in tests/oracles.py
+    "caputo_left_quadrature_oracle", "_require", "riesz_quadrature_oracle",
+    "laplace_symbol_check", "LaplaceSymbolReport", "convergence_order",
+    "interaction_sum_direct", "lattice_symbol", "lattice_symbol_increment",
+    "_coupling_cosine_sum", "_check_tail", "_CHUNK", "cutoff_for_tolerance",
+    "TailBoundError",
+    # deleted: no result reads them
+    "InteractionKernel", "principal_iomega_power", "zeta_sum", "gamma_negative",
+)
+
+
+def test_library_holds_no_test_only_names():
+    modules = [fracdyn] + [importlib.import_module(f"fracdyn.{m.name}")
+                           for m in pkgutil.iter_modules(fracdyn.__path__)]
+    for mod in modules:
+        held = [n for n in _TEST_ONLY_NAMES if hasattr(mod, n)]
+        assert not held, f"{mod.__name__} still defines {held}"
+    assert not hasattr(fracdyn.kernels.LatticeCoupling, "total")
 
 
 # ------------------------------------------------------------ left Caputo

@@ -1,5 +1,6 @@
-"""Kernel and lattice-sum tests.  Oracles: scipy's zeta and gamma, direct
-high-cutoff summation, and the L1 operator identity."""
+"""Kernel and lattice-sum tests.  Oracles: scipy's zeta and gamma, the
+truncated lattice cosine sums of ``tests/oracles.py`` (direct high-cutoff
+summation), and the L1 operator identity."""
 
 import math
 
@@ -9,13 +10,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn.errors import DomainError, TailBoundError
+from fracdyn.errors import DomainError
 from fracdyn.fracops import caputo_left_l1
-from fracdyn.kernels import (InteractionKernel, LatticeCoupling, MemoryKernel,
-                             cutoff_for_tolerance, gamma_negative,
-                             lattice_symbol, lattice_symbol_increment,
-                             memory_convolution, renormalized_constant,
-                             zeta_sum)
+from fracdyn.kernels import (LatticeCoupling, MemoryKernel, memory_convolution,
+                             renormalized_constant)
+from oracles import (TailBoundError, cutoff_for_tolerance, lattice_symbol,
+                     lattice_symbol_increment)
 
 # ------------------------------------------------------------ memory kernel
 
@@ -70,25 +70,6 @@ def test_memory_convolution_empty_history():
     assert np.array_equal(memory_convolution(kern, np.empty(0), 0.01), [0.0])
 
 
-# ------------------------------------------------------------ interaction kernel
-
-
-@given(alpha=st.floats(1.05, 1.95), r=st.floats(0.01, 50.0))
-@settings(max_examples=50, deadline=None)
-def test_interaction_kernel_homogeneity(alpha, r):
-    c = InteractionKernel(alpha=alpha, g1=1.3)
-    assert c(2.0 * r) / c(r) == pytest.approx(2.0 ** (1.0 - alpha), rel=1e-13)
-
-
-def test_interaction_kernel_even():
-    c = InteractionKernel(alpha=1.5, g1=0.7)
-    assert c(-3.2) == c(3.2)
-    with pytest.raises(DomainError):
-        c(0.0)
-    with pytest.raises(DomainError):
-        InteractionKernel(alpha=2.0)
-
-
 # ------------------------------------------------------------ lattice coupling
 
 
@@ -97,16 +78,6 @@ def test_lattice_coupling_symmetry_positive():
     assert j(5) == j(-5) > 0
     with pytest.raises(DomainError):
         j(0)
-
-
-def test_lattice_total_vs_scipy_zeta():
-    j = LatticeCoupling(alpha=1.5)
-    assert j.total() == pytest.approx(2.0 * scipy.special.zeta(2.5, 1), rel=1e-12)
-
-
-def test_zeta_sum_vs_scipy():
-    for s in (1.5, 2.0, 2.5, 3.7):
-        assert zeta_sum(s) == pytest.approx(scipy.special.zeta(s, 1), rel=1e-12)
 
 
 def test_ring_kernel_minimal_image():
@@ -155,7 +126,7 @@ def test_lattice_increment_small_k_constant():
     # (J^(k) - J^(0)) / |k dx|^alpha approaches 2 Gamma(-alpha) cos(pi alpha/2);
     # the approach is first order in (k dx)^(2-alpha), ~1.4% at k dx = 1e-3
     alpha = 1.5
-    target = 2.0 * gamma_negative(alpha) * math.cos(math.pi * alpha / 2.0)
+    target = 2.0 * scipy.special.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
     cutoff = cutoff_for_tolerance(alpha, 1e-10)
     ratios = []
     for theta in (1e-1, 1e-2, 1e-3):
@@ -169,11 +140,12 @@ def test_lattice_increment_small_k_constant():
 # ------------------------------------------------------------ renormalized constant
 
 
-def test_gamma_negative_vs_scipy():
-    for a in (0.3, 1.25, 1.5, 1.75):
-        assert gamma_negative(a) == pytest.approx(scipy.special.gamma(-a), rel=1e-13)
-    with pytest.raises(DomainError):
-        gamma_negative(1.0)
+@pytest.mark.parametrize("alpha", [1.1, 1.25, 1.5, 1.75, 1.9])
+def test_renormalized_constant_vs_scipy_gamma(alpha):
+    g0, dx = 0.7, 0.3
+    expected = (2.0 * g0 * dx ** alpha * scipy.special.gamma(-alpha)
+                * math.cos(math.pi * alpha / 2.0))
+    assert renormalized_constant(alpha, g0, dx) == pytest.approx(expected, rel=1e-14)
 
 
 def test_renormalized_constant_value():
