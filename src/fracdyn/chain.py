@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _FIT_LEVELS = 25  # time levels per mode-rate fit
+MAX_KDX = 0.2     # largest k dx of the asymptotic regime continuum_limit_compare fits
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         raise DomainError(f"modes must lie in [1, {nn // 2}], got {modes}")
     kvals = 2.0 * math.pi * np.asarray(modes) / (nn * spec.dx)
     kdx = kvals * spec.dx
-    if np.any(kdx > 0.2):
-        raise DomainError("requested modes leave the asymptotic regime k dx <= 0.2")
+    if np.any(kdx > MAX_KDX):
+        raise DomainError(f"requested modes leave the asymptotic regime k dx <= {MAX_KDX}")
 
     rates_lattice_all = _lattice_mode_rates(spec)
     g_alpha = renormalized_constant(spec.alpha, spec.g0, spec.dx)

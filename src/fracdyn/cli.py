@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import dispersion_check
-from .chain import ChainSpec, ChainState, continuum_limit_compare, evolve_chain
+from .chain import (MAX_KDX, ChainSpec, ChainState, continuum_limit_compare,
+                    evolve_chain)
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
@@ -202,11 +203,19 @@ def _validate_ranges(cfg: ExperimentConfig):
     if "time" in cfg.sections:
         check(cfg.sections["time"]["dt"] > 0, "dt", "must be positive")
         check(cfg.sections["time"]["n_steps"] >= 1, "n_steps", "need >= 1")
+    if "stationary" in cfg.sections:
+        st = cfg.sections["stationary"]
+        check(st["tol"] > 0, "tol", f"must be positive, got {st['tol']}")
+        check(st["max_iter"] >= 1, "max_iter", f"need >= 1, got {st['max_iter']}")
     if "compare" in cfg.sections:
-        half = cfg.sections["chain"]["n_particles"] // 2
+        n = cfg.sections["chain"]["n_particles"]
         for m in cfg.sections["compare"]["modes"]:
-            check(1 <= m <= half, "modes",
-                  f"ring mode {m} is not in [1, n_particles // 2 = {half}]")
+            check(1 <= m <= n // 2, "modes",
+                  f"ring mode {m} is not in [1, n_particles // 2 = {n // 2}]")
+            kdx = 2.0 * math.pi * m / n
+            check(kdx <= MAX_KDX, "modes",
+                  f"ring mode {m} has k dx = {kdx:.4g}, outside the asymptotic "
+                  f"regime k dx <= {MAX_KDX}")
     if "dispersion" in cfg.sections:
         n = cfg.sections["grid"]["n_points"]
         for m in cfg.sections["dispersion"]["modes"]:
@@ -441,6 +450,8 @@ def _run_stationary(cfg, outdir, rng):
             f"stationary solve stalled at residual {result.residual_norm:.3e}",
             estimate=result.residual_norm)
     return {"residual_norm": result.residual_norm, "iterations": result.n_iter,
+            "krylov_iterations": result.krylov_iters,
+            "line_search_halvings": result.line_search_halvings,
             "converged": result.converged, "passed": result.converged}
 
 

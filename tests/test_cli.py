@@ -118,6 +118,26 @@ b = 0.0
 modes = {modes}
 """
 
+STATIONARY_CONFIG = """
+[experiment]
+kind = stationary_fgle
+
+[grid]
+n_points = 128
+length = 12.0
+
+[stationary]
+alpha = 1.5
+g = 1.0
+a = -1.0
+b = 1.0
+
+[initial]
+kind = pulse
+amplitude = 1.0
+width = 1.0
+"""
+
 SELFTEST_CONFIG = """
 [experiment]
 kind = operator_selftest
@@ -217,11 +237,12 @@ def test_cli_usage_errors_exit_config(tmp_path, capsys):
     ("continuum_compare", COMPARE_CONFIG, "-3,5"),
     ("continuum_compare", COMPARE_CONFIG, "0,5"),
     ("continuum_compare", COMPARE_CONFIG, "5,257"),
+    ("continuum_compare", COMPARE_CONFIG, "5,17"),
     ("dispersion", DISPERSION_CONFIG, "3,100"),
     ("dispersion", DISPERSION_CONFIG, "3,64"),
     ("dispersion", DISPERSION_CONFIG, "-64,3"),
 ], ids=["compare-negative", "compare-zero", "compare-above-half",
-        "dispersion-100", "dispersion-nyquist", "dispersion-minus-nyquist"])
+        "compare-kdx-above-0.2", "dispersion-100", "dispersion-nyquist", "dispersion-minus-nyquist"])
 def test_modes_out_of_range_rejected(tmp_path, kind, template, modes):
     cfgp = _write(tmp_path, template.format(modes=modes))
     with pytest.raises(ConfigError, match="invalid 'modes'"):
@@ -232,7 +253,8 @@ def test_modes_out_of_range_rejected(tmp_path, kind, template, modes):
 
 
 def test_modes_in_range_accepted(tmp_path):
-    load_config(_write(tmp_path, COMPARE_CONFIG.format(modes="1,256")))
+    # 16 is the largest ring mode of 512 particles with 2 pi m / n <= 0.2
+    load_config(_write(tmp_path, COMPARE_CONFIG.format(modes="1,16")))
     load_config(_write(tmp_path, DISPERSION_CONFIG.format(modes="-63,63")))
 
 
@@ -328,6 +350,29 @@ width = 1.0
                  "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+
+
+def test_stationary_cli_reports_solver_counts(tmp_path):
+    cfgp = _write(tmp_path, STATIONARY_CONFIG, name="st.ini")
+    out = tmp_path / "st"
+    assert main(["stationary_fgle", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] > 0
+    assert summary["krylov_iterations"] > 0
+    assert summary["line_search_halvings"] >= 0
+
+
+@pytest.mark.parametrize("key, value", [("tol", "0"), ("max_iter", "0")])
+def test_stationary_solver_settings_rejected(tmp_path, key, value):
+    cfgp = _write(tmp_path, STATIONARY_CONFIG.replace(
+        "b = 1.0", f"b = 1.0\n{key} = {value}"), name="st.ini")
+    with pytest.raises(ConfigError, match=f"invalid '{key}'"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main(["stationary_fgle", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
 
 
 def test_continuum_compare_cli(tmp_path):

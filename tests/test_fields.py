@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from fracdyn.errors import BlowUpError, DomainError
+from fracdyn import fields
+from fracdyn.errors import BlowUpError, ConvergenceError, DomainError
 from fracdyn.fields import (FieldState, Interaction, ModelSpec, Potential,
                             evolve_field, evolve_sine_gordon, field_mass,
                             free_energy, free_energy_gradient, nls_evolve,
@@ -376,14 +377,32 @@ def test_stationary_zero_root():
     assert np.allclose(res.u, 0.0, atol=1e-10)
 
 
-def test_stationary_pulse_vs_dense_newton_oracle():
+def test_stationary_zero_root_resonant_mode():
+    # a = g |k|^alpha at the lattice mode k = 1, so the Jacobian is singular
+    # at the root and Newton converges only linearly in that mode; in the
+    # last steps GMRES reaches about 3e-10 relative against its 1e-10
+    # forcing target, so the solve must end on its absolute target instead
+    # (a dense Newton solve converges here in 12 iterations)
+    grid = GridSpec(64, TWO_PI)
+    guess = 0.05 + 0.02 * np.cos(grid.x)
+    res = stationary_fgle_solve(grid, 1.5, 1.0, 1.0, 1.0, guess)
+    assert res.converged
+    assert np.max(np.abs(res.u)) < 1e-3
+    assert res.krylov_iters < 1000
+
+
+@pytest.mark.parametrize("alpha, length, amp, peak", [
+    (2.0, 12.0, math.sqrt(2.0), math.sqrt(2.0)),
+    (1.5, 24.0, 1.0, 1.5376),
+], ids=["alpha2", "alpha1.5"])
+def test_stationary_pulse_vs_dense_newton_oracle(alpha, length, amp, peak):
     # oracle: dense Fourier-differentiation-matrix Newton solve, built from
     # scratch (matrix columns from the transform of unit vectors, dense LU)
-    n, length = 256, 12.0
+    n = 256
     grid = GridSpec(n, length)
-    g, a, b, alpha = 1.0, -1.0, 1.0, 2.0
+    g, a, b = 1.0, -1.0, 1.0
     x = grid.x
-    guess = math.sqrt(2.0) / np.cosh(x - length / 2)
+    guess = amp / np.cosh(x - length / 2)
 
     k = grid.wavenumbers
     dmat = np.zeros((n, n))
@@ -400,7 +419,7 @@ def test_stationary_pulse_vs_dense_newton_oracle():
 
     res = stationary_fgle_solve(grid, alpha, g, a, b, guess, tol=5e-12)
     assert res.converged
-    assert abs(res.u.max() - math.sqrt(2.0)) < 1e-3  # pulse profile, not a uniform root
+    assert abs(res.u.max() - peak) < 1e-3  # pulse profile, not a uniform root
     # the equation is translation invariant and the spectral discretization
     # preserves that symmetry to rounding (the Jacobian's translation mode
     # sits at ~1e-13), so each solver lands on its own infinitesimal
@@ -409,6 +428,39 @@ def test_stationary_pulse_vs_dense_newton_oracle():
     diff = res.u - u
     diff = diff - (diff @ du) / (du @ du) * du
     assert np.max(np.abs(diff)) < 1e-8
+
+
+def _fractional_pulse():
+    grid = GridSpec(256, 24.0)
+    return grid, 1.0 / np.cosh(grid.x - 12.0)
+
+
+def test_stationary_reports_solver_counts():
+    grid, guess = _fractional_pulse()
+    first = stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)
+    second = stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)
+    counts = (first.n_iter, first.krylov_iters, first.line_search_halvings)
+    assert counts == (second.n_iter, second.krylov_iters,
+                      second.line_search_halvings)
+    assert first.converged
+    assert first.krylov_iters > 0 and first.line_search_halvings > 0
+
+
+def test_stationary_krylov_miss_raises(monkeypatch):
+    def stalled_gmres(op, rhs, **kwargs):
+        return np.zeros_like(rhs), kwargs["maxiter"]
+    monkeypatch.setattr(fields.scipy.sparse.linalg, "gmres", stalled_gmres)
+    grid, guess = _fractional_pulse()
+    with pytest.raises(ConvergenceError, match="Newton iteration 1") as exc:
+        stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)
+    assert exc.value.estimate == pytest.approx(1.0)
+
+
+def test_stationary_rejects_nonpositive_tol():
+    grid, guess = _fractional_pulse()
+    for tol in (0.0, -1e-10):
+        with pytest.raises(DomainError, match="tol"):
+            stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess, tol=tol)
 
 
 def test_stationary_reports_non_convergence():
