@@ -355,10 +355,11 @@ def _snapshot_rows(state, every):
     t = state.times
     x = state.grid.x
     steps = range(0, state.n_completed + 1, every) if every else (0, state.n_completed)
+    is_complex = np.iscomplexobj(hist)
     for j in steps:
         for i in range(state.grid.n_points):
             v = hist[j, i]
-            if np.iscomplexobj(hist):
+            if is_complex:
                 yield (t[j], x[i], v.real, v.imag)
             else:
                 yield (t[j], x[i], v)

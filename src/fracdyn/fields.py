@@ -28,6 +28,12 @@ two-level average, which reduces to a standard second-order implicit wave
 scheme at ``beta = 2``.  One stepper serves both this module and
 ``chain.evolve_chain``: the chain is the same scheme with spatial multiplier
 ``g0 (J^(k) - J^(0))`` in place of ``sum_s g_s |k|^s`` and time coefficient 1.
+
+The memory sum over all earlier increment spectra is kept by
+``fracops.HistorySum``: exact, direct within base blocks of
+``HISTORY_BLOCK = 64`` steps and by FFT products between blocks, so a run of
+``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
+O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.
 """
 
 import enum
@@ -38,7 +44,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import BlowUpError, ConvergenceError, DomainError
-from .fracops import caputo_left_l1, caputo_right_l1, l1_weights, mittag_leffler
+from .fracops import (_FFT_BLOCK_BYTES, HistorySum, caputo_left_l1,
+                      caputo_right_l1, l1_weights, mittag_leffler)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
 
@@ -256,16 +263,16 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
             raise DomainError("implicit system singular: g0 * c + symbol vanishes")
         # at beta = 1 every weight beyond the newest vanishes: no memory sum
         has_memory = beta < 1.0
-        inc_hat = np.zeros((n, sym.shape[0]), dtype=complex) if has_memory else None
+        mem = HistorySum(w, n, sym.shape[0]) if has_memory else None
         for j in range(n):
-            hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
+            hist = mem.history(j) if has_memory else 0.0
             rhs = c * (uhat - hist)
             if not no_force:
                 rhs = rhs - fwd(_explicit_terms(model, u[j], sym, fwd, inv))
             new_hat = rhs / denom
             u[j + 1] = inv(new_hat)
             if has_memory:
-                inc_hat[j] = new_hat - uhat
+                mem.push(j, new_hat - uhat)
             uhat = new_hat
             prev_norm = _guard(u[j + 1], j + 1, prev_norm)
             state.n_completed = j + 1
@@ -283,7 +290,7 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
         raise DomainError("implicit system singular: cp/dt + symbol/2 vanishes")
     has_memory = bp < 1.0  # beta = 2 is the classical wave stepper
     dq_prev = fwd(state.initial_velocity.astype(u.dtype))
-    dinc_hat = np.zeros((n, sym.shape[0]), dtype=complex) if has_memory else None
+    mem = HistorySum(w, n, sym.shape[0]) if has_memory else None
     uhat_prev = None
     for j in range(n):
         rhs_force = 0.0
@@ -292,13 +299,13 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
         if j == 0:
             new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / first_denom
         else:
-            hist = (w[1:j + 1][::-1] @ dinc_hat[:j]) if has_memory else 0.0
+            hist = mem.history(j) if has_memory else 0.0
             rhs = cp * (uhat / dt + dq_prev - hist) - 0.5 * lin * uhat_prev - rhs_force
             new_hat = rhs / denom
         u[j + 1] = inv(new_hat)
         dq_new = (new_hat - uhat) / dt
         if has_memory:
-            dinc_hat[j] = dq_new - dq_prev
+            mem.push(j, dq_new - dq_prev)
         dq_prev = dq_new
         uhat_prev, uhat = uhat, new_hat
         prev_norm = _guard(u[j + 1], j + 1, prev_norm)
@@ -319,7 +326,7 @@ def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one):
 
 
 def nls_step(state: FieldState, alpha, g, a, b):
-    """One Strang split step of ``i du/dt = -g (-Lap)^(a/2) u + a u + b |u|^2 u``.
+    """One Strang split step of ``i du/dt = -g (-Lap)^(alpha/2) u + a u + b |u|^2 u``.
 
     Half-step pointwise phase rotation, full linear step with multiplier
     ``exp(i g |k|^alpha dt)``, second half rotation.  Every substep preserves
@@ -523,9 +530,13 @@ def residual(model: ModelSpec, state: FieldState, beta):
         out = out + model.g0_prime * caputo_right_l1(u, beta, dt)
     k, fwd, inv = _transforms(state)
     sym = model.spatial_symbol(k)
-    for j in range(u.shape[0]):
-        fu = model.interaction_apply(u[j])
-        out[j] += inv(sym * fwd(fu)) + model.force(u[j])
+    # rows in blocks, one transform along the grid axis per block, so that
+    # the work buffers stay small beside the trajectory
+    rows = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[1]))
+    for r in range(0, u.shape[0], rows):
+        ur = u[r:r + rows]
+        fu = model.interaction_apply(ur)
+        out[r:r + rows] += inv(sym * fwd(fu)) + model.force(ur)
     return out
 
 

@@ -3,9 +3,10 @@
 Each function here evaluates a quantity the library computes by a faster or
 transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
-derivative, brute-force pair sums on the chain, and truncated lattice cosine
-sums.  Nothing in ``fracdyn`` calls them; they exist so that every operator
-is checked against a path written separately from the one under test.
+derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
+and the time stepper with its memory sum formed directly at every step.
+Nothing in ``fracdyn`` calls them; they exist so that every operator is
+checked against a path written separately from the one under test.
 """
 
 import math
@@ -16,6 +17,8 @@ import scipy.integrate
 
 from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
+from fracdyn.fields import Interaction, Potential
+from fracdyn.fracops import l1_weights
 from fracdyn.grids import validate_temporal_order
 
 
@@ -223,6 +226,73 @@ def interaction_sum_direct(spec: ChainSpec, u):
             acc += (fu[m] - fu[i]) / float(d) ** expo
         out[i] = acc
     return out
+
+
+def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
+    """The linear-implicit L1 stepper with its memory sum formed directly.
+
+    Same scheme and signature as ``fields._evolve_linear_implicit``, but at
+    step ``j`` the memory sum is the dot product ``w[j..1] @ inc[:j]``, O(j)
+    rows per step and O(n^2) over a run.  Fills ``state.history`` without
+    the blow-up guard.  At ``beta`` in {1, 2} no memory sum exists, and the
+    arithmetic is that of the library stepper operation for operation.
+    """
+    def explicit(u):
+        out = model.force(u)
+        if model.interaction is not Interaction.IDENTITY:
+            out = out + inv(sym * fwd(model.interaction_apply(u)))
+        return out
+
+    implicit = model.interaction is Interaction.IDENTITY
+    lin = sym if implicit else np.zeros_like(sym)
+    no_force = model.potential is Potential.NONE and implicit
+    n = state.time.n_steps
+    dt = state.time.dt
+    u = state.history
+    uhat = fwd(u[0])
+    if beta <= 1.0:
+        c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
+        w = l1_weights(beta, n)
+        denom = c + lin
+        has_memory = beta < 1.0
+        inc_hat = np.zeros((n, sym.shape[0]), dtype=complex)
+        for j in range(n):
+            hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
+            rhs = c * (uhat - hist)
+            if not no_force:
+                rhs = rhs - fwd(explicit(u[j]))
+            new_hat = rhs / denom
+            u[j + 1] = inv(new_hat)
+            inc_hat[j] = new_hat - uhat
+            uhat = new_hat
+    else:
+        bp = beta - 1.0
+        cp = g0 * dt ** (-bp) / math.gamma(2.0 - bp)
+        w = l1_weights(bp, n)
+        first_denom = cp / dt + lin
+        denom = cp / dt + 0.5 * lin
+        has_memory = bp < 1.0
+        dq_prev = fwd(state.initial_velocity.astype(u.dtype))
+        dinc_hat = np.zeros((n, sym.shape[0]), dtype=complex)
+        uhat_prev = None
+        for j in range(n):
+            rhs_force = 0.0
+            if not no_force:
+                rhs_force = fwd(explicit(u[j]))
+            if j == 0:
+                new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / first_denom
+            else:
+                hist = (w[1:j + 1][::-1] @ dinc_hat[:j]) if has_memory else 0.0
+                rhs = (cp * (uhat / dt + dq_prev - hist) - 0.5 * lin * uhat_prev
+                       - rhs_force)
+                new_hat = rhs / denom
+            u[j + 1] = inv(new_hat)
+            dq_new = (new_hat - uhat) / dt
+            dinc_hat[j] = dq_new - dq_prev
+            dq_prev = dq_new
+            uhat_prev, uhat = uhat, new_hat
+    state.n_completed = n
+    return state
 
 
 def cutoff_for_tolerance(alpha, tol):

@@ -2,17 +2,19 @@
 through the ring coupling's Fourier sum, and the Mittag-Leffler law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracdyn import chain
 from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
                            evolve_chain, interaction_sum_fft)
 from fracdyn.errors import BlowUpError, DomainError
 from fracdyn.fields import Interaction, ModelSpec, Potential
-from fracdyn.fracops import mittag_leffler
+from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import TimeGrid
-from oracles import interaction_sum_direct
+from oracles import evolve_linear_implicit_direct, interaction_sum_direct
 
 
 def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
@@ -146,6 +148,50 @@ def test_chain_high_order_runs():
                                   initial_velocity=np.zeros(n))
     evolve_chain(spec, state)
     assert np.all(np.isfinite(state.history))
+
+
+@pytest.mark.parametrize("beta", [0.6, 0.9, 1.0, 1.5, 2.0])
+def test_chain_stepper_matches_direct_memory_sum(beta):
+    # lagged nonlinear coupling and on-site force, over FFT products of two
+    # block sizes in the memory sum
+    n, steps = 64, 3 * HISTORY_BLOCK + 5
+    spec = _spec(n=n, beta=beta, potential=Potential.SINE_GORDON,
+                 interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.2)
+    rng = np.random.default_rng(12)
+    u0 = 0.3 * np.cos(2 * np.pi * 3 * np.arange(n) / n) + 0.05 * rng.standard_normal(n)
+    v0 = 0.1 * rng.standard_normal(n) if beta > 1.0 else None
+    time = TimeGrid(steps, 0.01)
+    state = ChainState.from_chain(spec, time, u0, initial_velocity=v0)
+    evolve_chain(spec, state)
+    ref = ChainState.from_chain(spec, time, u0, initial_velocity=v0)
+    evolve_linear_implicit_direct(ref, beta, 1.0, spec.local,
+                                  spec.g0 * chain._ring_symbol(spec), np.fft.rfft,
+                                  lambda v: np.fft.irfft(v, n=n))
+    if beta in (1.0, 2.0):
+        # no memory sum: the arithmetic is unchanged, bit for bit
+        assert np.array_equal(state.history, ref.history)
+    else:
+        err = np.max(np.abs(state.history - ref.history))
+        assert err <= 1e-13 * np.max(np.abs(ref.history))
+
+
+def test_chain_stepper_memory_is_history_plus_one_buffer():
+    # the memory sum may hold one (n_steps, modes) complex buffer beside the
+    # history; a second such buffer, or a top-level FFT product taken over
+    # all columns at once, each need more than the 4 MiB allowed on top
+    n, steps = 2048, 4 * HISTORY_BLOCK + 45
+    modes = n // 2 + 1
+    assert steps * modes * 16 > 4 << 20
+    spec = _spec(n=n, beta=0.8, g0=-1.0)
+    u0 = np.cos(2 * np.pi * 5 * np.arange(n) / n)
+    tracemalloc.start()
+    try:
+        state = ChainState.from_chain(spec, TimeGrid(steps, 0.05), u0)
+        evolve_chain(spec, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.history.nbytes + steps * modes * 16 + (4 << 20)
 
 
 def test_chain_validation():

@@ -15,8 +15,10 @@ from fracdyn.fields import (FieldState, Interaction, ModelSpec, Potential,
                             nls_linear_mode_evolution, nls_step, residual,
                             sine_gordon_energy, stationary_fgle_solve,
                             stationary_residual)
-from fracdyn.fracops import mittag_leffler, riesz_derivative_spectral
+from fracdyn.fracops import (HISTORY_BLOCK, mittag_leffler,
+                             riesz_derivative_spectral)
 from fracdyn.grids import GridSpec, TimeGrid
+from oracles import evolve_linear_implicit_direct
 
 TWO_PI = 2 * np.pi
 
@@ -172,6 +174,36 @@ def test_translation_equivariance():
     evolve_field(model, s2, 0.7)
     assert np.allclose(s2.history, np.roll(s1.history, 5, axis=1),
                        rtol=1e-11, atol=1e-11)
+
+
+@pytest.mark.parametrize("field_kind", ["real", "complex"])
+@pytest.mark.parametrize("beta", [0.6, 0.9, 1.0, 1.5, 2.0])
+def test_stepper_matches_direct_memory_sum(beta, field_kind):
+    # long enough for FFT products of two block sizes in the memory sum
+    n, steps = 32, 3 * HISTORY_BLOCK + 5
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 0.01)
+    model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
+                      potential=Potential.GINZBURG_LANDAU, field_kind=field_kind)
+    rng = np.random.default_rng(5)
+    u0 = 0.3 * np.cos(grid.x) + 0.05 * rng.standard_normal(n)
+    v0 = 0.1 * np.sin(grid.x)
+    if field_kind == "complex":
+        u0 = u0 + 0.2j * np.sin(2 * grid.x)
+        v0 = v0 + 0j
+    v0 = v0 if beta > 1.0 else None
+    state = FieldState.from_initial(grid, tg, u0, initial_velocity=v0)
+    evolve_field(model, state, beta)
+    ref = FieldState.from_initial(grid, tg, u0, initial_velocity=v0)
+    k, fwd, inv = fields._transforms(ref)
+    evolve_linear_implicit_direct(ref, beta, model.g0, model,
+                                  model.spatial_symbol(k), fwd, inv)
+    if beta in (1.0, 2.0):
+        # no memory sum: the arithmetic is unchanged, bit for bit
+        assert np.array_equal(state.history, ref.history)
+    else:
+        err = np.max(np.abs(state.history - ref.history))
+        assert err <= 1e-13 * np.max(np.abs(ref.history))
 
 
 def test_right_weight_rejected_in_stepping():
@@ -582,6 +614,40 @@ def test_residual_honors_right_weight():
     r = residual(model, state, beta)
     expected = (t ** 0.5 - 0.5 * (1.0 - t) ** 0.5) / math.gamma(1.5)
     assert np.allclose(r, np.outer(expected, np.ones(n)), atol=1e-12)
+
+
+def _residual_row_loop(model, state, beta):
+    """``residual`` with its spatial and force terms applied row by row."""
+    u = state.history
+    out = model.g0 * fields.caputo_left_l1(u, beta, state.time.dt,
+                                           initial_velocity=state.initial_velocity)
+    k, fwd, inv = fields._transforms(state)
+    sym = model.spatial_symbol(k)
+    for j in range(u.shape[0]):
+        out[j] += inv(sym * fwd(model.interaction_apply(u[j]))) + model.force(u[j])
+    return out
+
+
+@pytest.mark.parametrize("field_kind", ["real", "complex"])
+def test_residual_matches_row_loop(field_kind):
+    # more rows than one transform block holds, so several blocks run
+    n, steps = 512, 700
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 1e-3)
+    model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
+                      potential=Potential.GINZBURG_LANDAU,
+                      interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.3,
+                      field_kind=field_kind)
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((steps + 1, n))
+    if field_kind == "complex":
+        u = u + 1j * rng.standard_normal((steps + 1, n))
+    state = FieldState.from_initial(grid, tg, u[0])
+    state.history[:] = u
+    state.n_completed = steps
+    out = residual(model, state, 0.7)
+    ref = _residual_row_loop(model, state, 0.7)
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------ energy helper

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import fracdyn
 from fracdyn.errors import ConvergenceError, DomainError
-from fracdyn.fracops import (caputo_left_l1, caputo_right_l1, l1_apply,
-                             l1_weights, mittag_leffler,
+from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, caputo_left_l1,
+                             caputo_right_l1, l1_apply, l1_weights,
+                             mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
 from oracles import caputo_left_quadrature_oracle, riesz_quadrature_oracle
@@ -97,6 +98,28 @@ def test_l1_apply_1d_roundtrip():
     assert out[0] == 0.0
     # row 1 is just scale * w0 * inc0
     assert out[1] == pytest.approx(2.0 * w[0] * inc[0], rel=1e-15)
+
+
+B = HISTORY_BLOCK
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 997, 3 * B + 5])
+def test_history_sum_matches_direct_sum(n, is_complex):
+    # push seeded rows one step at a time, as a stepper does, and check every
+    # h[j] = sum_{i<j} w[j-i] x[i] against its direct dot product
+    rng = np.random.default_rng(n + 7 * is_complex)
+    x = _increments(rng, (n, 3), is_complex)
+    w = l1_weights(0.6, n)
+    mem = HistorySum(w, n, 3, dtype=x.dtype)
+    out = np.empty_like(x)
+    ref = np.zeros_like(x)
+    for j in range(n):
+        out[j] = mem.history(j)
+        mem.push(j, x[j])
+        ref[j] = w[j:0:-1] @ x[:j]
+    # FFT rounding is global: bound the error by the largest sum
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_import_does_not_load_scipy_signal():
