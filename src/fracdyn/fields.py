@@ -44,8 +44,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import BlowUpError, ConvergenceError, DomainError
-from .fracops import (_FFT_BLOCK_BYTES, HistorySum, caputo_left_l1,
-                      caputo_right_l1, l1_weights, mittag_leffler)
+from .fracops import (HistorySum, caputo_left_l1, caputo_right_l1, l1_weights,
+                      mittag_leffler)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
 
@@ -512,6 +512,12 @@ def free_energy_gradient(u, model: ModelSpec, grid: GridSpec):
     return lap + model.a * u + model.b * u ** 3
 
 
+# Bytes of spectrum per row block of ``residual``: 256 KiB keeps the work
+# buffers small beside the trajectory, so a 3000-step, 128-point relaxation
+# holds the peak RSS of the row-by-row loop.
+_RESIDUAL_BLOCK_BYTES = 1 << 18
+
+
 def residual(model: ModelSpec, state: FieldState, beta):
     """Field-equation residual on a completed trajectory.
 
@@ -530,9 +536,8 @@ def residual(model: ModelSpec, state: FieldState, beta):
         out = out + model.g0_prime * caputo_right_l1(u, beta, dt)
     k, fwd, inv = _transforms(state)
     sym = model.spatial_symbol(k)
-    # rows in blocks, one transform along the grid axis per block, so that
-    # the work buffers stay small beside the trajectory
-    rows = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[1]))
+    # rows in blocks, one transform along the grid axis per block
+    rows = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[1]))
     for r in range(0, u.shape[0], rows):
         ur = u[r:r + rows]
         fu = model.interaction_apply(ur)

@@ -53,11 +53,10 @@ def l1_weights(beta, n):
     return np.diff(pows)
 
 
-# Bytes of spectrum transformed at once: columns (or, for spatial transforms,
-# rows) are taken in blocks this size so that the FFT work buffers stay small
-# beside the arrays they fill.  256 KiB kept the peak RSS of a 3000-step,
-# 128-point relaxation and its residual below that of 1 MiB blocks, at the
-# same speed.
+# Bytes of spectrum transformed at once: the columns of a time convolution
+# are taken in blocks this size so that the FFT work buffers stay small beside
+# the arrays they fill.  256 KiB kept the peak RSS of a 3000-step, 128-point
+# relaxation below that of 1 MiB blocks, at the same speed.
 _FFT_BLOCK_BYTES = 1 << 18
 
 # Rows summed directly by HistorySum before its FFT products take over.
@@ -143,19 +142,18 @@ class HistorySum:
     of machine epsilon times the largest sum, as for :func:`l1_apply`.
     """
 
-    def __init__(self, weights, n, m, dtype=np.complex128):
+    def __init__(self, weights, n, m):
         self._w = np.asarray(weights, dtype=np.float64)
         self._n = n
-        self._rows = np.zeros((n, m), dtype=dtype)
-        self._flat = _real_columns(self._rows)
+        self._rows = np.zeros((n, m), dtype=np.complex128)
+        self._flat = self._rows.view(np.float64)
         self._w_rev = self._w[1:HISTORY_BLOCK][::-1].copy()
-        self._w_hat = {}   # FFT length -> spectrum of w[1:1 + nfft]
 
     def history(self, j):
         """The sum ``h[j]``; pushed rows ``0..j-1`` must be in place."""
         start = j - j % HISTORY_BLOCK
         direct = self._w_rev[self._w_rev.size - (j - start):] @ self._flat[start:j]
-        return (self._flat[j] + direct).view(self._rows.dtype)
+        return (self._flat[j] + direct).view(np.complex128)
 
     def push(self, j, x):
         """Store row ``x[j]`` once ``history(j)`` has been read."""
@@ -170,9 +168,7 @@ class HistorySum:
         # of the convolution of the block with w[1:], free of wrap-around
         # when nfft >= s + count - 1
         nfft = scipy.fft.next_fast_len(s + count - 1, real=True)
-        w_hat = self._w_hat.get(nfft)
-        if w_hat is None:
-            w_hat = self._w_hat[nfft] = scipy.fft.rfft(self._w[1:1 + nfft], nfft)
+        w_hat = scipy.fft.rfft(self._w[1:1 + nfft], nfft)
         target = self._flat[p:p + count]
         for cols, rows in _convolve_columns(self._flat[p - s:p], w_hat, nfft,
                                             s - 1, s - 1 + count):
