@@ -12,8 +12,8 @@ from .kernels import (LatticeCoupling, MemoryKernel, memory_convolution,
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      StationaryResult, evolve_field, evolve_sine_gordon,
                      field_mass, free_energy, free_energy_gradient,
-                     nls_evolve, nls_linear_mode_evolution, nls_step,
-                     residual, sine_gordon_energy, stationary_fgle_solve,
+                     nls_evolve, nls_linear_mode_evolution, residual,
+                     sine_gordon_energy, stationary_fgle_solve,
                      stationary_residual)
 from .chain import (ChainContinuumReport, ChainSpec, ChainState,
                     continuum_limit_compare, evolve_chain,

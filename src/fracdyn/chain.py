@@ -40,7 +40,7 @@ import scipy.optimize
 
 from .errors import DomainError
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
-                     _evolve_linear_implicit)
+                     _evolve_linear_implicit, _transforms)
 from .fracops import mittag_leffler
 from .grids import GridSpec, TimeGrid, validate_temporal_order
 from .kernels import LatticeCoupling, renormalized_constant
@@ -141,12 +141,11 @@ def evolve_chain(spec: ChainSpec, state: ChainState):
     space when ``f`` is the identity, on-site force and nonlinear coupling
     lagged one level.  Orders in (1, 2] need an initial velocity.
     """
-    npart = spec.n_particles
-    if state.history.shape[1] != npart:
+    if state.history.shape[1] != spec.n_particles:
         raise DomainError("state does not match the chain size")
+    _, fwd, inv = _transforms(state)
     return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
-                                   spec.g0 * _ring_symbol(spec), np.fft.rfft,
-                                   lambda v: np.fft.irfft(v, n=npart))
+                                   spec.g0 * _ring_symbol(spec), fwd, inv)
 
 
 @dataclass

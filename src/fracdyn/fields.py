@@ -22,10 +22,13 @@ written form ``g * Riesz_alpha u + a u + b u^3 = 0`` (Riesz multiplier
 
 Time stepping is semi-implicit: the full memory sum is evaluated explicitly
 except its newest-level weight, linear spatial terms are solved implicitly in
-Fourier space, and nonlinear parts lag one level.  Orders ``beta`` in (1, 2]
-require an initial velocity and treat the linear term by the symmetric
-two-level average, which reduces to a standard second-order implicit wave
-scheme at ``beta = 2``.  One stepper serves both this module and
+Fourier space, and nonlinear parts lag one level.  Every order runs the same
+L1 loop over a memory variable ``y``: the field itself for ``beta <= 1``,
+and for ``beta`` in (1, 2] the difference quotient ``(u_{j+1} - u_j) / dt``
+at order ``beta - 1``, led by the required initial velocity.  There the
+linear term after the first step is the symmetric average over levels
+``j + 1`` and ``j - 1``, which reduces to a standard second-order implicit
+wave scheme at ``beta = 2``.  One stepper serves both this module and
 ``chain.evolve_chain``: the chain is the same scheme with spatial multiplier
 ``g0 (J^(k) - J^(0))`` in place of ``sum_s g_s |k|^s`` and time coefficient 1.
 
@@ -45,7 +48,7 @@ import scipy.sparse.linalg
 
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fracops import (HistorySum, caputo_left_l1, caputo_right_l1, l1_weights,
-                      mittag_leffler)
+                      mittag_leffler, riesz_derivative_spectral)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
 
@@ -56,7 +59,6 @@ __all__ = [
     "FieldState",
     "evolve_field",
     "evolve_sine_gordon",
-    "nls_step",
     "nls_evolve",
     "nls_linear_mode_evolution",
     "stationary_residual",
@@ -195,12 +197,11 @@ class FieldState:
 
 
 def _transforms(state):
-    n = state.grid.n_points
+    """Wavenumbers, forward and inverse FFT of the state's field type."""
     if state.is_complex:
-        k = state.grid.wavenumbers
-        return k, lambda u: np.fft.fft(u), lambda v: np.fft.ifft(v)
-    k = state.grid.wavenumbers_real
-    return k, lambda u: np.fft.rfft(u), lambda v: np.fft.irfft(v, n=n)
+        return state.grid.wavenumbers, np.fft.fft, np.fft.ifft
+    n = state.grid.n_points
+    return state.grid.wavenumbers_real, np.fft.rfft, lambda v: np.fft.irfft(v, n=n)
 
 
 def _guard(u, step, prev_norm):
@@ -244,69 +245,47 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
     where ``S`` is the spatial operator with multiplier ``sym`` on the modes
     of ``fwd``.  ``S`` is implicit when ``f`` is the identity and lags one
     level otherwise; the on-site force ``F`` always lags."""
-    if beta > 1.0 and state.initial_velocity is None:
+    second_order = beta > 1.0
+    if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
     implicit = model.interaction is Interaction.IDENTITY
     lin = sym if implicit else np.zeros_like(sym)
     no_force = model.potential is Potential.NONE and implicit
-    n = state.time.n_steps
-    dt = state.time.dt
+    n, dt = state.time.n_steps, state.time.dt
     u = state.history
     uhat = fwd(u[0])
     prev_norm = float(np.max(np.abs(u[0])))
-
-    if beta <= 1.0:
-        c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
-        w = l1_weights(beta, n)
-        denom = c + lin
-        if np.any(denom == 0):
-            raise DomainError("implicit system singular: g0 * c + symbol vanishes")
-        # at beta = 1 every weight beyond the newest vanishes: no memory sum
-        has_memory = beta < 1.0
-        mem = HistorySum(w, n, sym.shape[0]) if has_memory else None
-        for j in range(n):
-            hist = mem.history(j) if has_memory else 0.0
-            rhs = c * (uhat - hist)
-            if not no_force:
-                rhs = rhs - fwd(_explicit_terms(model, u[j], sym, fwd, inv))
-            new_hat = rhs / denom
-            u[j + 1] = inv(new_hat)
-            if has_memory:
-                mem.push(j, new_hat - uhat)
-            uhat = new_hat
-            prev_norm = _guard(u[j + 1], j + 1, prev_norm)
-            state.n_completed = j + 1
-        return state
-
-    # beta in (1, 2]: order-(beta-1) weights on difference quotients
-    bp = beta - 1.0
-    cp = g0 * dt ** (-bp) / math.gamma(2.0 - bp)
-    w = l1_weights(bp, n)
-    first_denom = cp / dt + lin
-    denom = cp / dt + 0.5 * lin
+    # L1 scheme of order q on the memory variable y (see the module docstring)
+    q = beta - 1.0 if second_order else beta
+    c = g0 * dt ** (-q) / math.gamma(2.0 - q)
+    if second_order:
+        first_denom, denom = c / dt + lin, c / dt + 0.5 * lin
+        y = fwd(state.initial_velocity.astype(u.dtype))
+    else:
+        first_denom = denom = c + lin
+        y = uhat
     if np.any(first_denom == 0):
         raise DomainError("implicit system singular at the first step")
     if np.any(denom == 0):
-        raise DomainError("implicit system singular: cp/dt + symbol/2 vanishes")
-    has_memory = bp < 1.0  # beta = 2 is the classical wave stepper
-    dq_prev = fwd(state.initial_velocity.astype(u.dtype))
-    mem = HistorySum(w, n, sym.shape[0]) if has_memory else None
+        raise DomainError("implicit system singular after the first step")
+    # at q = 1 every weight beyond the newest vanishes: no memory sum
+    mem = HistorySum(l1_weights(q, n), n, sym.shape[0]) if q < 1.0 else None
     uhat_prev = None
     for j in range(n):
-        rhs_force = 0.0
+        rhs = uhat / dt + y if second_order else y
+        if mem is not None:
+            rhs = rhs - mem.history(j)
+        rhs = c * rhs
+        if j and second_order:
+            rhs = rhs - 0.5 * lin * uhat_prev
         if not no_force:
-            rhs_force = fwd(_explicit_terms(model, u[j], sym, fwd, inv))
-        if j == 0:
-            new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / first_denom
-        else:
-            hist = mem.history(j) if has_memory else 0.0
-            rhs = cp * (uhat / dt + dq_prev - hist) - 0.5 * lin * uhat_prev - rhs_force
-            new_hat = rhs / denom
+            rhs = rhs - fwd(_explicit_terms(model, u[j], sym, fwd, inv))
+        new_hat = rhs / (denom if j else first_denom)
         u[j + 1] = inv(new_hat)
-        dq_new = (new_hat - uhat) / dt
-        if has_memory:
-            mem.push(j, dq_new - dq_prev)
-        dq_prev = dq_new
+        y_new = (new_hat - uhat) / dt if second_order else new_hat
+        if mem is not None:
+            mem.push(j, y_new - y)
+        y = y_new
         uhat_prev, uhat = uhat, new_hat
         prev_norm = _guard(u[j + 1], j + 1, prev_norm)
         state.n_completed = j + 1
@@ -325,37 +304,30 @@ def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one):
     return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one)
 
 
-def nls_step(state: FieldState, alpha, g, a, b):
-    """One Strang split step of ``i du/dt = -g (-Lap)^(alpha/2) u + a u + b |u|^2 u``.
+def nls_evolve(state: FieldState, alpha, g, a, b):
+    """Advance ``i du/dt = -g (-Lap)^(alpha/2) u + a u + b |u|^2 u`` from the
+    last completed level to the end of the time grid by Strang splitting.
 
-    Half-step pointwise phase rotation, full linear step with multiplier
-    ``exp(i g |k|^alpha dt)``, second half rotation.  Every substep preserves
-    ``|u|`` pointwise or ``sum |u_k|^2``, so the discrete mass is conserved
-    to rounding.
+    Each step is a half-step pointwise phase rotation, a full linear step
+    with multiplier ``exp(i g |k|^alpha dt)`` and a second half rotation.
+    Every substep preserves ``|u|`` pointwise or ``sum |u_k|^2``, so the
+    discrete mass is conserved to rounding.
     """
     if not state.is_complex:
         raise DomainError("NLS stepping needs a complex field")
     alpha = validate_spatial_order(alpha)
-    j = state.n_completed
-    if j >= state.time.n_steps:
-        raise DomainError("time grid exhausted")
     dt = state.time.dt
-    k = state.grid.wavenumbers
-    u = state.history[j]
-    u = u * np.exp(-1j * (a + b * np.abs(u) ** 2) * (0.5 * dt))
-    u = np.fft.ifft(np.exp(1j * g * np.abs(k) ** alpha * dt) * np.fft.fft(u))
-    u = u * np.exp(-1j * (a + b * np.abs(u) ** 2) * (0.5 * dt))
-    if not np.all(np.isfinite(u)):
-        raise BlowUpError(f"non-finite amplitudes at step {j + 1}", step=j + 1)
-    state.history[j + 1] = u
-    state.n_completed = j + 1
-    return state
+    linear = np.exp(1j * g * np.abs(state.grid.wavenumbers) ** alpha * dt)
 
+    def rotate(v):
+        return v * np.exp(-1j * (a + b * np.abs(v) ** 2) * (0.5 * dt))
 
-def nls_evolve(state: FieldState, alpha, g, a, b):
-    """Run :func:`nls_step` over the whole time grid."""
-    while state.n_completed < state.time.n_steps:
-        nls_step(state, alpha, g, a, b)
+    for j in range(state.n_completed, state.time.n_steps):
+        u = rotate(np.fft.ifft(linear * np.fft.fft(rotate(state.history[j]))))
+        if not np.all(np.isfinite(u)):
+            raise BlowUpError(f"non-finite amplitudes at step {j + 1}", step=j + 1)
+        state.history[j + 1] = u
+        state.n_completed = j + 1
     return state
 
 
@@ -374,14 +346,9 @@ def nls_linear_mode_evolution(alpha, beta, g, a, k, u0, t):
     return u0 * mittag_leffler(beta, lam * np.asarray(t, dtype=float) ** beta)
 
 
-def _riesz_apply(u, alpha, grid):
-    kr = grid.wavenumbers_real
-    return np.fft.irfft(-kr ** alpha * np.fft.rfft(u), n=grid.n_points)
-
-
 def stationary_residual(u, grid: GridSpec, alpha, g, a, b):
     """Residual of the stationary equation ``g Riesz_alpha u + a u + b u^3``."""
-    return g * _riesz_apply(u, alpha, grid) + a * u + b * u ** 3
+    return g * riesz_derivative_spectral(u, alpha, grid) + a * u + b * u ** 3
 
 
 @dataclass

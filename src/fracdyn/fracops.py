@@ -191,24 +191,24 @@ def caputo_left_l1(u, beta, dt, initial_velocity=None):
     independent histories).  Returns the derivative at every node; the value
     at ``t_0`` is 0 by convention.  Orders in (1, 2] require
     ``initial_velocity`` = ``u'(0)`` with the shape of one time level.
+    Every order is the L1 sum of order ``q`` over the increments of a memory
+    variable ``y``: ``y = u`` at ``q = beta <= 1``, and at ``q = beta - 1``
+    the quotients ``y_j = (u_j - u_{j-1}) / dt`` led by ``y_0 = u'(0)``.
     """
     beta = validate_temporal_order(beta)
     if dt <= 0:
         raise DomainError("dt must be positive")
     u = _check_history(u)
-    n = u.shape[0] - 1
-    if beta <= 1.0:
-        inc = np.diff(u, axis=0)
-        scale = dt ** (-beta) / math.gamma(2.0 - beta)
-        return l1_apply(inc, l1_weights(beta, n), scale)
-    if initial_velocity is None:
-        raise DomainError("orders in (1, 2] require initial_velocity")
-    v0 = np.asarray(initial_velocity, dtype=np.result_type(u, float))
-    bp = beta - 1.0
-    dq = np.concatenate([v0[None, ...] if u.ndim > 1 else np.atleast_1d(v0),
-                         np.diff(u, axis=0) / dt], axis=0)
-    scale = dt ** (-bp) / math.gamma(2.0 - bp)
-    return l1_apply(np.diff(dq, axis=0), l1_weights(bp, n), scale)
+    q, y = beta, u
+    if beta > 1.0:
+        if initial_velocity is None:
+            raise DomainError("orders in (1, 2] require initial_velocity")
+        v0 = np.asarray(initial_velocity, dtype=np.result_type(u, float))
+        q = beta - 1.0
+        y = np.concatenate([v0.reshape((1,) + u.shape[1:]),
+                            np.diff(u, axis=0) / dt], axis=0)
+    scale = dt ** (-q) / math.gamma(2.0 - q)
+    return l1_apply(np.diff(y, axis=0), l1_weights(q, u.shape[0] - 1), scale)
 
 
 def caputo_right_l1(u, beta, dt):

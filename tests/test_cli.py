@@ -201,6 +201,55 @@ def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
     assert not (out / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("kind, text, value", [
+    ("evolve_field", EVOLVE_CONFIG.replace("kind = cosine", "kind = bogus"),
+     "bogus"),
+    ("evolve_field", EVOLVE_CONFIG.replace("kind = cosine", "kind = plane_wave"),
+     "plane_wave"),
+    ("nls", NLS_CONFIG.replace("kind = plane_wave", "kind = bogus"), "bogus"),
+    ("stationary_fgle", STATIONARY_CONFIG.replace("kind = pulse",
+                                                  "kind = plane_wave"),
+     "plane_wave"),
+    ("chain", CHAIN_CONFIG + "\n[initial]\nkind = plane_wave\n", "plane_wave"),
+], ids=["model-bogus", "model-real-plane-wave", "nls-bogus",
+        "stationary-plane-wave", "chain-plane-wave"])
+def test_bad_initial_kind_rejected(tmp_path, kind, text, value):
+    cfgp = _write(tmp_path, text)
+    with pytest.raises(ConfigError,
+                       match=rf"invalid 'kind': '{value}' in \[initial\]"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+
+
+def test_plane_wave_accepted_for_complex_field(tmp_path):
+    text = EVOLVE_CONFIG.replace("kind = cosine", "kind = plane_wave").replace(
+        "b = 1.0", "b = 1.0\nfield_kind = complex")
+    out = tmp_path / "out"
+    assert main(["evolve_field", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "snapshots.csv").read_text().startswith("t,x,u_re,u_im\n")
+
+
+@pytest.mark.parametrize("text, section, key", [
+    (EVOLVE_CONFIG.replace("b = 1.0", "b = 1.0\ng0_prime = 0.5"),
+     "model", "g0_prime"),
+    (EVOLVE_CONFIG + "\n[tolerances]\nresidual = 5\n", "tolerances", "residual"),
+], ids=["g0_prime", "residual"])
+def test_removed_keys_rejected(tmp_path, text, section, key):
+    # g0_prime only ever had the value 0 in stepping, and no runner read the
+    # residual tolerance
+    cfgp = _write(tmp_path, text)
+    with pytest.raises(ConfigError,
+                       match=rf"unknown key '{key}' in section \[{section}\]"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main(["evolve_field", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+
+
 def test_kind_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, EVOLVE_CONFIG), kind="nls")

@@ -12,7 +12,7 @@ from fracdyn.errors import BlowUpError, ConvergenceError, DomainError
 from fracdyn.fields import (FieldState, Interaction, ModelSpec, Potential,
                             evolve_field, evolve_sine_gordon, field_mass,
                             free_energy, free_energy_gradient, nls_evolve,
-                            nls_linear_mode_evolution, nls_step, residual,
+                            nls_linear_mode_evolution, residual,
                             sine_gordon_energy, stationary_fgle_solve,
                             stationary_residual)
 from fracdyn.fracops import (HISTORY_BLOCK, mittag_leffler,
@@ -213,6 +213,24 @@ def test_right_weight_rejected_in_stepping():
         evolve_field(model, state, 0.5)
 
 
+@pytest.mark.parametrize("beta,coeff,match", [
+    (1.0, -2.0, "at the first step"),     # c + g |k|^2 = 2 - 2
+    (2.0, -4.0, "at the first step"),     # c/dt + g |k|^2 = 4 - 4
+    (2.0, -8.0, "after the first step"),  # c/dt + g |k|^2 / 2 = 4 - 4
+], ids=["beta-le-1", "beta-gt-1-first", "beta-gt-1-later"])
+def test_singular_implicit_system_rejected_before_stepping(beta, coeff, match):
+    # dt = 0.5 makes the time coefficient c = dt^(-q) / Gamma(2 - q) = 2 at
+    # q = 1, and the k = 1 mode of a 2 pi grid cancels it exactly
+    grid, tg, state = _single_mode_state(8, 5, 0.5)
+    if beta > 1.0:
+        state.initial_velocity = np.zeros(8)
+    model = ModelSpec(g0=1.0, spatial_terms=((2.0, coeff),))
+    with pytest.raises(DomainError, match=match):
+        evolve_field(model, state, beta)
+    assert state.n_completed == 0
+    assert np.all(state.history[1:] == 0)
+
+
 def test_blow_up_guard_trips():
     grid = GridSpec(16, TWO_PI)
     tg = TimeGrid(1000, 0.05)
@@ -363,7 +381,7 @@ def test_nls_requires_complex():
     grid = GridSpec(32, TWO_PI)
     state = FieldState.from_initial(grid, TimeGrid(10, 0.01), np.zeros(32))
     with pytest.raises(DomainError):
-        nls_step(state, 1.5, 1.0, 0.0, 0.0)
+        nls_evolve(state, 1.5, 1.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------ linear modes

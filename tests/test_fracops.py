@@ -143,6 +143,8 @@ _TEST_ONLY_NAMES = (
     "TailBoundError",
     # deleted: no result reads them
     "InteractionKernel", "principal_iomega_power", "zeta_sum", "gamma_negative",
+    # deleted: second copies of nls_evolve's step and riesz_derivative_spectral
+    "nls_step", "_riesz_apply",
 )
 
 
