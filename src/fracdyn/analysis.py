@@ -92,6 +92,9 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0, amplitude=None,
             raise DomainError("split-step trajectories carry beta = 1")
         if not source.is_complex:
             raise DomainError("dispersion check needs a complex trajectory")
+        if not source.holds_trajectory:
+            raise DomainError("dispersion check needs every level; this state "
+                              f"holds only the last {source.history.shape[0]}")
         times = source.times[:source.n_completed + 1]
         hist = source.history[:source.n_completed + 1]
         series = np.fft.fft(hist, axis=1) / source.grid.n_points

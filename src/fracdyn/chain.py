@@ -109,9 +109,10 @@ class ChainState(FieldState):
     """Particle displacement history; the grid is the periodic ring."""
 
     @classmethod
-    def from_chain(cls, spec: ChainSpec, time: TimeGrid, u0, initial_velocity=None):
+    def from_chain(cls, spec: ChainSpec, time: TimeGrid, u0, initial_velocity=None,
+                   rows=None):
         return cls.from_initial(spec.grid, time, np.asarray(u0, dtype=float),
-                                initial_velocity=initial_velocity)
+                                initial_velocity=initial_velocity, rows=rows)
 
 
 def _ring_symbol(spec: ChainSpec):
@@ -132,7 +133,7 @@ def _lattice_mode_rates(spec: ChainSpec):
     return -spec.g0 * _ring_symbol(spec) - a_lin
 
 
-def evolve_chain(spec: ChainSpec, state: ChainState):
+def evolve_chain(spec: ChainSpec, state: ChainState, observe=None):
     """Advance the chain over the state's whole time grid.
 
     This is the field stepper of ``evolve_field`` with spatial multiplier
@@ -140,12 +141,14 @@ def evolve_chain(spec: ChainSpec, state: ChainState):
     explicit except its newest weight, the linear coupling implicit in mode
     space when ``f`` is the identity, on-site force and nonlinear coupling
     lagged one level.  Orders in (1, 2] need an initial velocity.
+    ``observe(j, u)``, if given, sees every new level ``j >= 1``.
     """
     if state.history.shape[1] != spec.n_particles:
         raise DomainError("state does not match the chain size")
     _, fwd, inv = _transforms(state)
     return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
-                                   spec.g0 * _ring_symbol(spec), fwd, inv)
+                                   spec.g0 * _ring_symbol(spec), fwd, inv,
+                                   observe)
 
 
 @dataclass
@@ -235,14 +238,7 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     g_alpha = renormalized_constant(spec.alpha, spec.g0, spec.dx)
     a_lin = loc.a if loc.potential is Potential.GINZBURG_LANDAU else 0.0
 
-    u0 = np.zeros(nn)
-    for m in modes:
-        u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
-    time = TimeGrid(n_steps=n_steps, dt=dt)
-    state = ChainState.from_chain(spec, time, u0)
-    evolve_chain(spec, state)
-
-    # fit on a few time levels per mode; transform only the rows needed
+    # fit on a few time levels per mode; keep and transform only those
     sels = {}
     for m in modes:
         lam_latt = float(rates_lattice_all[m])
@@ -250,8 +246,22 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         jmax = min(n_steps, max(2, int(round(horizon / dt))))
         sels[m] = np.unique(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1)).astype(int))
     rows = np.unique(np.concatenate(list(sels.values())))
-    row_of = {j: i for i, j in enumerate(rows)}
-    mode_series = np.fft.rfft(state.history[rows], axis=1)
+    row_of = {int(j): i for i, j in enumerate(rows)}
+
+    u0 = np.zeros(nn)
+    for m in modes:
+        u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
+    time = TimeGrid(n_steps=n_steps, dt=dt)
+    state = ChainState.from_chain(spec, time, u0, rows=2)
+    kept = np.empty((rows.size, nn))
+    kept[0] = state.level(0)   # rows[0] is level 0
+
+    def observe(j, u):
+        if j in row_of:
+            kept[row_of[j]] = u
+
+    evolve_chain(spec, state, observe)
+    mode_series = np.fft.rfft(kept, axis=1)
     t = time.t
     meas, latt, cont, devc, devl = [], [], [], [], []
     for m in modes:

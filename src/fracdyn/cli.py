@@ -177,6 +177,10 @@ def _validate_ranges(cfg: ExperimentConfig):
         for order, _ in cfg.sections["model"]["spatial_terms"]:
             check(0.0 < order <= 2.0, "spatial_terms",
                   f"order must be in (0, 2], got {order}")
+    if "model" in cfg.sections:
+        fk = cfg.sections["model"]["field_kind"]
+        check(fk in ("real", "complex"), "field_kind",
+              f"'{fk}' in [model] is not one of real, complex")
     for sec in ("model", "chain"):
         if sec in cfg.sections:
             beta = cfg.sections[sec]["beta"]
@@ -205,6 +209,9 @@ def _validate_ranges(cfg: ExperimentConfig):
     if "time" in cfg.sections:
         check(cfg.sections["time"]["dt"] > 0, "dt", "must be positive")
         check(cfg.sections["time"]["n_steps"] >= 1, "n_steps", "need >= 1")
+    if "output" in cfg.sections:
+        every = cfg.sections["output"]["snapshot_every"]
+        check(every >= 0, "snapshot_every", f"need >= 0, got {every}")
     if "stationary" in cfg.sections:
         st = cfg.sections["stationary"]
         check(st["tol"] > 0, "tol", f"must be positive, got {st['tol']}")
@@ -346,18 +353,30 @@ def _initial_field(sec, grid, rng, complex_field=False):
     return u0
 
 
-def _write_snapshots(path, state, cfg):
-    """Every ``[output] snapshot_every``-th level (the first and last when 0)
-    as rows ``t, x, u``, or ``t, x, u_re, u_im`` for a complex field."""
+def _snapshot_observer(cfg, state):
+    """An ``observe(j, u)`` for the steppers that copies every
+    ``[output] snapshot_every``-th level (the first and last when 0) into
+    the returned dict, which already holds level 0."""
     every = cfg.section("output")["snapshot_every"]
+    n = state.time.n_steps
+    wanted = set(range(0, n + 1, every) if every else (0, n))
+    kept = {0: state.level(0).copy()}
+
+    def observe(j, u):
+        if j in wanted:
+            kept[j] = u.copy()
+    return observe, kept
+
+
+def _write_snapshots(path, state, kept):
+    """The kept levels as rows ``t, x, u``, or ``t, x, u_re, u_im`` for a
+    complex field."""
     t, x = state.times, state.grid.x
-    steps = range(0, state.n_completed + 1, every) if every else (0, state.n_completed)
     cols = ("t", "x", "u_re", "u_im") if state.is_complex else ("t", "x", "u")
     # a complex row viewed as float64 holds re, im pairs
-    levels = state.history.view(np.float64).reshape(
-        state.history.shape[0], state.grid.n_points, len(cols) - 2)
-    write_csv(path, cols, ((t[j], x[i], *v) for j in steps
-                           for i, v in enumerate(levels[j])))
+    write_csv(path, cols, ((t[j], x[i], *v) for j in sorted(kept)
+                           for i, v in enumerate(
+                               kept[j].view(np.float64).reshape(len(x), -1))))
 
 
 def _grid(cfg):
@@ -378,9 +397,10 @@ def _run_evolve_field(cfg, outdir, rng):
     beta = cfg.section("model")["beta"]
     u0 = _initial_field(cfg.section("initial"), grid, rng,
                         complex_field=model.field_kind == "complex")
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0)
-    evolve_field(model, state, beta)
-    _write_snapshots(outdir / "snapshots.csv", state, cfg)
+    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    observe, kept = _snapshot_observer(cfg, state)
+    evolve_field(model, state, beta, observe)
+    _write_snapshots(outdir / "snapshots.csv", state, kept)
     return {"final_sup_norm": float(np.max(np.abs(state.current()))),
             "steps": state.n_completed, "passed": True}
 
@@ -402,9 +422,17 @@ def _run_sine_gordon(cfg, outdir, rng):
     u0 = pair(0.0)
     kr = grid.wavenumbers_real
     v0 = -v * np.fft.irfft(1j * kr * np.fft.rfft(u0), n=grid.n_points)
-    state = FieldState.from_initial(grid, time, u0, initial_velocity=v0)
-    evolve_sine_gordon(state, alpha, bp1)
-    e0 = sine_gordon_energy(state, 0)
+    state = FieldState.from_initial(grid, time, u0, initial_velocity=v0, rows=2)
+    keep, kept = _snapshot_observer(cfg, state)
+    energy = {}
+
+    def observe(j, u):
+        keep(j, u)
+        if j == 1:   # the ring still holds level 0
+            energy[0] = sine_gordon_energy(state, 0)
+
+    evolve_sine_gordon(state, alpha, bp1, observe)
+    e0 = energy[0]
     e1 = sine_gordon_energy(state, state.n_completed - 1)
     drift = abs(e1 - e0) / abs(e0)
     summary = {"energy_initial": e0, "energy_final": e1, "energy_drift": drift,
@@ -412,7 +440,7 @@ def _run_sine_gordon(cfg, outdir, rng):
     if alpha == 2.0 and bp1 == 2.0:
         shape_err = float(np.max(np.abs(state.current() - pair(time.t_final))))
         summary["kink_shape_error"] = shape_err
-    _write_snapshots(outdir / "snapshots.csv", state, cfg)
+    _write_snapshots(outdir / "snapshots.csv", state, kept)
     return summary
 
 
@@ -420,12 +448,13 @@ def _run_nls(cfg, outdir, rng):
     grid = _grid(cfg)
     p = cfg.section("nls")
     u0 = _initial_field(cfg.section("initial"), grid, rng, complex_field=True)
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0)
-    nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"])
-    m0 = field_mass(state.history[0], grid)
+    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    m0 = field_mass(state.level(0), grid)
+    observe, kept = _snapshot_observer(cfg, state)
+    nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"], observe)
     m1 = field_mass(state.current(), grid)
     drift = abs(m1 - m0) / m0
-    _write_snapshots(outdir / "snapshots.csv", state, cfg)
+    _write_snapshots(outdir / "snapshots.csv", state, kept)
     return {"mass_initial": m0, "mass_final": m1, "mass_drift": drift,
             "passed": drift < cfg.section("tolerances")["mass_drift"]
             * max(1, state.n_completed / 1000)}
@@ -462,9 +491,10 @@ def _build_chain(sec):
 def _run_chain(cfg, outdir, rng):
     spec = _build_chain(cfg.section("chain"))
     u0 = _initial_field(cfg.section("initial"), spec.grid, rng)
-    state = ChainState.from_chain(spec, _time_grid(cfg), u0)
-    evolve_chain(spec, state)
-    _write_snapshots(outdir / "trajectory.csv", state, cfg)
+    state = ChainState.from_chain(spec, _time_grid(cfg), u0, rows=2)
+    observe, kept = _snapshot_observer(cfg, state)
+    evolve_chain(spec, state, observe)
+    _write_snapshots(outdir / "trajectory.csv", state, kept)
     return {"final_sup_norm": float(np.max(np.abs(state.current()))),
             "steps": state.n_completed, "passed": True}
 

@@ -37,6 +37,16 @@ The memory sum over all earlier increment spectra is kept by
 ``HISTORY_BLOCK = 64`` steps and by FFT products between blocks, so a run of
 ``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
 O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.
+
+Level policy: ``FieldState.history`` is a ring of ``rows`` field levels, with
+level ``j`` in row ``j % rows``.  By default it holds all ``n_steps + 1``
+levels, which ``residual`` and ``analysis.dispersion_check`` need.  The
+steppers themselves read only the newest level (the memory sum and the
+previous spectrum live in the stepper), so a caller that does not need the
+trajectory asks for 2 rows and collects what it keeps through the
+steppers' ``observe(j, u)`` callback, called with every new level after its
+blow-up guard.  Reading a level the ring no longer holds raises
+``DomainError``.
 """
 
 import enum
@@ -154,11 +164,12 @@ class ModelSpec:
 
 @dataclass
 class FieldState:
-    """Field history over a periodic grid and a uniform time grid.
+    """Field levels over a periodic grid and a uniform time grid.
 
-    ``history[j]`` is the field at ``t_j``; rows beyond ``n_completed`` are
-    not yet valid.  ``initial_velocity`` is required by temporal orders in
-    (1, 2].
+    ``history`` is a ring: the field at ``t_j`` lives in row
+    ``j % len(history)``, and only the newest ``len(history)`` levels up to
+    ``n_completed`` are held.  Read levels through :meth:`level`.
+    ``initial_velocity`` is required by temporal orders in (1, 2].
     """
 
     grid: GridSpec
@@ -168,14 +179,20 @@ class FieldState:
     n_completed: int = 0
 
     @classmethod
-    def from_initial(cls, grid, time, u0, initial_velocity=None):
+    def from_initial(cls, grid, time, u0, initial_velocity=None, rows=None):
+        """State at level 0; ``rows`` levels are held, all
+        ``n_steps + 1`` by default, at least 2."""
         u0 = np.asarray(u0)
         if u0.shape != (grid.n_points,):
             raise DomainError("initial condition does not match the grid")
         if not np.all(np.isfinite(u0)):
             raise DomainError("initial condition must be finite")
+        rows = time.n_steps + 1 if rows is None else rows
+        if not 2 <= rows <= time.n_steps + 1:
+            raise DomainError(f"rows must lie in [2, n_steps + 1 = "
+                              f"{time.n_steps + 1}], got {rows}")
         dtype = np.complex128 if np.iscomplexobj(u0) else np.float64
-        hist = np.zeros((time.n_steps + 1, grid.n_points), dtype=dtype)
+        hist = np.zeros((rows, grid.n_points), dtype=dtype)
         hist[0] = u0
         v0 = None
         if initial_velocity is not None:
@@ -192,8 +209,22 @@ class FieldState:
     def times(self):
         return self.time.t
 
+    @property
+    def holds_trajectory(self):
+        """Whether every level ``0..n_completed`` is still held."""
+        return self.n_completed < self.history.shape[0]
+
+    def level(self, j):
+        """The field at ``t_j``, a view of its ring row."""
+        rows = self.history.shape[0]
+        first = max(0, self.n_completed - rows + 1)
+        if not first <= j <= self.n_completed:
+            raise DomainError(f"level {j} is not held: levels "
+                              f"{first}..{self.n_completed} are")
+        return self.history[j % rows]
+
     def current(self):
-        return self.history[self.n_completed]
+        return self.level(self.n_completed)
 
 
 def _transforms(state):
@@ -224,10 +255,11 @@ def _explicit_terms(model, u, sym, fwd, inv):
     return out
 
 
-def evolve_field(model: ModelSpec, state: FieldState, beta):
+def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     """Advance the field over the whole time grid with the semi-implicit L1
     pseudo-spectral scheme.  Only the left (causal) memory term may drive the
     evolution: ``g0_prime`` must be zero here and is honored by ``residual``.
+    ``observe(j, u)``, if given, sees every new level ``j >= 1``.
     """
     beta = validate_temporal_order(beta)
     if model.g0 == 0:
@@ -237,14 +269,16 @@ def evolve_field(model: ModelSpec, state: FieldState, beta):
                           "stepping; evaluate it with residual() instead")
     k, fwd, inv = _transforms(state)
     return _evolve_linear_implicit(state, beta, model.g0, model,
-                                   model.spatial_symbol(k), fwd, inv)
+                                   model.spatial_symbol(k), fwd, inv, observe)
 
 
-def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
-    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the state's time grid,
-    where ``S`` is the spatial operator with multiplier ``sym`` on the modes
-    of ``fwd``.  ``S`` is implicit when ``f`` is the identity and lags one
-    level otherwise; the on-site force ``F`` always lags."""
+def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
+                            observe=None):
+    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the state's time grid
+    from level 0, where ``S`` is the spatial operator with multiplier ``sym``
+    on the modes of ``fwd``.  ``S`` is implicit when ``f`` is the identity and
+    lags one level otherwise; the on-site force ``F`` always lags.  Each new
+    level is written to its ring row, guarded, and passed to ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
@@ -252,9 +286,10 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
     lin = sym if implicit else np.zeros_like(sym)
     no_force = model.potential is Potential.NONE and implicit
     n, dt = state.time.n_steps, state.time.dt
-    u = state.history
-    uhat = fwd(u[0])
-    prev_norm = float(np.max(np.abs(u[0])))
+    u, rows = state.history, state.history.shape[0]
+    u0 = state.level(0)
+    uhat = fwd(u0)
+    prev_norm = float(np.max(np.abs(u0)))
     # L1 scheme of order q on the memory variable y (see the module docstring)
     q = beta - 1.0 if second_order else beta
     c = g0 * dt ** (-q) / math.gamma(2.0 - q)
@@ -279,39 +314,45 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv):
         if j and second_order:
             rhs = rhs - 0.5 * lin * uhat_prev
         if not no_force:
-            rhs = rhs - fwd(_explicit_terms(model, u[j], sym, fwd, inv))
+            rhs = rhs - fwd(_explicit_terms(model, u[j % rows], sym, fwd, inv))
         new_hat = rhs / (denom if j else first_denom)
-        u[j + 1] = inv(new_hat)
+        row = u[(j + 1) % rows]
+        row[:] = inv(new_hat)
         y_new = (new_hat - uhat) / dt if second_order else new_hat
         if mem is not None:
             mem.push(j, y_new - y)
         y = y_new
         uhat_prev, uhat = uhat, new_hat
-        prev_norm = _guard(u[j + 1], j + 1, prev_norm)
+        prev_norm = _guard(row, j + 1, prev_norm)
         state.n_completed = j + 1
+        if observe is not None:
+            observe(j + 1, row)
     return state
 
 
-def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one):
+def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one, observe=None):
     """Fractional sine-Gordon evolution ``D^(b+1) u - Riesz_a u + sin u = 0``.
 
     Requires both initial displacement and initial velocity.  At
     ``beta_plus_one = 2`` and ``alpha = 2`` the scheme is a standard
-    second-order implicit wave stepper.
+    second-order implicit wave stepper.  ``observe`` is passed to
+    :func:`evolve_field`.
     """
     if not 1.0 < beta_plus_one <= 2.0:
         raise DomainError("sine-Gordon stepping needs temporal order in (1, 2]")
-    return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one)
+    return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one,
+                        observe)
 
 
-def nls_evolve(state: FieldState, alpha, g, a, b):
+def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     """Advance ``i du/dt = -g (-Lap)^(alpha/2) u + a u + b |u|^2 u`` from the
     last completed level to the end of the time grid by Strang splitting.
 
     Each step is a half-step pointwise phase rotation, a full linear step
     with multiplier ``exp(i g |k|^alpha dt)`` and a second half rotation.
     Every substep preserves ``|u|`` pointwise or ``sum |u_k|^2``, so the
-    discrete mass is conserved to rounding.
+    discrete mass is conserved to rounding.  ``observe(j, u)``, if given,
+    sees every new level.
     """
     if not state.is_complex:
         raise DomainError("NLS stepping needs a complex field")
@@ -322,12 +363,16 @@ def nls_evolve(state: FieldState, alpha, g, a, b):
     def rotate(v):
         return v * np.exp(-1j * (a + b * np.abs(v) ** 2) * (0.5 * dt))
 
+    rows = state.history.shape[0]
     for j in range(state.n_completed, state.time.n_steps):
-        u = rotate(np.fft.ifft(linear * np.fft.fft(rotate(state.history[j]))))
+        u = rotate(np.fft.ifft(linear * np.fft.fft(rotate(state.level(j)))))
         if not np.all(np.isfinite(u)):
             raise BlowUpError(f"non-finite amplitudes at step {j + 1}", step=j + 1)
-        state.history[j + 1] = u
+        row = state.history[(j + 1) % rows]
+        row[:] = u
         state.n_completed = j + 1
+        if observe is not None:
+            observe(j + 1, row)
     return state
 
 
@@ -495,6 +540,9 @@ def residual(model: ModelSpec, state: FieldState, beta):
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
         raise DomainError("residual needs a completed trajectory")
+    if not state.holds_trajectory:
+        raise DomainError("residual needs every level; this state holds "
+                          f"only the last {state.history.shape[0]}")
     u = state.history
     dt = state.time.dt
     out = model.g0 * caputo_left_l1(u, beta, dt,
@@ -514,12 +562,11 @@ def residual(model: ModelSpec, state: FieldState, beta):
 
 def sine_gordon_energy(state: FieldState, j):
     """Discrete wave energy at the half level between ``t_j`` and ``t_{j+1}``:
-    ``sum dx [ ut^2/2 + ux^2/2 + (1 - cos u_mid) ]``."""
-    if j + 1 > state.n_completed:
-        raise DomainError("requested level not computed yet")
+    ``sum dx [ ut^2/2 + ux^2/2 + (1 - cos u_mid) ]``.  Both levels must be
+    computed and still held by the state's ring."""
     dt = state.time.dt
     grid = state.grid
-    ua, ub = state.history[j], state.history[j + 1]
+    ua, ub = state.level(j), state.level(j + 1)
     ut = (ub - ua) / dt
     umid = 0.5 * (ua + ub)
     kr = grid.wavenumbers_real

@@ -88,6 +88,15 @@ def test_dispersion_rejects_beta_mismatch():
         dispersion_check(state, alpha=1.5, beta=0.5, g=1.0, a=0.0)
 
 
+def test_dispersion_rejects_a_ring_without_its_trajectory():
+    modes = [1, 2]
+    full = _nls_state(modes, steps=20)
+    ring = FieldState.from_initial(full.grid, full.time, full.level(0), rows=2)
+    nls_evolve(ring, 1.5, 1.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="dispersion check needs every level"):
+        dispersion_check(ring, alpha=1.5, beta=1.0, g=1.0, a=0.0, modes=modes)
+
+
 # ------------------------------------------------------------ Laplace identity
 
 

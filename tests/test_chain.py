@@ -175,6 +175,29 @@ def test_chain_stepper_matches_direct_memory_sum(beta):
         assert err <= 1e-13 * np.max(np.abs(ref.history))
 
 
+def test_chain_two_row_ring_matches_full_history():
+    n, steps = 64, 2 * HISTORY_BLOCK + 7
+    spec = _spec(n=n, beta=0.9, potential=Potential.SINE_GORDON,
+                 interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.2)
+    rng = np.random.default_rng(13)
+    u0 = 0.3 * np.cos(2 * np.pi * 3 * np.arange(n) / n) + 0.05 * rng.standard_normal(n)
+    time = TimeGrid(steps, 0.01)
+    full = ChainState.from_chain(spec, time, u0)
+    evolve_chain(spec, full)
+    ring = ChainState.from_chain(spec, time, u0, rows=2)
+    seen = {}
+
+    def observe(j, u):
+        seen[j] = u.copy()
+
+    evolve_chain(spec, ring, observe)
+    assert ring.history.shape == (2, n)
+    assert sorted(seen) == list(range(1, steps + 1))
+    for j, u in seen.items():
+        assert np.array_equal(u, full.history[j])
+    assert np.array_equal(ring.current(), full.history[steps])
+
+
 def test_chain_stepper_memory_is_history_plus_one_buffer():
     # the memory sum may hold one (n_steps, modes) complex buffer beside the
     # history; a second such buffer, or a top-level FFT product taken over

@@ -2,8 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fracdyn
 
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                          main, read_metadata, run, write_csv)
@@ -250,6 +255,33 @@ def test_removed_keys_rejected(tmp_path, text, section, key):
     assert not (out / "metadata.json").exists()
 
 
+def test_bad_field_kind_rejected(tmp_path):
+    cfgp = _write(tmp_path, EVOLVE_CONFIG.replace(
+        "b = 1.0", "b = 1.0\nfield_kind = bogus"))
+    with pytest.raises(ConfigError,
+                       match=r"invalid 'field_kind': 'bogus' in \[model\]"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main(["evolve_field", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("evolve_field", EVOLVE_CONFIG.replace("snapshot_every = 50",
+                                           "snapshot_every = -2")),
+    ("nls", NLS_CONFIG + "\n[output]\nsnapshot_every = -1\n"),
+    ("chain", CHAIN_CONFIG + "\n[output]\nsnapshot_every = -5\n"),
+], ids=["evolve_field", "nls", "chain"])
+def test_negative_snapshot_every_rejected(tmp_path, kind, text):
+    cfgp = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match="invalid 'snapshot_every': need >= 0"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_kind_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, EVOLVE_CONFIG), kind="nls")
@@ -475,3 +507,45 @@ snapshot_every = 20
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 6 * 64  # header + six snapshots
+
+
+_RSS_CHILD = """
+import resource, sys
+from fracdyn import cli
+cfg = cli.load_config(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cli.run(cfg, sys.argv[2])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(before, after)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_sine_gordon_run_memory_stays_bounded(tmp_path):
+    # 4001 levels of 4096 points would be 131 MB; the runner holds two
+    # levels and its snapshots, so the child's peak RSS grows by far less
+    # than 20 MB over what the import already took
+    n, steps = 4096, 4000
+    text = f"""
+[experiment]
+kind = sine_gordon
+
+[grid]
+n_points = {n}
+length = 80.0
+
+[time]
+dt = 0.01
+n_steps = {steps}
+"""
+    cfgp = _write(tmp_path, text, name="sg.ini")
+    src = str(Path(fracdyn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(cfgp),
+                           str(tmp_path / "sg")], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, check=True)
+    before, after = map(int, proc.stdout.split())
+    assert (steps + 1) * n * 8 > 100 << 20
+    assert (after - before) * 1024 < 20 << 20
+    summary = json.loads((tmp_path / "sg" / "summary.json").read_text())
+    assert summary["passed"] is True

@@ -206,6 +206,69 @@ def test_stepper_matches_direct_memory_sum(beta, field_kind):
         assert err <= 1e-13 * np.max(np.abs(ref.history))
 
 
+def _recorder():
+    """An ``observe`` callback that copies every level it sees."""
+    seen = {}
+
+    def observe(j, u):
+        seen[j] = u.copy()
+    return observe, seen
+
+
+@pytest.mark.parametrize("beta", [0.6, 0.9, 1.5, 2.0])
+def test_two_row_ring_matches_full_history(beta):
+    # the full-history run is the oracle; the lagged force reads the newest
+    # level back from its ring row
+    n, steps = 32, 2 * HISTORY_BLOCK + 7
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 0.01)
+    model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
+                      potential=Potential.GINZBURG_LANDAU)
+    rng = np.random.default_rng(6)
+    u0 = 0.3 * np.cos(grid.x) + 0.05 * rng.standard_normal(n)
+    v0 = 0.1 * np.sin(grid.x) if beta > 1.0 else None
+    full = FieldState.from_initial(grid, tg, u0, initial_velocity=v0)
+    evolve_field(model, full, beta)
+    ring = FieldState.from_initial(grid, tg, u0, initial_velocity=v0, rows=2)
+    observe, seen = _recorder()
+    evolve_field(model, ring, beta, observe)
+    assert ring.history.shape == (2, n)
+    assert sorted(seen) == list(range(1, steps + 1))
+    for j, u in seen.items():
+        assert np.array_equal(u, full.history[j])
+    assert np.array_equal(ring.current(), full.history[steps])
+    assert np.array_equal(ring.level(steps - 1), full.history[steps - 1])
+
+
+def test_ring_rows_validated():
+    grid = GridSpec(8, TWO_PI)
+    for rows in (1, 12):
+        with pytest.raises(DomainError, match="rows must lie in"):
+            FieldState.from_initial(grid, TimeGrid(10, 0.01), np.ones(8),
+                                    rows=rows)
+
+
+def test_levels_outside_the_ring_raise():
+    grid = GridSpec(16, TWO_PI)
+    tg = TimeGrid(10, 0.01)
+    model = ModelSpec(spatial_terms=((2.0, 1.0),))
+    full = FieldState.from_initial(grid, tg, np.cos(grid.x))
+    evolve_field(model, full, 1.0)
+    state = FieldState.from_initial(grid, tg, np.cos(grid.x), rows=3)
+    evolve_field(model, state, 1.0)
+    assert full.holds_trajectory and not state.holds_trajectory
+    for j in (8, 9, 10):
+        assert np.array_equal(state.level(j), full.history[j])
+    for j in (-1, 0, 7, 11):
+        with pytest.raises(DomainError, match=f"level {j} is not held"):
+            state.level(j)
+    with pytest.raises(DomainError, match="residual needs every level"):
+        residual(model, state, 1.0)
+    # a new run starts from level 0, which the ring no longer holds
+    with pytest.raises(DomainError, match="level 0 is not held"):
+        evolve_field(model, state, 1.0)
+
+
 def test_right_weight_rejected_in_stepping():
     grid, tg, state = _single_mode_state(16, 10, 0.01)
     model = ModelSpec(g0=1.0, g0_prime=0.5)
@@ -367,6 +430,23 @@ def test_nls_mass_conservation(alpha):
     m0 = field_mass(state.history[0], grid)
     m1 = field_mass(state.current(), grid)
     assert abs(m1 - m0) / m0 < 1e-10
+
+
+def test_nls_two_row_ring_matches_full_history():
+    n, steps = 64, 150
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 1e-3)
+    rng = np.random.default_rng(4)
+    u0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.3
+    full = FieldState.from_initial(grid, tg, u0)
+    nls_evolve(full, 1.5, 1.0, 0.2, 1.0)
+    ring = FieldState.from_initial(grid, tg, u0, rows=2)
+    observe, seen = _recorder()
+    nls_evolve(ring, 1.5, 1.0, 0.2, 1.0, observe)
+    assert sorted(seen) == list(range(1, steps + 1))
+    for j, u in seen.items():
+        assert np.array_equal(u, full.history[j])
+    assert np.array_equal(ring.current(), full.history[steps])
 
 
 def test_nls_zero_initial_stays_zero():
@@ -678,3 +758,17 @@ def test_sine_gordon_energy_positive_and_stable():
     e_end = sine_gordon_energy(state, 399)
     assert e_start > 0
     assert abs(e_end - e_start) / e_start < 1e-4
+
+
+def test_sine_gordon_energy_on_a_ring():
+    grid, full, _ = _kink_pair_state(128, 80.0, 0.2, 50, 0.02)
+    ring = FieldState.from_initial(grid, full.time, full.level(0),
+                                   initial_velocity=full.initial_velocity,
+                                   rows=2)
+    evolve_sine_gordon(full, 2.0, 2.0)
+    evolve_sine_gordon(ring, 2.0, 2.0)
+    assert sine_gordon_energy(ring, 49) == sine_gordon_energy(full, 49)
+    with pytest.raises(DomainError, match="level 0 is not held"):
+        sine_gordon_energy(ring, 0)
+    with pytest.raises(DomainError, match="level 51 is not held"):
+        sine_gordon_energy(full, 50)
