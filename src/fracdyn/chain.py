@@ -211,8 +211,9 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     """Evolve lattice modes and compare their rates with the continuum law.
 
     ``modes`` are ring mode numbers in ``[1, n_particles // 2]``; each must
-    satisfy ``k dx <= 0.2`` (the asymptotic regime).  The on-site force must be absent or linear so the
-    modes close on themselves.  Requires ``beta <= 1`` (monotone amplitude).
+    satisfy ``k dx <= MAX_KDX`` (the asymptotic regime).  The on-site force
+    must be absent or linear so the modes close on themselves.  Requires
+    ``beta <= 1`` (monotone amplitude).
     Reports, per mode: the fitted rate, the exact lattice rate, the continuum
     rate ``-g_alpha |k|^alpha - a``, and relative deviations; plus the
     least-squares exponent of ``|rate|`` against ``|k|``.

@@ -225,6 +225,12 @@ def _validate_ranges(cfg: ExperimentConfig):
             check(kdx <= MAX_KDX, "modes",
                   f"ring mode {m} has k dx = {kdx:.4g}, outside the asymptotic "
                   f"regime k dx <= {MAX_KDX}")
+    for sec in ("compare", "dispersion"):
+        if sec in cfg.sections:
+            modes = cfg.sections[sec]["modes"]
+            check(modes, "modes", f"[{sec}] lists no mode")
+            check(len(set(modes)) == len(modes), "modes",
+                  f"[{sec}] lists a mode twice: {modes}")
     if "dispersion" in cfg.sections:
         n = cfg.sections["grid"]["n_points"]
         for m in cfg.sections["dispersion"]["modes"]:
@@ -521,10 +527,17 @@ def _run_dispersion(cfg, outdir, rng):
     u0 = np.zeros(grid.n_points, dtype=complex)
     for m in modes:
         u0 += np.exp(1j * (2 * np.pi * m / grid.length) * x)
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0)
-    nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"])
-    report = dispersion_check(state, alpha=p["alpha"], beta=1.0, g=p["g"],
-                              a=p["a"], b=p["b"], modes=modes)
+    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    series = np.empty((state.time.n_steps + 1, len(modes)), dtype=complex)
+
+    def observe(j, u):
+        series[j] = np.fft.fft(u)[modes] / grid.n_points
+
+    observe(0, state.level(0))
+    nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"], observe)
+    source = (state.times, dict(zip(grid.wavenumbers[modes], series.T)))
+    report = dispersion_check(source, alpha=p["alpha"], beta=1.0, g=p["g"],
+                              a=p["a"], b=p["b"])
     write_json(outdir / "report.json", report.to_dict())
     return {"max_rel_err": max(report.rel_err),
             "fitted_exponent": report.fitted_exponent,

@@ -40,7 +40,7 @@ O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.
 
 Level policy: ``FieldState.history`` is a ring of ``rows`` field levels, with
 level ``j`` in row ``j % rows``.  By default it holds all ``n_steps + 1``
-levels, which ``residual`` and ``analysis.dispersion_check`` need.  The
+levels, which only ``residual`` still needs.  The
 steppers themselves read only the newest level (the memory sum and the
 previous spectrum live in the stepper), so a caller that does not need the
 trajectory asks for 2 rows and collects what it keeps through the

@@ -4,7 +4,8 @@ Each function here evaluates a quantity the library computes by a faster or
 transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
 derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
-and the time stepper with its memory sum formed directly at every step.
+the time stepper with its memory sum formed directly at every step, and the
+per-mode series of a whole stored trajectory transformed at once.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.
 """
@@ -293,6 +294,17 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
             uhat_prev, uhat = uhat, new_hat
     state.n_completed = n
     return state
+
+
+def mode_series(state, modes):
+    """The ``(times, {k: series})`` input of ``analysis.dispersion_check``
+    for grid modes ``modes`` of a completed full-history complex state,
+    with every level transformed at once along the grid axis."""
+    if not (state.holds_trajectory and state.n_completed == state.time.n_steps):
+        raise DomainError("mode series need a completed full-history state")
+    series = np.fft.fft(state.history, axis=1) / state.grid.n_points
+    k = state.grid.wavenumbers
+    return state.times, {k[m]: series[:, m] for m in modes}
 
 
 def cutoff_for_tolerance(alpha, tol):

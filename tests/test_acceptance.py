@@ -26,7 +26,8 @@ from fracdyn.grids import GridSpec, TimeGrid
 from fracdyn.kernels import MemoryKernel, memory_convolution
 from oracles import (caputo_left_quadrature_oracle, convergence_order,
                      cutoff_for_tolerance, interaction_sum_direct,
-                     laplace_symbol_check, lattice_symbol_increment)
+                     laplace_symbol_check, lattice_symbol_increment,
+                     mode_series)
 
 TWO_PI = 2 * np.pi
 
@@ -316,8 +317,8 @@ def test_12_dispersion_exponent_sweep():
             u0 += np.exp(1j * m * grid.x)
         state = FieldState.from_initial(grid, tg, u0)
         nls_evolve(state, alpha, 1.0, 0.0, 0.0)
-        rep = dispersion_check(state, alpha=alpha, beta=1.0, g=1.0, a=0.0,
-                               b=0.0, modes=modes)
+        rep = dispersion_check(mode_series(state, modes), alpha=alpha,
+                               beta=1.0, g=1.0, a=0.0, b=0.0)
         fitted[alpha] = rep.fitted_exponent
     elapsed = time.time() - t0
     ok = all(abs(fitted[a] - a) < 0.02 for a in fitted) and elapsed < 30.0

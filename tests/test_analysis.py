@@ -10,7 +10,7 @@ from fracdyn.analysis import dispersion_check
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fields import FieldState, nls_evolve, nls_linear_mode_evolution
 from fracdyn.grids import GridSpec, TimeGrid
-from oracles import convergence_order, laplace_symbol_check
+from oracles import convergence_order, laplace_symbol_check, mode_series
 
 TWO_PI = 2 * np.pi
 
@@ -27,14 +27,18 @@ def _nls_state(modes, n=256, steps=2000, dt=1e-3, amp=1.0):
     return FieldState.from_initial(grid, tg, u0)
 
 
+def _nls_series(modes, alpha, g, a, b, **kw):
+    state = _nls_state(modes, **kw)
+    nls_evolve(state, alpha, g, a, b)
+    return mode_series(state, modes)
+
+
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
 def test_dispersion_linear_modes_match_law(alpha):
     g, a = 0.8, 0.3
     modes = [1, 2, 3, 5, 8]
-    state = _nls_state(modes)
-    nls_evolve(state, alpha, g, a, 0.0)
-    report = dispersion_check(state, alpha=alpha, beta=1.0, g=g, a=a, b=0.0,
-                              modes=modes)
+    report = dispersion_check(_nls_series(modes, alpha, g, a, 0.0),
+                              alpha=alpha, beta=1.0, g=g, a=a, b=0.0)
     assert max(report.rel_err) < 1e-4
     assert abs(report.fitted_exponent - alpha) < 1e-4
 
@@ -42,17 +46,13 @@ def test_dispersion_linear_modes_match_law(alpha):
 def test_dispersion_nonlinear_shift():
     # single plane wave: the frequency shift is exactly b A^2
     alpha, g, a, b, amp = 1.5, 1.0, 0.0, 0.7, 0.6
-    state = _nls_state([3], amp=amp)
-    nls_evolve(state, alpha, g, a, b)
-    report = dispersion_check(state, alpha=alpha, beta=1.0, g=g, a=a, b=b,
-                              amplitude=amp, modes=[3])
+    report = dispersion_check(_nls_series([3], alpha, g, a, b, amp=amp),
+                              alpha=alpha, beta=1.0, g=g, a=a, b=b)
     assert report.rel_err[0] < 1e-6
     omega_nonlinear = report.measured[0]
     # rerun without the nonlinearity: shift = b amp^2
-    state0 = _nls_state([3], amp=amp)
-    nls_evolve(state0, alpha, g, a, 0.0)
-    r0 = dispersion_check(state0, alpha=alpha, beta=1.0, g=g, a=a, b=0.0,
-                          modes=[3])
+    r0 = dispersion_check(_nls_series([3], alpha, g, a, 0.0, amp=amp),
+                          alpha=alpha, beta=1.0, g=g, a=a, b=0.0)
     shift = omega_nonlinear - r0.measured[0]
     assert shift == pytest.approx(b * amp ** 2, rel=1e-4)
 
@@ -60,10 +60,9 @@ def test_dispersion_nonlinear_shift():
 def test_dispersion_exponent_sweep():
     for alpha in (1.2, 1.8):
         modes = [1, 2, 3, 4, 6, 8]
-        state = _nls_state(modes, steps=1000)
-        nls_evolve(state, alpha, 1.0, 0.0, 0.0)
-        report = dispersion_check(state, alpha=alpha, beta=1.0, g=1.0, a=0.0,
-                                  b=0.0, modes=modes)
+        source = _nls_series(modes, alpha, 1.0, 0.0, 0.0, steps=1000)
+        report = dispersion_check(source, alpha=alpha, beta=1.0, g=1.0, a=0.0,
+                                  b=0.0)
         assert abs(report.fitted_exponent - alpha) < 0.02
 
 
@@ -82,19 +81,12 @@ def test_dispersion_fractional_mode_source():
 
 
 def test_dispersion_rejects_beta_mismatch():
-    state = _nls_state([1], steps=10)
-    nls_evolve(state, 1.5, 1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        dispersion_check(state, alpha=1.5, beta=0.5, g=1.0, a=0.0)
-
-
-def test_dispersion_rejects_a_ring_without_its_trajectory():
-    modes = [1, 2]
-    full = _nls_state(modes, steps=20)
-    ring = FieldState.from_initial(full.grid, full.time, full.level(0), rows=2)
-    nls_evolve(ring, 1.5, 1.0, 0.0, 0.0)
-    with pytest.raises(DomainError, match="dispersion check needs every level"):
-        dispersion_check(ring, alpha=1.5, beta=1.0, g=1.0, a=0.0, modes=modes)
+    source = _nls_series([1], 1.5, 1.0, 0.0, 0.0, steps=10)
+    # the Mittag-Leffler fit below beta = 1 has no nonlinear law
+    with pytest.raises(DomainError, match="requires b = 0"):
+        dispersion_check(source, alpha=1.5, beta=0.5, g=1.0, a=0.0, b=0.7)
+    with pytest.raises(DomainError, match="temporal order"):
+        dispersion_check(source, alpha=1.5, beta=1.5, g=1.0, a=0.0)
 
 
 # ------------------------------------------------------------ Laplace identity

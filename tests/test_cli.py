@@ -6,13 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracdyn
 
+from fracdyn.analysis import dispersion_check
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
-                         main, read_metadata, run, write_csv)
+                         main, read_metadata, run, write_csv, write_json)
 from fracdyn.errors import ConfigError
+from fracdyn.fields import FieldState, nls_evolve
+from fracdyn.grids import GridSpec, TimeGrid
+from oracles import mode_series
 
 EVOLVE_CONFIG = """
 [experiment]
@@ -322,8 +327,14 @@ def test_cli_usage_errors_exit_config(tmp_path, capsys):
     ("dispersion", DISPERSION_CONFIG, "3,100"),
     ("dispersion", DISPERSION_CONFIG, "3,64"),
     ("dispersion", DISPERSION_CONFIG, "-64,3"),
+    ("continuum_compare", COMPARE_CONFIG, ""),
+    ("continuum_compare", COMPARE_CONFIG, "3,3"),
+    ("dispersion", DISPERSION_CONFIG, ""),
+    ("dispersion", DISPERSION_CONFIG, "3,3"),
 ], ids=["compare-negative", "compare-zero", "compare-above-half",
-        "compare-kdx-above-0.2", "dispersion-100", "dispersion-nyquist", "dispersion-minus-nyquist"])
+        "compare-kdx-above-0.2", "dispersion-100", "dispersion-nyquist",
+        "dispersion-minus-nyquist", "compare-empty", "compare-repeated",
+        "dispersion-empty", "dispersion-repeated"])
 def test_modes_out_of_range_rejected(tmp_path, kind, template, modes):
     cfgp = _write(tmp_path, template.format(modes=modes))
     with pytest.raises(ConfigError, match="invalid 'modes'"):
@@ -477,6 +488,35 @@ def test_dispersion_cli(tmp_path):
     assert abs(report["fitted_exponent"] - 1.5) < 0.02
 
 
+# one mode fits no exponent, so the nonlinear run fails its tolerance check
+@pytest.mark.parametrize("modes, b, code", [("-2,1,3,5", "0.0", EXIT_OK),
+                                            ("3", "0.7", EXIT_NUMERICAL)],
+                         ids=["linear", "nonlinear"])
+def test_dispersion_cli_matches_full_trajectory(tmp_path, modes, b, code):
+    # the runner streams each level's mode coefficients; the report must be
+    # the one the whole stored trajectory, transformed at once, gives
+    text = DISPERSION_CONFIG.format(modes=modes).replace("b = 0.0", f"b = {b}")
+    cfgp = _write(tmp_path, text, name="d.ini")
+    out = tmp_path / "d"
+    assert main(["dispersion", "--config", str(cfgp),
+                 "--out", str(out)]) == code
+    cfg = load_config(cfgp)
+    p, ms = cfg.section("nls"), cfg.section("dispersion")["modes"]
+    assert p["b"] == float(b)
+    g, t = cfg.section("grid"), cfg.section("time")
+    grid = GridSpec(g["n_points"], g["length"])
+    u0 = np.zeros(grid.n_points, dtype=complex)
+    for m in ms:
+        u0 += np.exp(1j * (2 * np.pi * m / grid.length) * grid.x)
+    state = FieldState.from_initial(grid, TimeGrid(t["n_steps"], t["dt"]), u0)
+    nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"])
+    expected = dispersion_check(mode_series(state, ms), alpha=p["alpha"],
+                                beta=1.0, g=p["g"], a=p["a"], b=p["b"])
+    write_json(tmp_path / "expected.json", expected.to_dict())
+    assert ((out / "report.json").read_bytes()
+            == (tmp_path / "expected.json").read_bytes())
+
+
 def test_chain_cli(tmp_path):
     text = """
 [experiment]
@@ -520,32 +560,45 @@ print(before, after)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
-def test_sine_gordon_run_memory_stays_bounded(tmp_path):
-    # 4001 levels of 4096 points would be 131 MB; the runner holds two
-    # levels and its snapshots, so the child's peak RSS grows by far less
-    # than 20 MB over what the import already took
-    n, steps = 4096, 4000
-    text = f"""
+_SG_MEMORY_CONFIG = """
 [experiment]
 kind = sine_gordon
 
 [grid]
-n_points = {n}
+n_points = 4096
 length = 80.0
 
 [time]
 dt = 0.01
-n_steps = {steps}
+n_steps = 4000
 """
-    cfgp = _write(tmp_path, text, name="sg.ini")
+
+_DISPERSION_MEMORY_CONFIG = (
+    DISPERSION_CONFIG.format(modes="1,2,3,4,6,8")
+    .replace("n_points = 128", "n_points = 1024")
+    .replace("n_steps = 500", "n_steps = 4000"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("text, itemsize", [(_SG_MEMORY_CONFIG, 8),
+                                             (_DISPERSION_MEMORY_CONFIG, 16)],
+                         ids=["sine_gordon", "dispersion"])
+def test_run_memory_stays_bounded(tmp_path, text, itemsize):
+    # the whole trajectory (131 MB of real levels for sine-Gordon, 66 MB of
+    # complex ones for dispersion) is never held: each runner keeps two
+    # levels and what it writes, so the child's peak RSS grows by far less
+    # than 20 MB over what the import already took
+    bound = 20 << 20
+    cfgp = _write(tmp_path, text, name="run.ini")
+    cfg = load_config(cfgp)
+    levels = cfg.section("time")["n_steps"] + 1
+    assert levels * cfg.section("grid")["n_points"] * itemsize > 3 * bound
     src = str(Path(fracdyn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(cfgp),
-                           str(tmp_path / "sg")], capture_output=True,
+                           str(tmp_path / "out")], capture_output=True,
                           text=True, env={"PYTHONPATH": src}, check=True)
     before, after = map(int, proc.stdout.split())
-    assert (steps + 1) * n * 8 > 100 << 20
-    assert (after - before) * 1024 < 20 << 20
-    summary = json.loads((tmp_path / "sg" / "summary.json").read_text())
+    assert (after - before) * 1024 < bound
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
