@@ -38,10 +38,10 @@ The memory sum over all earlier increment spectra is kept by
 ``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
 O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.
 
-Level policy: ``FieldState.history`` is a ring of ``rows`` field levels, with
-level ``j`` in row ``j % rows``.  By default it holds all ``n_steps + 1``
-levels, which only ``residual`` still needs.  The
-steppers themselves read only the newest level (the memory sum and the
+Level policy: ``LevelRing.history``, and so ``FieldState.history``, is a
+ring of ``rows`` levels, with level ``j`` in row ``j % rows``.  By default
+it holds all ``n_steps + 1`` levels, which only ``residual`` still needs.
+The steppers themselves read only the newest level (the memory sum and the
 previous spectrum live in the stepper), so a caller that does not need the
 trajectory asks for 2 rows and collects what it keeps through the
 steppers' ``observe(j, u)`` callback, called with every new level after its
@@ -163,28 +163,30 @@ class ModelSpec:
 
 
 @dataclass
-class FieldState:
-    """Field levels over a periodic grid and a uniform time grid.
+class LevelRing:
+    """Levels of a uniform time grid, each a vector of the same length.
 
-    ``history`` is a ring: the field at ``t_j`` lives in row
+    ``history`` is a ring: the level at ``t_j`` lives in row
     ``j % len(history)``, and only the newest ``len(history)`` levels up to
     ``n_completed`` are held.  Read levels through :meth:`level`.
-    ``initial_velocity`` is required by temporal orders in (1, 2].
+    ``initial_velocity`` is required by temporal orders in (1, 2].  This is
+    all the linear-implicit stepper reads and writes, so a level may hold
+    grid values (:class:`FieldState`) or the coefficients of modes that do
+    not couple.
     """
 
-    grid: GridSpec
     time: TimeGrid
     history: np.ndarray = field(repr=False)
     initial_velocity: np.ndarray = None
     n_completed: int = 0
 
     @classmethod
-    def from_initial(cls, grid, time, u0, initial_velocity=None, rows=None):
-        """State at level 0; ``rows`` levels are held, all
-        ``n_steps + 1`` by default, at least 2."""
+    def start(cls, time, u0, initial_velocity=None, rows=None, **extra):
+        """Ring at level 0; ``rows`` levels are held, all ``n_steps + 1``
+        by default, at least 2.  ``extra`` goes to the constructor."""
         u0 = np.asarray(u0)
-        if u0.shape != (grid.n_points,):
-            raise DomainError("initial condition does not match the grid")
+        if u0.ndim != 1:
+            raise DomainError("initial level must be a vector")
         if not np.all(np.isfinite(u0)):
             raise DomainError("initial condition must be finite")
         rows = time.n_steps + 1 if rows is None else rows
@@ -192,14 +194,15 @@ class FieldState:
             raise DomainError(f"rows must lie in [2, n_steps + 1 = "
                               f"{time.n_steps + 1}], got {rows}")
         dtype = np.complex128 if np.iscomplexobj(u0) else np.float64
-        hist = np.zeros((rows, grid.n_points), dtype=dtype)
+        hist = np.zeros((rows, u0.size), dtype=dtype)
         hist[0] = u0
         v0 = None
         if initial_velocity is not None:
             v0 = np.asarray(initial_velocity, dtype=dtype)
-            if v0.shape != (grid.n_points,):
-                raise DomainError("initial velocity does not match the grid")
-        return cls(grid=grid, time=time, history=hist, initial_velocity=v0)
+            if v0.shape != u0.shape:
+                raise DomainError("initial velocity does not match the "
+                                  "initial level")
+        return cls(time=time, history=hist, initial_velocity=v0, **extra)
 
     @property
     def is_complex(self):
@@ -225,6 +228,20 @@ class FieldState:
 
     def current(self):
         return self.level(self.n_completed)
+
+
+@dataclass
+class FieldState(LevelRing):
+    """Field levels over a periodic grid: one ring column per grid node."""
+
+    grid: GridSpec = field(kw_only=True)
+
+    @classmethod
+    def from_initial(cls, grid, time, u0, initial_velocity=None, rows=None):
+        """State at level 0; see :meth:`LevelRing.start`."""
+        if np.shape(u0) != (grid.n_points,):
+            raise DomainError("initial condition does not match the grid")
+        return cls.start(time, u0, initial_velocity, rows, grid=grid)
 
 
 def _transforms(state):
@@ -274,11 +291,12 @@ def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
 
 def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
                             observe=None):
-    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the state's time grid
-    from level 0, where ``S`` is the spatial operator with multiplier ``sym``
-    on the modes of ``fwd``.  ``S`` is implicit when ``f`` is the identity and
-    lags one level otherwise; the on-site force ``F`` always lags.  Each new
-    level is written to its ring row, guarded, and passed to ``observe``."""
+    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the time grid of the
+    :class:`LevelRing` ``state`` from level 0, where ``S`` is the spatial
+    operator with multiplier ``sym`` on the modes of ``fwd``.  ``S`` is
+    implicit when ``f`` is the identity and lags one level otherwise; the
+    on-site force ``F`` always lags.  Each new level is written to its ring
+    row, guarded by its largest magnitude, and passed to ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")

@@ -3,6 +3,7 @@ through the ring coupling's Fourier sum, and the Mittag-Leffler law."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,3 +302,83 @@ def test_continuum_compare_rejects_modes_outside_ring(modes):
     spec = _spec(n=256, beta=1.0)
     with pytest.raises(DomainError, match=r"modes must lie in \[1, 128\]"):
         continuum_limit_compare(spec, modes, dt=0.02, n_steps=100)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("beta", [0.6, 0.9, 1.0])
+def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
+    # the compare steps only its modes' coefficients; the oracle steps the
+    # whole ring with evolve_chain and hands the compare rfft(u)[modes]
+    n, modes, dt, steps = 4096, [12, 30, 60], 0.1, 600
+    local = {"potential": Potential.GINZBURG_LANDAU, "a": a} if a else {}
+    spec = _spec(n=n, beta=beta, **local)
+    u0 = sum(np.cos(2 * np.pi * m * np.arange(n) / n) for m in modes)
+    full = {0: np.fft.rfft(u0)[modes]}
+
+    def keep_modes(j, u):
+        full[j] = np.fft.rfft(u)[modes]
+
+    evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(steps, dt), u0,
+                                             rows=2), keep_modes)
+    stepped = {}
+    step_modes = chain._evolve_linear_implicit
+
+    def spy(ring, *args):
+        *head, observe = args
+        stepped[0] = ring.level(0).copy()
+
+        def seen(j, c):
+            stepped[j] = c.copy()
+            observe(j, c)
+        return step_modes(ring, *head, seen)
+
+    def replay_full_ring(ring, *args):
+        for j in range(1, steps + 1):
+            args[-1](j, full[j])
+
+    monkeypatch.setattr(chain, "_evolve_linear_implicit", spy)
+    report = continuum_limit_compare(spec, modes, dt, steps)
+    monkeypatch.setattr(chain, "_evolve_linear_implicit", replay_full_ring)
+    ref = continuum_limit_compare(spec, modes, dt, steps)
+
+    got = np.array([stepped[j] for j in range(steps + 1)])
+    want = np.array([full[j] for j in range(steps + 1)])
+    assert got.shape == (steps + 1, len(modes))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    rel = np.abs(np.subtract(report.rate_measured, ref.rate_measured)
+                 / np.array(ref.rate_measured))
+    # beta = 1 takes the log of two amplitudes, so the series rounding
+    # reaches the rate unamplified; the Mittag-Leffler least-squares fit
+    # turns it into up to about 2e-11
+    assert rel.max() <= (4e-16 if beta == 1.0 else 1e-10)
+    assert report.fitted_exponent == pytest.approx(ref.fitted_exponent,
+                                                   rel=1e-9)
+
+
+def test_continuum_compare_guard_sees_mode_coefficients():
+    # a = -1e5 grows every mode about 1.19e4-fold in the first step; the
+    # full ring's guard sees the field's sup-norm (initially 1), the
+    # compare's sees the largest mode coefficient (initially n / 2 = 128)
+    n, mode, dt = 256, 3, 0.1
+    spec = _spec(n=n, beta=0.9, potential=Potential.GINZBURG_LANDAU, a=-1e5)
+    u0 = np.cos(2 * np.pi * mode * np.arange(n) / n)
+    with pytest.raises(BlowUpError) as full:
+        evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(100, dt), u0))
+    with pytest.raises(BlowUpError) as modes:
+        continuum_limit_compare(spec, [mode], dt=dt, n_steps=100)
+    assert full.value.step == modes.value.step == 1
+    assert full.value.norm == pytest.approx(1.19e4, rel=5e-3)
+    assert modes.value.norm == pytest.approx(1.52e6, rel=5e-3)
+    assert modes.value.norm / (n / 2) == pytest.approx(full.value.norm / 1.0,
+                                                       rel=1e-12)
+
+
+def test_continuum_compare_single_mode_has_no_exponent():
+    # one mode cannot fix a power law: the exponent is NaN, not a line
+    # through one point, and the rate is still fitted
+    spec = _spec(n=256, beta=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = continuum_limit_compare(spec, [3], dt=0.1, n_steps=300)
+    assert math.isnan(report.fitted_exponent)
+    assert report.deviation_vs_lattice[0] < 5e-3

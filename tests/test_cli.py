@@ -488,18 +488,17 @@ def test_dispersion_cli(tmp_path):
     assert abs(report["fitted_exponent"] - 1.5) < 0.02
 
 
-# one mode fits no exponent, so the nonlinear run fails its tolerance check
-@pytest.mark.parametrize("modes, b, code", [("-2,1,3,5", "0.0", EXIT_OK),
-                                            ("3", "0.7", EXIT_NUMERICAL)],
+# one mode fits no exponent; the nonlinear run passes on its frequency alone
+@pytest.mark.parametrize("modes, b", [("-2,1,3,5", "0.0"), ("3", "0.7")],
                          ids=["linear", "nonlinear"])
-def test_dispersion_cli_matches_full_trajectory(tmp_path, modes, b, code):
+def test_dispersion_cli_matches_full_trajectory(tmp_path, modes, b):
     # the runner streams each level's mode coefficients; the report must be
     # the one the whole stored trajectory, transformed at once, gives
     text = DISPERSION_CONFIG.format(modes=modes).replace("b = 0.0", f"b = {b}")
     cfgp = _write(tmp_path, text, name="d.ini")
     out = tmp_path / "d"
     assert main(["dispersion", "--config", str(cfgp),
-                 "--out", str(out)]) == code
+                 "--out", str(out)]) == EXIT_OK
     cfg = load_config(cfgp)
     p, ms = cfg.section("nls"), cfg.section("dispersion")["modes"]
     assert p["b"] == float(b)
@@ -515,6 +514,22 @@ def test_dispersion_cli_matches_full_trajectory(tmp_path, modes, b, code):
     write_json(tmp_path / "expected.json", expected.to_dict())
     assert ((out / "report.json").read_bytes()
             == (tmp_path / "expected.json").read_bytes())
+
+
+def test_dispersion_cli_g_zero_passes_without_exponent(tmp_path):
+    # at g = 0 no mode has a dispersive part, so the exponent is undefined
+    # and the run is judged on its frequencies alone (a single mode is the
+    # nonlinear case of the test above)
+    text = (DISPERSION_CONFIG.format(modes="1,2,3")
+            .replace("g = 1.0", "g = 0.0").replace("a = 0.0", "a = 0.5"))
+    cfgp = _write(tmp_path, text, name="d.ini")
+    out = tmp_path / "d"
+    assert main(["dispersion", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert math.isnan(summary["fitted_exponent"])
+    assert summary["max_rel_err"] < 1e-4
+    assert summary["passed"] is True
 
 
 def test_chain_cli(tmp_path):
