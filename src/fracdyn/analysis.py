@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError
 from .fracops import mittag_leffler
@@ -30,8 +29,9 @@ class DispersionReport:
     For oscillatory (``beta = 1``) sources the entries are real frequencies
     ``omega`` in the ``u ~ exp(-i omega t)`` convention; for fractional-mode
     sources they are the complex rate coefficients of the Mittag-Leffler
-    law.  ``fitted_exponent`` is the least-squares power of ``|k|`` in the
-    dispersive part.
+    law.  ``rel_err`` is ``|measured - predicted| / |predicted|``, or the
+    absolute error where the prediction is exactly 0.  ``fitted_exponent``
+    is the least-squares power of ``|k|`` in the dispersive part.
     """
 
     beta: float
@@ -71,6 +71,8 @@ def _phase_slope(times, series):
 def _ml_rate(times, series, beta, lam_pred, k):
     """The ``lam`` of the ``E_beta(lam t^beta)`` nearest ``series / series[0]``,
     searched from ``lam_pred``."""
+    import scipy.optimize
+
     def misfit(p):
         lam = p[0] + 1j * p[1]
         d = mittag_leffler(beta, lam * times ** beta) - series / series[0]
@@ -120,7 +122,7 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
             d = a - (m / 1j).real if g == 0 else (a - (m / 1j).real) / g
         meas.append(m)
         pred.append(p)
-        rel.append(abs(m - p) / max(abs(p), 1e-300))
+        rel.append(abs(m - p) / abs(p) if p != 0 else abs(m - p))
         kv.append(abs(k))
         disp.append(d)
     return DispersionReport(beta=beta, k=kv, measured=meas, predicted=pred,

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .analysis import _fit_exponent
 from .errors import DomainError
@@ -200,6 +200,7 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
     a0 = amps[0]
     if beta == 1.0:
         return float(np.log(amps[-1] / a0) / times[-1])
+    import scipy.optimize
 
     def misfit(lam):
         return mittag_leffler(beta, lam[0] * times[1:] ** beta) - amps[1:] / a0

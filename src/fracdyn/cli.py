@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 
 import argparse
 import configparser
+import importlib
 import json
 import math
 import sys
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
+import numpy.random  # eager: NumPy 2 loads it on first use, inside a run
 
 from . import __version__
 from .analysis import dispersion_check
@@ -117,6 +120,17 @@ _SECTIONS_BY_KIND = {
     "dispersion": {"experiment", "grid", "time", "nls", "dispersion",
                    "tolerances"},
     "operator_selftest": {"experiment", "tolerances"},
+}
+
+# SciPy modules a kind's runner may call, imported by load_config so that
+# their import cost is set-up and run() loads nothing; the other kinds run
+# on NumPy alone.  scipy.linalg goes first because it loads SciPy's
+# OpenBLAS, whose new worker thread busy-waits for about 0.1 s: loaded late,
+# by the end of the scipy.sparse.linalg import, that spin ran on into the
+# GMRES solve and doubled its CPU time.
+_SCIPY_BY_KIND = {
+    "stationary_fgle": ("scipy.linalg", "scipy.sparse.linalg"),
+    "continuum_compare": ("scipy.optimize", "scipy.integrate"),
 }
 
 INITIAL_KINDS = ("cosine", "uniform", "random", "gaussian", "plane_wave",
@@ -278,6 +292,8 @@ def load_config(path, kind=None, seed=None):
                            seed=exp["seed"] if seed is None else int(seed),
                            sections=sections)
     _validate_ranges(cfg)
+    for module in _SCIPY_BY_KIND.get(cfg.kind, ()):
+        importlib.import_module(module)
     return cfg
 
 
@@ -296,15 +312,25 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer, np.floating, np.bool_, np.ndarray)):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+def _jsonable(o):
+    """``o`` with NumPy scalars and arrays as Python values and every
+    non-finite float (an undefined fit exponent, say) as ``None``: JSON has
+    no NaN or infinity, so these are written as ``null``."""
+    if isinstance(o, dict):
+        return {k: _jsonable(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_jsonable(v) for v in o]
+    if isinstance(o, (np.generic, np.ndarray)):
+        return _jsonable(o.tolist())
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    return o
 
 
 def write_json(path, data):
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_jsonable(data), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
+import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fracops import (HistorySum, caputo_left_l1, caputo_right_l1, l1_weights,
@@ -456,6 +456,7 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
         raise DomainError("need a != 0 or b != 0")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    import scipy.sparse.linalg
     u = np.asarray(initial_guess, dtype=float).copy()
     if u.shape != (grid.n_points,):
         raise DomainError("initial guess does not match the grid")

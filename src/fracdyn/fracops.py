@@ -25,8 +25,7 @@ tests use as independent cross-checks, live in ``tests/oracles.py``.
 import math
 
 import numpy as np
-import scipy.fft
-import scipy.integrate
+import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import ConvergenceError, DomainError
 from .grids import GridSpec, validate_temporal_order
@@ -63,6 +62,22 @@ _FFT_BLOCK_BYTES = 1 << 18
 HISTORY_BLOCK = 64
 
 
+def _fast_len(n):
+    """The smallest ``2^a 3^b 5^c >= n``, a length pocketfft's real
+    transforms factor fully; equal to ``scipy.fft.next_fast_len(n,
+    real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the smallest power-of-two multiple of f35 that is >= n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _real_columns(x):
     """``x`` as float64 columns: a complex ``(n, m)`` array becomes its
     ``(n, 2m)`` real and imaginary parts, a view that shares its memory.
@@ -79,9 +94,9 @@ def _convolve_columns(x, weights, nfft, start, stop):
     """
     block = max(1, _FFT_BLOCK_BYTES // (16 * nfft))
     for c in range(0, x.shape[1], block):
-        spec = scipy.fft.rfft(x[:, c:c + block], nfft, axis=0)
+        spec = np.fft.rfft(x[:, c:c + block], nfft, axis=0)
         spec *= weights[:, None]
-        yield slice(c, c + block), scipy.fft.irfft(spec, nfft, axis=0)[start:stop]
+        yield slice(c, c + block), np.fft.irfft(spec, nfft, axis=0)[start:stop]
 
 
 def l1_apply(increments, weights, scale):
@@ -109,8 +124,8 @@ def l1_apply(increments, weights, scale):
     n = inc.shape[0]
     out = np.zeros((n + 1, inc.shape[1]), dtype=inc.dtype)
     if n:
-        nfft = scipy.fft.next_fast_len(2 * n - 1, real=True)
-        w_hat = scipy.fft.rfft(scale * np.asarray(weights, dtype=np.float64)[:n], nfft)
+        nfft = _fast_len(2 * n - 1)
+        w_hat = np.fft.rfft(scale * np.asarray(weights, dtype=np.float64)[:n], nfft)
         flat = _real_columns(out)
         for cols, rows in _convolve_columns(_real_columns(inc), w_hat, nfft, 0, n):
             flat[1:, cols] = rows
@@ -167,8 +182,8 @@ class HistorySum:
         # target p + t needs w[s + t - i] for source row p - s + i: the middle
         # of the convolution of the block with w[1:], free of wrap-around
         # when nfft >= s + count - 1
-        nfft = scipy.fft.next_fast_len(s + count - 1, real=True)
-        w_hat = scipy.fft.rfft(self._w[1:1 + nfft], nfft)
+        nfft = _fast_len(s + count - 1)
+        w_hat = np.fft.rfft(self._w[1:1 + nfft], nfft)
         target = self._flat[p:p + count]
         for cols, rows in _convolve_columns(self._flat[p - s:p], w_hat, nfft,
                                             s - 1, s - 1 + count):
@@ -301,6 +316,7 @@ def _ml_integral_negative(beta, x):
     # fixes the integrand's scale, leaving exp(-z^(1/b)) decay.
     if x == 0.0:
         return 1.0
+    import scipy.integrate
     sinb = math.sin(beta * math.pi)
     cosb = math.cos(beta * math.pi)
 

@@ -8,6 +8,7 @@ the standard FFT wavenumber set, and on uniform time grids ``t_j = j dt``.
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import DomainError
 

@@ -11,6 +11,7 @@ import pytest
 
 import fracdyn
 
+from fracdyn import cli
 from fracdyn.analysis import dispersion_check
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                          main, read_metadata, run, write_csv, write_json)
@@ -527,9 +528,36 @@ def test_dispersion_cli_g_zero_passes_without_exponent(tmp_path):
     assert main(["dispersion", "--config", str(cfgp),
                  "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert math.isnan(summary["fitted_exponent"])
+    assert summary["fitted_exponent"] is None
     assert summary["max_rel_err"] < 1e-4
     assert summary["passed"] is True
+
+
+def test_dispersion_cli_zero_rate_reports_absolute_error(tmp_path):
+    # at g = 0, a = 0 every predicted frequency is exactly 0, so the error
+    # reported for each mode is absolute: a rounding-level frequency passes
+    text = (DISPERSION_CONFIG.format(modes="1,2,3")
+            .replace("g = 1.0", "g = 0.0"))
+    cfgp = _write(tmp_path, text, name="d.ini")
+    out = tmp_path / "d"
+    assert main(["dispersion", "--config", str(cfgp),
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["predicted"] == [0.0, 0.0, 0.0]
+    assert report["rel_err"] == [abs(m) for m in report["measured"]]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_rel_err"] < 1e-12
+    assert summary["fitted_exponent"] is None
+    assert summary["passed"] is True
+
+
+def test_write_json_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"nan": float("nan"), "inf": np.float64(np.inf),
+                      "row": np.array([1.5, -np.inf]), "ok": np.int64(3)})
+    assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+    assert json.loads(path.read_text()) == {"nan": None, "inf": None,
+                                            "row": [1.5, None], "ok": 3}
 
 
 def test_chain_cli(tmp_path):
@@ -617,3 +645,79 @@ def test_run_memory_stays_bounded(tmp_path, text, itemsize):
     assert (after - before) * 1024 < bound
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
+
+
+_IMPORTS_CHILD = """
+import sys
+from fracdyn import cli
+cfg = cli.load_config(sys.argv[1])
+before = set(sys.modules)
+cli.run(cfg, sys.argv[2])
+print(sorted(m for m in set(sys.modules) - before
+             if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+_SG_SMALL_CONFIG = """
+[experiment]
+kind = sine_gordon
+
+[grid]
+n_points = 64
+length = 40.0
+
+[time]
+dt = 0.05
+n_steps = 20
+"""
+
+# beta < 1 takes the least-squares rate fit, and a fit horizon of 20 rate
+# times reaches Mittag-Leffler arguments beyond the series radius (the
+# quadrature path)
+_COMPARE_FIT_CONFIG = """
+[experiment]
+kind = continuum_compare
+
+[chain]
+n_particles = 512
+alpha = 1.5
+g0 = -1.0
+beta = 0.8
+
+[time]
+dt = 0.05
+n_steps = 2000
+
+[compare]
+modes = 16
+fit_horizon = 20.0
+
+[tolerances]
+rate_deviation = 1.0
+"""
+
+_CONFIG_BY_KIND = {
+    "evolve_field": EVOLVE_CONFIG,
+    "sine_gordon": _SG_SMALL_CONFIG,
+    "nls": NLS_CONFIG,
+    "stationary_fgle": STATIONARY_CONFIG,
+    "chain": CHAIN_CONFIG,
+    "continuum_compare": _COMPARE_FIT_CONFIG,
+    "dispersion": DISPERSION_CONFIG.format(modes="1,2"),
+    "operator_selftest": SELFTEST_CONFIG,
+}
+
+
+def test_every_kind_has_an_import_check():
+    assert set(_CONFIG_BY_KIND) == set(cli._SECTIONS_BY_KIND)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONFIG_BY_KIND))
+def test_run_imports_nothing_after_load_config(tmp_path, kind):
+    # load_config imports what the kind's runner calls from SciPy, and cli
+    # what NumPy 2 would load on first use, so no import lands in run()
+    cfgp = _write(tmp_path, _CONFIG_BY_KIND[kind], name="run.ini")
+    src = str(Path(fracdyn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, str(cfgp),
+                           str(tmp_path / "out")], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -579,7 +579,7 @@ def test_stationary_reports_solver_counts():
 def test_stationary_krylov_miss_raises(monkeypatch):
     def stalled_gmres(op, rhs, **kwargs):
         return np.zeros_like(rhs), kwargs["maxiter"]
-    monkeypatch.setattr(fields.scipy.sparse.linalg, "gmres", stalled_gmres)
+    monkeypatch.setattr("scipy.sparse.linalg.gmres", stalled_gmres)
     grid, guess = _fractional_pulse()
     with pytest.raises(ConvergenceError, match="Newton iteration 1") as exc:
         stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)

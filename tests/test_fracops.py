@@ -14,15 +14,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdyn
 from fracdyn.errors import ConvergenceError, DomainError
-from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, caputo_left_l1,
-                             caputo_right_l1, l1_apply, l1_weights,
-                             mittag_leffler,
+from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, _fast_len,
+                             caputo_left_l1, caputo_right_l1, l1_apply,
+                             l1_weights, mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
 from oracles import caputo_left_quadrature_oracle, riesz_quadrature_oracle
@@ -125,13 +126,23 @@ def test_history_sum_matches_direct_sum(n, is_complex):
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_import_does_not_load_scipy_signal():
-    code = "import sys, fracdyn; print('scipy.signal' in sys.modules)"
+def test_import_loads_no_scipy():
+    # SciPy is imported only by the functions that call it, and by
+    # cli.load_config for the kinds whose runners do
+    code = ("import sys, fracdyn, fracdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     # the child imports the same fracdyn sources as this process
     env = {**os.environ, "PYTHONPATH": str(Path(fracdyn.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
+
+
+def test_fast_len_matches_scipy():
+    # every FFT length stays the one scipy.fft would pick
+    got = [_fast_len(n) for n in range(1, 20001)]
+    assert got == [scipy.fft.next_fast_len(n, real=True)
+                   for n in range(1, 20001)]
 
 
 _TEST_ONLY_NAMES = (
