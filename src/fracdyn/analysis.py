@@ -68,21 +68,48 @@ def _phase_slope(times, series):
     return coef[0]
 
 
-def _ml_rate(times, series, beta, lam_pred, k):
-    """The ``lam`` of the ``E_beta(lam t^beta)`` nearest ``series / series[0]``,
-    searched from ``lam_pred``."""
-    import scipy.optimize
+_RATE_FIT_MAX_ITER = 50
+_RATE_FIT_STEP_TOL = 64 * np.finfo(float).eps
+_RATE_FIT_STALL_TOL = math.sqrt(np.finfo(float).eps)
 
-    def misfit(p):
-        lam = p[0] + 1j * p[1]
-        d = mittag_leffler(beta, lam * times ** beta) - series / series[0]
-        return np.concatenate([d.real, d.imag])
 
-    sol = scipy.optimize.least_squares(
-        misfit, x0=[lam_pred.real, lam_pred.imag], xtol=1e-14, ftol=1e-14)
-    if not sol.success:
-        raise DomainError(f"rate fit failed for mode k = {k}")
-    return complex(sol.x[0], sol.x[1])
+def _ml_rate(times, ratio, beta, guess):
+    """The ``lam`` whose ``E_beta(lam t^beta)`` is nearest ``ratio`` at
+    ``times`` in least squares, by Gauss-Newton from ``guess``.
+
+    Real ``guess`` and ``ratio`` fit a real rate; a complex ``guess`` fits a
+    complex one.  The model is holomorphic in ``lam``, so its Jacobian is
+    ``J = t^beta E_beta'(lam t^beta)`` in either case, and the Gauss-Newton
+    step ``-J^H r / |J|^2`` is the real two-parameter step in complex form.
+    Each iteration makes one Mittag-Leffler pass returning both ``E_beta``
+    and ``E_beta'``.
+
+    The fit stops once the step is at rounding level: within a few ulps of
+    ``lam`` or of the resolution ``eps |ratio| / |J|`` of the data, or, once
+    below ``sqrt(eps) |lam|``, no longer contracting, which is the rounding
+    of the Mittag-Leffler values themselves (the alternating series loses
+    digits to cancellation at larger arguments).  It raises ``DomainError``
+    if neither happens within ``_RATE_FIT_MAX_ITER`` iterations.
+    """
+    tb = np.asarray(times, dtype=float) ** beta
+    ratio = np.asarray(ratio)
+    lam, prev = guess, math.inf
+    for _ in range(_RATE_FIT_MAX_ITER):
+        val, der = mittag_leffler(beta, lam * tb, derivative=True)
+        jac = tb * der
+        jj = np.vdot(jac, jac).real
+        step = -np.vdot(jac, val - ratio) / jj
+        if not np.isfinite(step):
+            break
+        lam = lam + step
+        size = abs(step)
+        if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(ratio)
+                                          / math.sqrt(jj))
+                or prev / 2 <= size <= _RATE_FIT_STALL_TOL * abs(lam)):
+            return lam
+        prev = size
+    raise DomainError(f"Mittag-Leffler rate fit from {guess} did not converge "
+                      f"within {_RATE_FIT_MAX_ITER} iterations")
 
 
 def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
@@ -118,7 +145,7 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
             d = (a + b * amp ** 2 - m) / g if g != 0 else np.nan
         else:
             p = 1j * (-g * abs(k) ** alpha + a)
-            m = _ml_rate(times, series, beta, p, k)
+            m = complex(_ml_rate(times, series / series[0], beta, p))
             d = a - (m / 1j).real if g == 0 else (a - (m / 1j).real) / g
         meas.append(m)
         pred.append(p)

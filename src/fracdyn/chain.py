@@ -41,11 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
-from .analysis import _fit_exponent
+from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError
 from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
                      _evolve_linear_implicit, _transforms)
-from .fracops import mittag_leffler
 from .grids import GridSpec, TimeGrid, validate_temporal_order
 from .kernels import LatticeCoupling, renormalized_constant
 
@@ -200,15 +199,7 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
     a0 = amps[0]
     if beta == 1.0:
         return float(np.log(amps[-1] / a0) / times[-1])
-    import scipy.optimize
-
-    def misfit(lam):
-        return mittag_leffler(beta, lam[0] * times[1:] ** beta) - amps[1:] / a0
-
-    sol = scipy.optimize.least_squares(misfit, x0=[rate_guess], xtol=1e-14, ftol=1e-14)
-    if not sol.success:
-        raise DomainError("mode-rate fit failed")
-    return float(sol.x[0])
+    return float(_ml_rate(times[1:], amps[1:] / a0, beta, rate_guess))
 
 
 def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
@@ -258,9 +249,11 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         lam_latt = float(rates_lattice_all[m])
         horizon = fit_horizon / max(abs(lam_latt), 1e-300)
         jmax = min(n_steps, max(2, int(round(horizon / dt))))
-        sels[m] = np.unique(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1)).astype(int))
-    rows = np.unique(np.concatenate(list(sels.values())))
-    row_of = {int(j): i for i, j in enumerate(rows)}
+        # sorted(set()) rather than np.unique, which loads numpy.ma on first use
+        sels[m] = sorted(set(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1))
+                             .astype(int).tolist()))
+    rows = sorted(set().union(*sels.values()))
+    row_of = {j: i for i, j in enumerate(rows)}
 
     # the modes do not couple: step only their coefficients, with identity
     # transforms and the linear force acting per mode
@@ -269,7 +262,7 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
     time = TimeGrid(n_steps=n_steps, dt=dt)
     ring = LevelRing.start(time, np.fft.rfft(u0)[modes], rows=2)
-    kept = np.empty((rows.size, len(modes)), dtype=complex)
+    kept = np.empty((len(rows), len(modes)), dtype=complex)
     kept[0] = ring.level(0)   # rows[0] is level 0
 
     def observe(j, c):

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 
 import argparse
 import configparser
-import importlib
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -41,6 +41,8 @@ from .kernels import MemoryKernel, memory_convolution
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
+log = logging.getLogger("fracdyn")
+
 
 def _parse_terms(text):
     terms = []
@@ -61,13 +63,6 @@ def _parse_int_list(text):
         return [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad integer list '{text}'") from exc
-
-
-def _parse_float_list(text):
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list '{text}'") from exc
 
 
 # (section, key) -> (converter, default); REQUIRED means no default
@@ -122,17 +117,6 @@ _SECTIONS_BY_KIND = {
     "operator_selftest": {"experiment", "tolerances"},
 }
 
-# SciPy modules a kind's runner may call, imported by load_config so that
-# their import cost is set-up and run() loads nothing; the other kinds run
-# on NumPy alone.  scipy.linalg goes first because it loads SciPy's
-# OpenBLAS, whose new worker thread busy-waits for about 0.1 s: loaded late,
-# by the end of the scipy.sparse.linalg import, that spin ran on into the
-# GMRES solve and doubled its CPU time.
-_SCIPY_BY_KIND = {
-    "stationary_fgle": ("scipy.linalg", "scipy.sparse.linalg"),
-    "continuum_compare": ("scipy.optimize", "scipy.integrate"),
-}
-
 INITIAL_KINDS = ("cosine", "uniform", "random", "gaussian", "plane_wave",
                  "pulse")
 
@@ -156,6 +140,13 @@ class ExperimentConfig:
         return cls(kind=data["kind"], seed=data["seed"], sections=data["sections"])
 
 
+def _finite(value):
+    """False if ``value`` is, or a list in it holds, a NaN or infinite float."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _resolve_section(name, raw):
     schema = _SCHEMA[name]
     out = {}
@@ -170,6 +161,9 @@ def _resolve_section(name, raw):
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for '{key}' in [{name}]: {raw[key]!r}") from exc
+            if not _finite(out[key]):
+                raise ConfigError(f"non-finite value for '{key}' in [{name}]: "
+                                  f"{raw[key]!r}")
         elif default is REQUIRED:
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
         else:
@@ -292,8 +286,6 @@ def load_config(path, kind=None, seed=None):
                            seed=exp["seed"] if seed is None else int(seed),
                            sections=sections)
     _validate_ranges(cfg)
-    for module in _SCIPY_BY_KIND.get(cfg.kind, ()):
-        importlib.import_module(module)
     return cfg
 
 
@@ -655,36 +647,53 @@ def _make_parser():
     return parser
 
 
+class _ConsoleHandler(logging.Handler):
+    """Writes each message alone on its line: below WARNING to standard
+    output, the rest to standard error, both looked up at each record."""
+
+    def emit(self, record):
+        stream = sys.stdout if record.levelno < logging.WARNING else sys.stderr
+        stream.write(self.format(record) + "\n")
+
+
+def _log_to_console():
+    """Give the ``fracdyn`` logger its console handler, once, at INFO."""
+    if not any(isinstance(h, _ConsoleHandler) for h in log.handlers):
+        log.addHandler(_ConsoleHandler())
+        log.setLevel(logging.INFO)
+
+
 def main(argv=None):
     try:
         args = _make_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    _log_to_console()
     try:
         cfg = load_config(args.config, kind=args.kind, seed=args.seed)
     except (ConfigError, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        log.error("config error: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        log.error("i/o error: %s", exc)
         return EXIT_IO
     try:
         summary = run(cfg, args.out)
     except (BlowUpError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
     except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        log.error("config error: %s", exc)
         return EXIT_CONFIG
     except FracdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        log.error("error: %s", exc)
         return EXIT_NUMERICAL
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        log.error("i/o error: %s", exc)
         return EXIT_IO
-    status = "ok" if summary.get("passed", True) else "tolerance check failed"
-    print(f"{cfg.kind}: {status}")
-    return EXIT_OK if summary.get("passed", True) else EXIT_NUMERICAL
+    passed = summary.get("passed", True)
+    log.info("%s: %s", cfg.kind, "ok" if passed else "tolerance check failed")
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

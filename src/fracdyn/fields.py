@@ -424,6 +424,67 @@ class StationaryResult:
     line_search_halvings: int
 
 
+def _gmres(matvec, b, rtol, atol, restart, max_cycles):
+    """Restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) for ``A x = b`` from ``x = 0``.
+
+    Each cycle builds an Arnoldi basis of at most ``restart`` vectors by
+    modified Gram-Schmidt and reduces the Hessenberg matrix to triangular
+    form with Givens rotations; the last entry of the rotated right-hand
+    side is then the residual norm of the cycle's current iterate.  A cycle
+    ends once that norm reaches ``max(rtol ||b||, atol)`` or the basis spans
+    an invariant subspace, and updates ``x`` by back substitution.  The true
+    residual ``||b - A x||`` decides whether another of the ``max_cycles``
+    cycles runs.  Returns ``(x, inner iterations, converged)``.
+    """
+    eps = np.finfo(float).eps
+    target = max(rtol * np.linalg.norm(b), atol)
+    x = np.zeros_like(b)
+    r = b
+    rnorm = np.linalg.norm(r)
+    iters = 0
+    basis = np.empty((restart + 1, b.size))
+    hess = np.zeros((restart + 1, restart))
+    cs, sn, rhs = np.zeros(restart), np.zeros(restart), np.zeros(restart + 1)
+    for _ in range(max_cycles):
+        if rnorm <= target:
+            return x, iters, True
+        basis[0] = r / rnorm
+        rhs[:] = 0.0
+        rhs[0] = rnorm
+        for j in range(restart):
+            w = matvec(basis[j])
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                hess[i, j] = basis[i] @ w
+                w -= hess[i, j] * basis[i]
+            h_next = np.linalg.norm(w)
+            invariant = h_next <= eps * w_norm
+            if not invariant:
+                basis[j + 1] = w / h_next
+            for i in range(j):
+                hess[i, j], hess[i + 1, j] = (
+                    cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                    cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
+            rho = math.hypot(hess[j, j], h_next)
+            cs[j], sn[j] = (hess[j, j] / rho, h_next / rho) if rho else (1.0, 0.0)
+            hess[j, j] = rho
+            rhs[j + 1] = -sn[j] * rhs[j]
+            rhs[j] *= cs[j]
+            iters += 1
+            if abs(rhs[j + 1]) <= target or invariant:
+                break
+        k = j + 1
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):   # back substitution
+            if hess[i, i]:
+                y[i] = (rhs[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i]
+        x = x + y @ basis[:k]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+    return x, iters, rnorm <= target
+
+
 def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
                           tol=1e-10, max_iter=100):
     """Damped Newton-Krylov solve of ``g Riesz_alpha u + a u + b u^3 = 0``.
@@ -456,7 +517,6 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
         raise DomainError("need a != 0 or b != 0")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    import scipy.sparse.linalg
     u = np.asarray(initial_guess, dtype=float).copy()
     if u.shape != (grid.n_points,):
         raise DomainError("initial guess does not match the grid")
@@ -479,17 +539,12 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
             vhat = pinv * np.fft.rfft(y)
             return np.fft.irfft(sym * vhat, n=n) + diag * np.fft.irfft(vhat, n=n)
 
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=jac_prec,
-                                                dtype=float)
         rtol = max(1e-10, min(1e-2, 1e-2 * rnorm))
-        inner = []
-        y, info = scipy.sparse.linalg.gmres(
-            op, -res, rtol=rtol, atol=1e-2 * tol, restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_CYCLES, callback=inner.append,
-            callback_type="pr_norm")
-        krylov_iters += len(inner)
-        if info != 0:
-            achieved = float(np.linalg.norm(res + op.matvec(y))
+        y, inner, solved = _gmres(jac_prec, -res, rtol, 1e-2 * tol,
+                                  GMRES_RESTART, GMRES_MAX_CYCLES)
+        krylov_iters += inner
+        if not solved:
+            achieved = float(np.linalg.norm(res + jac_prec(y))
                              / np.linalg.norm(res))
             raise ConvergenceError(
                 f"GMRES missed its tolerance at Newton iteration {it}: "

@@ -4,8 +4,9 @@ Each function here evaluates a quantity the library computes by a faster or
 transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
 derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
-the time stepper with its memory sum formed directly at every step, and the
-per-mode series of a whole stored trajectory transformed at once.
+the time stepper with its memory sum formed directly at every step, the
+per-mode series of a whole stored trajectory transformed at once, and the
+Mittag-Leffler rate fit by SciPy's trust-region least squares.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.
 """
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.optimize
 
 from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
 from fracdyn.fields import Interaction, Potential
-from fracdyn.fracops import l1_weights
+from fracdyn.fracops import l1_weights, mittag_leffler
 from fracdyn.grids import validate_temporal_order
 
 
@@ -305,6 +307,26 @@ def mode_series(state, modes):
     series = np.fft.fft(state.history, axis=1) / state.grid.n_points
     k = state.grid.wavenumbers
     return state.times, {k[m]: series[:, m] for m in modes}
+
+
+def ml_rate_least_squares(times, ratio, beta, guess):
+    """The ``lam`` whose ``E_beta(lam t^beta)`` is nearest ``ratio`` by
+    ``scipy.optimize.least_squares`` from ``guess``, the fit the library
+    made before its own Gauss-Newton one; a complex ``guess`` fits the real
+    and imaginary parts of a complex rate as two parameters."""
+    is_complex = np.iscomplexobj(guess)
+    tb = np.asarray(times, dtype=float) ** beta
+
+    def misfit(p):
+        lam = complex(p[0], p[1]) if is_complex else p[0]
+        d = mittag_leffler(beta, lam * tb) - ratio
+        return np.concatenate([d.real, d.imag]) if is_complex else d
+
+    x0 = [guess.real, guess.imag] if is_complex else [guess]
+    sol = scipy.optimize.least_squares(misfit, x0=x0, xtol=1e-14, ftol=1e-14)
+    if not sol.success:
+        raise DomainError("least-squares rate fit failed")
+    return complex(*sol.x) if is_complex else float(sol.x[0])
 
 
 def cutoff_for_tolerance(alpha, tol):

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from fracdyn import analysis
 from fracdyn.analysis import dispersion_check
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fields import FieldState, nls_evolve, nls_linear_mode_evolution
+from fracdyn.fracops import mittag_leffler
 from fracdyn.grids import GridSpec, TimeGrid
-from oracles import convergence_order, laplace_symbol_check, mode_series
+from oracles import (convergence_order, laplace_symbol_check,
+                     ml_rate_least_squares, mode_series)
 
 TWO_PI = 2 * np.pi
 
@@ -78,6 +81,50 @@ def test_dispersion_fractional_mode_source():
     assert max(report.rel_err) < 1e-6
     for lam, k in zip(report.predicted, report.k):
         assert lam == pytest.approx(1j * (-g * k ** alpha + a))
+
+
+def _perturbed_mode_law(beta, k, alpha=1.5, g=1.0, a=0.2):
+    # a mode law off by ~1e-3, as a stepped run never follows it exactly
+    times = np.linspace(0.0, 2.0, 41)
+    exact = nls_linear_mode_evolution(alpha, beta, g, a, k, 1.0 + 0.0j, times)
+    series = exact * (1 + 1e-3 * np.sin(3 * times) + 2e-3j * times ** 2)
+    return times, series, 1j * (-g * k ** alpha + a)
+
+
+def _misfit(times, series, beta, lam):
+    tb = times ** beta
+    val, der = mittag_leffler(beta, lam * tb, derivative=True)
+    r, jac = val - series, tb * der
+    return np.vdot(r, r).real, abs(np.vdot(jac, r)) / (
+        np.linalg.norm(jac) * np.linalg.norm(series))
+
+
+@pytest.mark.parametrize("beta, k", [(0.5, 0.5), (0.5, 1.0), (0.8, 0.5),
+                                     (0.8, 1.0), (0.8, 2.0)])
+def test_dispersion_rate_fit_matches_least_squares(beta, k):
+    # complex rates: the holomorphic Gauss-Newton fit against SciPy's least
+    # squares over the real and imaginary parts
+    times, series, guess = _perturbed_mode_law(beta, k)
+    lam = analysis._ml_rate(times, series, beta, guess)
+    assert isinstance(lam, complex)
+    assert lam == pytest.approx(
+        ml_rate_least_squares(times, series, beta, guess), rel=1e-9)
+    assert _misfit(times, series, beta, lam)[1] <= 1e-14
+
+
+def test_dispersion_rate_fit_where_the_series_cancels():
+    # at beta = 1/2, k = 2 the arguments reach |z| = 3.7, where the series
+    # terms peak 1e5-1e6 times above E and E': the Gauss-Newton fit stops
+    # once its steps stall at that rounding (relative ~1e-12), while
+    # least squares with a finite-difference Jacobian stops about 1.5e-7
+    # away; the fit's misfit is the smaller and its gradient the nearer 0
+    times, series, guess = _perturbed_mode_law(0.5, 2.0)
+    lam = analysis._ml_rate(times, series, 0.5, guess)
+    ref = ml_rate_least_squares(times, series, 0.5, guess)
+    cost, grad = _misfit(times, series, 0.5, lam)
+    ref_cost, ref_grad = _misfit(times, series, 0.5, ref)
+    assert cost <= ref_cost and grad <= 1e-11 < ref_grad
+    assert lam == pytest.approx(ref, rel=1e-6)
 
 
 def test_dispersion_rejects_beta_mismatch():

@@ -8,14 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fracdyn import chain
+from fracdyn import analysis, chain
 from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
                            evolve_chain, interaction_sum_fft)
 from fracdyn.errors import BlowUpError, DomainError
 from fracdyn.fields import Interaction, ModelSpec, Potential
 from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import TimeGrid
-from oracles import evolve_linear_implicit_direct, interaction_sum_direct
+from oracles import (evolve_linear_implicit_direct, interaction_sum_direct,
+                     ml_rate_least_squares)
 
 
 def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
@@ -353,6 +354,52 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
     assert rel.max() <= (4e-16 if beta == 1.0 else 1e-10)
     assert report.fitted_exponent == pytest.approx(ref.fitted_exponent,
                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("modes", [[16, 44, 62], [11, 23, 27]])
+def test_rate_fit_matches_least_squares(monkeypatch, modes):
+    # chain_fit-sized compares (4,096 particles, beta = 0.9, dt = 0.1, fit
+    # horizon 4): the Gauss-Newton rate against SciPy's least squares on the
+    # same amplitudes, the normal equation J^T r = 0 at rounding level, and
+    # at most 6 Mittag-Leffler passes per fit
+    fits, passes = [], []
+    fit, ml = chain._fit_mode_rate, analysis.mittag_leffler
+
+    def spy_fit(times, amps, beta, guess):
+        passes.append(0)
+        lam = fit(times, amps, beta, guess)
+        fits.append((times[1:], amps[1:] / amps[0], beta, guess, lam))
+        return lam
+
+    def counted_ml(*args, **kwargs):
+        passes[-1] += 1
+        return ml(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "_fit_mode_rate", spy_fit)
+    monkeypatch.setattr(analysis, "mittag_leffler", counted_ml)
+    continuum_limit_compare(_spec(n=4096, beta=0.9), modes, 0.1, 3000,
+                            fit_horizon=4.0)
+    assert len(fits) == 3 and max(passes) <= 6
+    for times, ratio, beta, guess, lam in fits:
+        assert lam == pytest.approx(
+            ml_rate_least_squares(times, ratio, beta, guess), rel=1e-9)
+        tb = times ** beta
+        val, der = mittag_leffler(beta, lam * tb, derivative=True)
+        jac = tb * der
+        assert abs(jac @ (val - ratio)) <= (
+            2e-15 * np.linalg.norm(jac) * np.linalg.norm(ratio))
+
+
+def test_rate_fit_failure_raises(monkeypatch):
+    times = np.linspace(0.1, 3.0, 24)
+    ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
+    assert analysis._ml_rate(times, ratio, 0.9, -0.4) == pytest.approx(
+        -0.5, rel=1e-13)
+    with pytest.raises(DomainError, match="did not converge"):
+        analysis._ml_rate(times, np.full(24, np.nan), 0.9, -0.4)
+    monkeypatch.setattr(analysis, "_RATE_FIT_MAX_ITER", 1)
+    with pytest.raises(DomainError, match="did not converge"):
+        analysis._ml_rate(times, ratio, 0.9, -0.4)
 
 
 def test_continuum_compare_guard_sees_mode_coefficients():

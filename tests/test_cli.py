@@ -1,5 +1,6 @@
 """CLI and config tests: validation messages, outputs, determinism."""
 
+import ast
 import json
 import math
 import subprocess
@@ -209,6 +210,58 @@ def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
         load_config(cfgp)
     out = tmp_path / "out"
     assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+
+
+def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,
+                                                    caplog):
+    # the status line on stdout and the error line on stderr keep their
+    # text, and both are records of the "fracdyn" logger
+    good = _write(tmp_path, EVOLVE_CONFIG)
+    bad = _write(tmp_path, EVOLVE_CONFIG.replace("amplitude = 0.01",
+                                                 "amplitude = nan"),
+                 name="bad.ini")
+    for _ in range(2):  # a second call adds no second handler
+        assert main(["evolve_field", "--config", str(good),
+                     "--out", str(tmp_path / "ok")]) == EXIT_OK
+    assert main(["evolve_field", "--config", str(bad),
+                 "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.out == "evolve_field: ok\n" * 2
+    assert out.err == ("config error: non-finite value for 'amplitude' in "
+                       "[initial]: 'nan'\n")
+    assert [(r.name, r.levelname) for r in caplog.records] == [
+        ("fracdyn", "INFO"), ("fracdyn", "INFO"), ("fracdyn", "ERROR")]
+
+
+def test_library_has_no_bare_print():
+    src = Path(fracdyn.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "print"]
+        assert calls == [], f"{path.name} calls print at lines {calls}"
+
+
+@pytest.mark.parametrize("section, key, line, text", [
+    ("initial", "amplitude", "amplitude = 0.01", "amplitude = nan"),
+    ("model", "a", "a = -1.0", "a = -inf"),
+    ("model", "spatial_terms", "spatial_terms = 1.5:0.5",
+     "spatial_terms = 1.5:0.5, 2.0:inf"),
+    ("model", "spatial_terms", "spatial_terms = 1.5:0.5", "spatial_terms = nan:0.5"),
+    ("time", "dt", "dt = 0.001", "dt = inf"),
+], ids=["amplitude-nan", "a-minus-inf", "terms-coeff-inf", "terms-order-nan",
+        "dt-inf"])
+def test_non_finite_values_rejected(tmp_path, section, key, line, text):
+    # float("nan") and float("inf") parse, so each float is checked after
+    # conversion, before any file is written
+    cfgp = _write(tmp_path, EVOLVE_CONFIG.replace(line, text))
+    with pytest.raises(ConfigError,
+                       match=rf"non-finite value for '{key}' in \[{section}\]"):
+        load_config(cfgp)
+    out = tmp_path / "out"
+    assert main(["evolve_field", "--config", str(cfgp), "--out", str(out)]) \
+        == EXIT_CONFIG
     assert not (out / "metadata.json").exists()
 
 
@@ -713,11 +766,81 @@ def test_every_kind_has_an_import_check():
 
 @pytest.mark.parametrize("kind", sorted(_CONFIG_BY_KIND))
 def test_run_imports_nothing_after_load_config(tmp_path, kind):
-    # load_config imports what the kind's runner calls from SciPy, and cli
-    # what NumPy 2 would load on first use, so no import lands in run()
+    # cli imports what NumPy 2 would load on first use, so no import lands
+    # in run()
     cfgp = _write(tmp_path, _CONFIG_BY_KIND[kind], name="run.ini")
     src = str(Path(fracdyn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, str(cfgp),
                            str(tmp_path / "out")], capture_output=True,
                           text=True, env={"PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_NO_SCIPY_CHILD = """
+import importlib.abc, json, sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+    blocked = False
+except ModuleNotFoundError:
+    blocked = True
+
+import numpy as np
+from fracdyn import cli, fracops
+from fracdyn.analysis import dispersion_check
+from fracdyn.fields import nls_linear_mode_evolution
+
+quadrature = fracops._ml_integral_negative
+calls = []
+
+
+def counted(*args):
+    calls.append(args)
+    return quadrature(*args)
+
+
+fracops._ml_integral_negative = counted
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+passed = {}
+for kind, path in configs.items():
+    summary = cli.run(cli.load_config(path), f"{out}/{kind}")
+    passed[kind] = bool(summary["passed"])
+# the runner's dispersion fits at beta = 1; below it dispersion_check fits
+# Mittag-Leffler rates
+times = np.linspace(0.0, 2.0, 41)
+series = {k: nls_linear_mode_evolution(1.5, 0.6, 1.0, 0.2, k, 1.0 + 0.0j, times)
+          for k in (0.5, 1.0, 2.0)}
+report = dispersion_check((times, series), alpha=1.5, beta=0.6, g=1.0, a=0.2)
+print(json.dumps({"blocked": blocked, "passed": passed,
+                  "quadrature_calls": len(calls),
+                  "dispersion_rel_err": max(report.rel_err),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_every_kind_runs_without_scipy(tmp_path):
+    # SciPy is a test oracle only: with every scipy import refused, a fresh
+    # interpreter loads and runs one config of every kind, including the
+    # beta < 1 rate fit that reaches the Mittag-Leffler quadrature
+    configs = {kind: str(_write(tmp_path, text, name=f"{kind}.ini"))
+               for kind, text in _CONFIG_BY_KIND.items()}
+    src = str(Path(fracdyn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD,
+                           json.dumps(configs), str(tmp_path / "out")],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["blocked"] and result["scipy"] == []
+    assert result["passed"] == dict.fromkeys(cli._SECTIONS_BY_KIND, True)
+    assert result["quadrature_calls"] > 0
+    assert result["dispersion_rel_err"] < 1e-10

@@ -577,13 +577,74 @@ def test_stationary_reports_solver_counts():
 
 
 def test_stationary_krylov_miss_raises(monkeypatch):
-    def stalled_gmres(op, rhs, **kwargs):
-        return np.zeros_like(rhs), kwargs["maxiter"]
-    monkeypatch.setattr("scipy.sparse.linalg.gmres", stalled_gmres)
+    def stalled_gmres(matvec, rhs, rtol, atol, restart, max_cycles):
+        return np.zeros_like(rhs), restart * max_cycles, False
+    monkeypatch.setattr(fields, "_gmres", stalled_gmres)
     grid, guess = _fractional_pulse()
     with pytest.raises(ConvergenceError, match="Newton iteration 1") as exc:
         stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)
     assert exc.value.estimate == pytest.approx(1.0)
+
+
+def test_stationary_krylov_miss_from_a_short_cycle(monkeypatch):
+    # the real GMRES, cut to one cycle of two vectors, reduces the residual
+    # but cannot reach the first Newton step's 1e-2 forcing target
+    monkeypatch.setattr(fields, "GMRES_RESTART", 2)
+    monkeypatch.setattr(fields, "GMRES_MAX_CYCLES", 1)
+    grid, guess = _fractional_pulse()
+    with pytest.raises(ConvergenceError, match="Newton iteration 1") as exc:
+        stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess)
+    assert 1e-2 < exc.value.estimate < 1.0
+
+
+def _pulse_jacobians():
+    # right-preconditioned Jacobians J P^-1 of the solver's pulse problem
+    # (alpha = 1.5, g = 1, a = -1, b = 1) at the guess and at two Newton
+    # states, built here from the operator the solver documents
+    grid, guess = _fractional_pulse()
+    n = grid.n_points
+    sym = -grid.wavenumbers_real ** 1.5
+    pinv = 1.0 / (sym - 1.0)
+    for n_iter in (0, 2, 4):
+        u = guess if n_iter == 0 else stationary_fgle_solve(
+            grid, 1.5, 1.0, -1.0, 1.0, guess, max_iter=n_iter).u
+        diag = -1.0 + 3.0 * u ** 2
+
+        def op(y, diag=diag):
+            vhat = pinv * np.fft.rfft(y)
+            return np.fft.irfft(sym * vhat, n=n) + diag * np.fft.irfft(vhat, n=n)
+        yield op, -stationary_residual(u, grid, 1.5, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("restart", [60, 4])
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10])
+def test_gmres_matches_scipy_on_pulse_jacobians(restart, rtol):
+    # oracle: scipy.sparse.linalg.gmres with the same tolerances and restart
+    import scipy.sparse.linalg
+    for op, rhs in _pulse_jacobians():
+        n = rhs.size
+        target = rtol * np.linalg.norm(rhs)
+        x, iters, solved = fields._gmres(op, rhs, rtol, 0.0, restart, 200)
+        assert solved and iters > 0
+        assert np.linalg.norm(rhs - op(x)) <= target
+        ref, info = scipy.sparse.linalg.gmres(
+            scipy.sparse.linalg.LinearOperator((n, n), matvec=op, dtype=float),
+            rhs, rtol=rtol, atol=0.0, restart=restart, maxiter=200)
+        assert info == 0
+        # both meet the target, so they differ by at most twice it in the
+        # residual norm
+        assert np.linalg.norm(op(x - ref)) <= 2 * target
+
+
+def test_gmres_invariant_subspace_and_zero_rhs():
+    rhs = np.arange(1.0, 9.0)
+    # b is an eigenvector: the first Arnoldi step spans an invariant subspace
+    x, iters, solved = fields._gmres(lambda v: 3.0 * v, rhs, 1e-14, 0.0, 5, 1)
+    assert solved and iters == 1
+    assert np.allclose(x, rhs / 3.0, rtol=1e-15, atol=0)
+    x, iters, solved = fields._gmres(lambda v: 3.0 * v, np.zeros(8), 1e-10,
+                                     0.0, 5, 1)
+    assert solved and iters == 0 and not x.any()
 
 
 def test_stationary_rejects_nonpositive_tol():

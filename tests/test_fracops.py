@@ -127,8 +127,7 @@ def test_history_sum_matches_direct_sum(n, is_complex):
 
 
 def test_import_loads_no_scipy():
-    # SciPy is imported only by the functions that call it, and by
-    # cli.load_config for the kinds whose runners do
+    # the library runs on NumPy alone; SciPy serves only as a test oracle
     code = ("import sys, fracdyn, fracdyn.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     # the child imports the same fracdyn sources as this process
@@ -544,6 +543,99 @@ def test_ml_large_negative_continuation():
         with mpmath.workdps(60):
             ref = float(mpmath.exp(x * x) * mpmath.erfc(x))
         assert got == pytest.approx(ref, rel=1e-8)
+
+
+def _ml_negative_mpmath(beta, x, derivative=False):
+    # E_beta(-x) as mpmath's own quadrature of the spectral (Laplace) form
+    # in v = r^beta, where the density has no endpoint singularity:
+    #   E_beta(-x) = sin(b pi)/(pi b) int_0^inf exp(-t v^(1/b)) dv / D(v),
+    # t = x^(1/b), D(v) = v^2 + 2 v cos(b pi) + 1, split at the peak of
+    # 1/D; E_beta'(-x) carries the extra factor u = (x v)^(1/b) over b x
+    with mpmath.workdps(40):
+        b, x = mpmath.mpf(beta), mpmath.mpf(x)
+        c = mpmath.cos(b * mpmath.pi)
+
+        def density(v):
+            u = (x * v) ** (1 / b)
+            g = mpmath.exp(-u) / (v * v + 2 * v * c + 1)
+            return u * g if derivative else g
+        vmax = mpmath.mpf(60) ** b / x  # exp(-60) beyond: negligible
+        pts = [0, -c, vmax] if 0 < -c < vmax else [0, vmax]
+        val = mpmath.quad(density, pts + [mpmath.inf])
+        val *= mpmath.sin(b * mpmath.pi) / (mpmath.pi * b)
+        return float(val / (b * x) if derivative else val)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_ml_quadrature_vs_mpmath(beta):
+    # the integral path (real arguments below -5, 0 < beta < 1), value and
+    # derivative from one pass, against mpmath to 1e-12 relative
+    for x in (5.01, 20.0, 100.0, 1e3, 1e4):
+        val, der = mittag_leffler(beta, -x, derivative=True)
+        assert val == mittag_leffler(beta, -x)
+        assert val == pytest.approx(_ml_negative_mpmath(beta, x), rel=1e-12)
+        assert der == pytest.approx(_ml_negative_mpmath(beta, x, True),
+                                    rel=1e-12)
+
+
+def test_ml_quadrature_raises_on_an_unmet_error_estimate(monkeypatch):
+    # cut to its two coarsest levels, the quadrature's level-to-level error
+    # estimate stays far above 1e-9 at the sharp beta = 0.99 peak
+    monkeypatch.setattr(fracdyn.fracops, "_DE_NODES",
+                        fracdyn.fracops._DE_NODES[:2])
+    with pytest.raises(ConvergenceError, match="integral representation"):
+        mittag_leffler(0.99, -5.01)
+
+
+def test_ml_quadrature_oracle_matches_series():
+    # the oracle's spectral form against the series at 60 digits, where
+    # both apply (|z| just past the series radius)
+    for beta in (0.5, 0.7, 0.9, 0.99):
+        with mpmath.workdps(60):
+            b = mpmath.mpf(beta)
+            series = mpmath.nsum(
+                lambda k: (-mpmath.mpf(5.01)) ** k / mpmath.gamma(b * k + 1),
+                [0, mpmath.inf])
+        assert _ml_negative_mpmath(beta, 5.01) == pytest.approx(
+            float(series), rel=1e-14)
+
+
+def _ml_derivative_mpmath(beta, z, terms=300):
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        s = sum(k * mpmath.power(z, k - 1) / mpmath.gamma(b * k + 1)
+                for k in range(1, terms))
+        return complex(s) if isinstance(z, complex) else float(s)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8, 0.9, 1.0, 1.5, 2.0])
+def test_ml_series_derivative_vs_mpmath(beta):
+    # arguments where the alternating series keeps its digits (at beta = 1/2
+    # its largest derivative term reaches 1e5 times the sum near z = -3)
+    for z in (-1.5, -0.7, 0.0, 0.4, 2.5, complex(0.4, 1.1),
+              complex(-1.0, -1.5)):
+        val, der = mittag_leffler(beta, z, derivative=True)
+        assert val == mittag_leffler(beta, z)
+        assert der == pytest.approx(_ml_derivative_mpmath(beta, z), rel=1e-12)
+
+
+def test_ml_derivative_closed_forms():
+    # beta = 1: exp on both sides of the series radius (to the series'
+    # rounding inside it); beta = 1/2: E'(z) = 2 z E(z) + 2 / sqrt(pi);
+    # arrays keep their shape and type
+    for z in (-8.0, -2.0, 3.0, 7.0):
+        val, der = mittag_leffler(1.0, z, derivative=True)
+        assert val == pytest.approx(math.exp(z), rel=1e-12)
+        assert der == pytest.approx(math.exp(z), rel=1e-12)
+    z = np.array([[-1.0, -0.5], [0.5, 1.5]])
+    val, der = mittag_leffler(0.5, z, derivative=True)
+    assert val.shape == der.shape == z.shape and der.dtype == float
+    assert np.allclose(der, 2 * z * val + 2 / math.sqrt(math.pi), rtol=1e-13,
+                       atol=0)
+    val, der = mittag_leffler(0.5, z + 0.5j, derivative=True)
+    assert der.dtype == complex
+    assert np.allclose(der, 2 * (z + 0.5j) * val + 2 / math.sqrt(math.pi),
+                       rtol=1e-13, atol=0)
 
 
 def test_ml_array_input():
