@@ -89,18 +89,21 @@ def _ml_rate(times, ratio, beta, guess):
     below ``sqrt(eps) |lam|``, no longer contracting, which is the rounding
     of the Mittag-Leffler values themselves (the alternating series loses
     digits to cancellation at larger arguments).  It raises ``DomainError``
-    if neither happens within ``_RATE_FIT_MAX_ITER`` iterations.
+    at a non-finite step, or if neither happens within
+    ``_RATE_FIT_MAX_ITER`` iterations.
     """
     tb = np.asarray(times, dtype=float) ** beta
     ratio = np.asarray(ratio)
     lam, prev = guess, math.inf
-    for _ in range(_RATE_FIT_MAX_ITER):
+    for it in range(1, _RATE_FIT_MAX_ITER + 1):
         val, der = mittag_leffler(beta, lam * tb, derivative=True)
         jac = tb * der
         jj = np.vdot(jac, jac).real
         step = -np.vdot(jac, val - ratio) / jj
         if not np.isfinite(step):
-            break
+            raise DomainError(f"Mittag-Leffler rate fit from {guess} did not "
+                              f"converge: iteration {it} gave the non-finite "
+                              f"Gauss-Newton step {step}")
         lam = lam + step
         size = abs(step)
         if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(ratio)

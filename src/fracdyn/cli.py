@@ -189,6 +189,9 @@ def _validate_ranges(cfg: ExperimentConfig):
         fk = cfg.sections["model"]["field_kind"]
         check(fk in ("real", "complex"), "field_kind",
               f"'{fk}' in [model] is not one of real, complex")
+        g0 = cfg.sections["model"]["g0"]
+        check(g0 != 0, "g0", f"'{g0}' in [model] must be nonzero for time "
+              "stepping")
     for sec in ("model", "chain"):
         if sec in cfg.sections:
             beta = cfg.sections[sec]["beta"]
@@ -199,6 +202,21 @@ def _validate_ranges(cfg: ExperimentConfig):
                 value = cfg.sections[sec][key]
                 check(value in allowed, key,
                       f"'{value}' in [{sec}] is not one of {', '.join(allowed)}")
+    if cfg.kind == "continuum_compare":
+        # what continuum_limit_compare and renormalized_constant accept
+        ch = cfg.sections["chain"]
+        check(1.0 < ch["alpha"] < 2.0, "alpha", f"'{ch['alpha']}' in [chain] "
+              "is outside (1, 2), where the continuum constant is defined")
+        check(ch["beta"] <= 1.0, "beta", f"'{ch['beta']}' in [chain] is above "
+              "1; rate comparison needs a monotone amplitude")
+        check(ch["potential"] in ("none", "ginzburg_landau"), "potential",
+              f"'{ch['potential']}' in [chain] is nonlinear; rate comparison "
+              "needs none or ginzburg_landau with b = 0")
+        check(ch["b"] == 0, "b", f"'{ch['b']}' in [chain] makes the on-site "
+              "force nonlinear; rate comparison needs b = 0")
+        check(ch["interaction"] == "identity", "interaction",
+              f"'{ch['interaction']}' in [chain] is nonlinear; rate "
+              "comparison needs identity")
     if "initial" in cfg.sections:
         kind = cfg.sections["initial"]["kind"]
         check(kind in INITIAL_KINDS, "kind",
@@ -224,6 +242,8 @@ def _validate_ranges(cfg: ExperimentConfig):
         st = cfg.sections["stationary"]
         check(st["tol"] > 0, "tol", f"must be positive, got {st['tol']}")
         check(st["max_iter"] >= 1, "max_iter", f"need >= 1, got {st['max_iter']}")
+        check(st["a"] != 0 or st["b"] != 0, "a", f"'{st['a']}' in "
+              "[stationary] with b = 0 leaves the equation no local force")
     if "compare" in cfg.sections:
         n = cfg.sections["chain"]["n_particles"]
         for m in cfg.sections["compare"]["modes"]:

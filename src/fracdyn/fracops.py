@@ -15,6 +15,9 @@ zero-padded FFT product, O(n log n) per history instead of O(n^2).  Its
 rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
 
+The Mittag-Leffler function sums its series over the whole argument array
+under one cancellation guard, with an integral form as fallback.
+
 Space-fractional derivatives use the symmetric (Riesz) form.  On a periodic
 grid the operator is defined by its Fourier multiplier ``-|k|^alpha``.
 
@@ -258,7 +261,7 @@ def riemann_liouville_left(u, beta, dt):
     corr = t ** (-beta) / math.gamma(1.0 - beta)
     out[1:] += corr.reshape((-1,) + (1,) * (u.ndim - 1)) * u[0]
     u0 = np.asarray(u[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):   # 0 * inf where u0 = 0
         origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
     out[0] = origin if u.ndim > 1 else float(origin)
     return out
@@ -290,6 +293,9 @@ def riesz_derivative_spectral(u, alpha, grid: GridSpec):
 
 _SERIES_RADIUS = 5.0
 _MAX_TERMS = 600
+# The largest series term may exceed max(1, |sum|) at most this much: with
+# each term rounded to eps relative, the sum then keeps about 1e-10.
+_CANCELLATION_LIMIT = 1e6
 
 
 @functools.lru_cache(maxsize=16)
@@ -300,34 +306,37 @@ def _series_ratios(beta):
     return tuple(math.exp(lg[k] - lg[k + 1]) for k in range(_MAX_TERMS))
 
 
-def _ml_series(beta, z, derivative=False):
-    """Partial sums of ``E_beta(z)`` and, with ``derivative``, of
-    ``E_beta'(z) = sum_k (k + 1) z^k / Gamma(beta (k + 1) + 1)``: a list of
-    ``(sum, largest term)`` pairs, one per series."""
-    ratios = _series_ratios(beta)
-    one = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    term, s, peak = one, 0.0 * one, 0.0
-    for ratio in ratios:
-        s += term
-        peak = max(peak, abs(term))
-        term = term * z * ratio
-        if abs(term) <= 1e-17 * max(1.0, abs(s)):
-            break
-    else:
-        raise ConvergenceError("Mittag-Leffler series did not converge within "
-                               f"the term budget ({_MAX_TERMS})")
-    if not derivative:
-        return [(s, peak)]
-    term, ds, dpeak = one, 0.0 * one, 0.0
-    for k, ratio in enumerate(ratios):
-        dterm = (k + 1) * ratio * term
-        if abs(dterm) <= 1e-17 * max(1.0, abs(ds)):
-            return [(s, peak), (ds, dpeak)]
-        ds += dterm
-        dpeak = max(dpeak, abs(dterm))
-        term = term * z * ratio
-    raise ConvergenceError("Mittag-Leffler derivative series did not converge "
-                           f"within the term budget ({_MAX_TERMS})")
+def _ml_series(beta, z):
+    """``(E, E', loss)``: the series of ``E_beta(z)`` and ``E_beta'(z) =
+    sum_k (k + 1) z^k / Gamma(beta (k + 1) + 1)`` over the 1-D array ``z``.
+
+    Each element stops on its own rule: ``E`` once its next term is at most
+    ``1e-17 max(1, |sum|)``, ``E'`` once its current term is.  ``loss`` is
+    the larger ratio ``largest term / max(1, |sum|)`` of the two, infinite
+    where a sum is not finite or has not stopped within ``_MAX_TERMS``.
+    """
+    term = np.ones_like(z)
+    s, ds = np.zeros_like(z), np.zeros_like(z)
+    peak, dpeak = np.zeros(z.shape), np.zeros(z.shape)
+    on, don = np.ones(z.shape, bool), np.ones(z.shape, bool)
+    # a diverging element may overflow to inf or nan; its loss is then inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ratio in enumerate(_series_ratios(beta)):
+            dterm = (k + 1) * ratio * term
+            dsize = np.abs(dterm)
+            don &= ~(dsize <= 1e-17 * np.maximum(1.0, np.abs(ds)))
+            np.add(ds, dterm, out=ds, where=don)
+            np.maximum(dpeak, dsize, out=dpeak, where=don)
+            np.add(s, term, out=s, where=on)
+            np.maximum(peak, np.abs(term), out=peak, where=on)
+            term = term * z * ratio
+            on &= ~(np.abs(term) <= 1e-17 * np.maximum(1.0, np.abs(s)))
+            if not (on.any() or don.any()):
+                break
+        loss = np.maximum(peak / np.maximum(1.0, np.abs(s)),
+                          dpeak / np.maximum(1.0, np.abs(ds)))
+    loss[on | don | ~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
+    return s, ds, loss
 
 
 # Tanh-sinh (double-exponential) quadrature of Takahasi and Mori (1974) on
@@ -353,7 +362,7 @@ def _de_level(level):
 _DE_NODES = [_de_level(level) for level in range(_DE_LEVELS)]
 
 
-def _ml_integral_negative(beta, x, derivative=False):
+def _ml_integral_negative(beta, x):
     # completely monotone spectral form of E_beta(-x), 0 < beta < 1, x >= 0:
     # with t = x^(1/b), E_beta(-t^b) is the Laplace transform at t of the
     # density sin(b pi)/pi * r^(b-1) / (r^(2b) + 2 r^b cos(b pi) + 1).  The
@@ -387,53 +396,29 @@ def _ml_integral_negative(beta, x, derivative=False):
             break
     scale = np.array([sinb / (math.pi * beta * x),
                       sinb / (math.pi * beta * beta * x * x)])
-    val, dval = total * scale
-    err = err * scale
-    for e, v in zip(err, (val, dval)):
-        if e > 1e-9 * max(1.0, v):
-            raise ConvergenceError(
-                f"Mittag-Leffler integral representation error {e:.2e}",
-                estimate=float(e))
-    return (float(val), float(dval)) if derivative else float(val)
-
-
-def _ml_scalar(beta, z, derivative=False):
-    """``E_beta(z)``, or ``(E_beta(z), E_beta'(z))`` with ``derivative``."""
-    if abs(z) <= _SERIES_RADIUS:
-        sums = _ml_series(beta, z, derivative)
-    elif beta == 1.0:
-        val = np.exp(z) if isinstance(z, complex) else math.exp(z)
-        return (val, val) if derivative else val
-    elif 0.0 < beta < 1.0 and complex(z).imag == 0.0 and complex(z).real < 0.0:
-        return _ml_integral_negative(beta, -complex(z).real, derivative)
-    else:
-        # large argument: run the series but refuse silently-cancelled results
-        sums = _ml_series(beta, z, derivative)
-        for val, peak in sums:
-            if peak > 1e13 * max(1.0, abs(val)):
-                raise ConvergenceError(
-                    "Mittag-Leffler series cancellation too severe at "
-                    f"|z| = {abs(z):.3g} (peak term {peak:.2e})")
-    vals = tuple(val for val, _ in sums)
-    return vals if derivative else vals[0]
+    val, err = total * scale, err * scale
+    if np.any(err > 1e-9 * np.maximum(1.0, val)):
+        e = float(np.max(err))
+        raise ConvergenceError(
+            f"Mittag-Leffler integral representation error {e:.2e}", estimate=e)
+    return float(val[0]), float(val[1])
 
 
 def mittag_leffler(beta, z, derivative=False):
     """Mittag-Leffler function ``E_beta(z) = sum_k z^k / Gamma(beta k + 1)``.
 
-    Direct series with term-ratio stopping for ``|z| <= 5``.  Beyond that
-    radius: ``beta = 1`` is the exponential; real negative arguments with
-    ``beta`` in (0, 1) use the completely monotone integral representation
-    (a Laplace transform of an explicit spectral density, verified against
-    the series inside the overlap region), integrated by tanh-sinh
-    quadrature with its own error estimate; any other large argument runs
-    the series with a cancellation guard and raises ``ConvergenceError``
-    rather than returning digits lost to rounding.
+    ``beta = 1`` is ``np.exp``.  Other orders sum the series of ``E_beta``
+    and ``E_beta'`` over the whole argument array in one pass, and keep a
+    sum only if it converged within ``_MAX_TERMS`` terms, none of them above
+    ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  Real negative
+    arguments at ``beta < 1`` that fail this guard, or lie beyond ``|z| = 5``,
+    use tanh-sinh quadrature of the completely monotone integral form (a
+    Laplace transform of an explicit spectral density) with its own error
+    estimate; any other failure raises ``ConvergenceError``.
 
-    With ``derivative=True`` returns ``(E_beta(z), E_beta'(z))`` from the
-    same pass: the term-wise derivative of the series, the derivative of
-    the integral form (a second integrand on the same nodes), or ``exp(z)``
-    twice at ``beta = 1``.  The value is the one ``derivative=False`` gives.
+    ``derivative=True`` returns ``(E_beta(z), E_beta'(z))`` from that pass,
+    the value being the one ``derivative=False`` gives.  A scalar argument
+    gives Python scalars.
 
     Solves the fractional relaxation problem: ``u(t) = E_beta(lam * t^beta)``
     satisfies ``D^beta u = lam * u`` with ``u(0) = 1``, which is the per-mode
@@ -443,11 +428,25 @@ def mittag_leffler(beta, z, derivative=False):
     if not 0.0 < beta <= 2.0:
         raise DomainError(f"mittag_leffler requires beta in (0, 2], got {beta}")
     zarr = np.asarray(z)
-    is_complex = np.iscomplexobj(zarr)
-    flat = [_ml_scalar(beta, complex(v) if is_complex else float(v), derivative)
-            for v in zarr.ravel()]
-    out = np.array(flat).reshape(zarr.shape + ((2,) if derivative else ()))
-    outs = [out[..., 0], out[..., 1]] if derivative else [out]
-    if zarr.ndim == 0:   # a scalar argument gives Python scalars
-        outs = [o.item() for o in outs]
-    return tuple(outs) if derivative else outs[0]
+    zf = zarr.astype(np.result_type(zarr, float)).ravel()
+    if beta == 1.0:
+        val, der = np.exp(zf), np.exp(zf)
+    else:
+        val, der = np.empty_like(zf), np.empty_like(zf)
+        loss = np.full(zf.shape, np.inf)
+        negative = (zf.imag == 0) & (zf.real < 0) & (beta < 1.0)
+        series = ~negative | (np.abs(zf) <= _SERIES_RADIUS)
+        val[series], der[series], loss[series] = _ml_series(beta, zf[series])
+        lost = ~(loss <= _CANCELLATION_LIMIT)
+        bad = np.flatnonzero(lost & ~negative)
+        if bad.size:
+            i = bad[0]
+            raise ConvergenceError(
+                f"Mittag-Leffler series at z = {zf[i]:.6g} lost its digits: "
+                f"largest term / max(1, |sum|) = {loss[i]:.3g} (inf: no "
+                f"convergence in {_MAX_TERMS} terms)")
+        for i in np.flatnonzero(lost):
+            val[i], der[i] = _ml_integral_negative(beta, -zf[i].real)
+    val, der = (v.reshape(zarr.shape) if zarr.ndim else v.item()
+                for v in (val, der))
+    return (val, der) if derivative else val

@@ -21,7 +21,7 @@ import scipy.optimize
 from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
 from fracdyn.fields import Interaction, Potential
-from fracdyn.fracops import l1_weights, mittag_leffler
+from fracdyn.fracops import _series_ratios, l1_weights, mittag_leffler
 from fracdyn.grids import validate_temporal_order
 
 
@@ -307,6 +307,28 @@ def mode_series(state, modes):
     series = np.fft.fft(state.history, axis=1) / state.grid.n_points
     k = state.grid.wavenumbers
     return state.times, {k[m]: series[:, m] for m in modes}
+
+
+def ml_series_scalar(beta, z):
+    """``(E_beta(z), E_beta'(z))`` for one Python ``float`` or ``complex``
+    ``z``: two scalar series loops, ``E`` stopping once its next term is at
+    most ``1e-17 max(1, |sum|)``, ``E'`` once its current term is.  No
+    cancellation guard: use it only where the series keeps its digits."""
+    ratios = _series_ratios(beta)
+    term, s = z ** 0, 0 * z
+    for ratio in ratios:
+        s += term
+        term = term * z * ratio
+        if abs(term) <= 1e-17 * max(1.0, abs(s)):
+            break
+    term, ds = z ** 0, 0 * z
+    for k, ratio in enumerate(ratios):
+        dterm = (k + 1) * ratio * term
+        if abs(dterm) <= 1e-17 * max(1.0, abs(ds)):
+            break
+        ds += dterm
+        term = term * z * ratio
+    return s, ds
 
 
 def ml_rate_least_squares(times, ratio, beta, guess):

@@ -127,6 +127,18 @@ def test_dispersion_rate_fit_where_the_series_cancels():
     assert lam == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rate_fit_names_a_non_finite_step(bad):
+    # a non-finite step ends the fit at once, and the error says where,
+    # rather than reporting a 50-iteration budget after one try
+    times = np.linspace(0.1, 3.0, 24)
+    ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
+    ratio[5] = bad
+    with pytest.raises(DomainError, match=r"iteration 1 gave the non-finite "
+                       r"Gauss-Newton step (nan|-?inf)"):
+        analysis._ml_rate(times, ratio, 0.9, -0.4)
+
+
 def test_dispersion_rejects_beta_mismatch():
     source = _nls_series([1], 1.5, 1.0, 0.0, 0.0, steps=10)
     # the Mittag-Leffler fit below beta = 1 has no nonlinear law

@@ -203,7 +203,28 @@ def test_alpha_out_of_range_names_key(tmp_path):
      "interaction", "cubic"),
     ("chain", CHAIN_CONFIG + "potential = custom\n", "potential", "custom"),
     ("chain", CHAIN_CONFIG + "interaction = cubic\n", "interaction", "cubic"),
-], ids=["model-bogus", "model-custom", "model-cubic", "chain-custom", "chain-cubic"])
+    # values a kind cannot run, rejected before any file is written
+    ("evolve_field", EVOLVE_CONFIG.replace("g0 = 1.0", "g0 = 0"), "g0", "0.0"),
+    ("stationary_fgle", STATIONARY_CONFIG.replace("a = -1.0\nb = 1.0",
+                                                  "a = 0\nb = 0"),
+     "a", "0.0"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
+        "alpha = 1.5", "alpha = 2.0"), "alpha", "2.0"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
+        "beta = 1.0", "beta = 1.5"), "beta", "1.5"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
+        "beta = 1.0", "beta = 1.0\npotential = sine_gordon"),
+     "potential", "sine_gordon"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
+        "beta = 1.0", "beta = 1.0\npotential = ginzburg_landau\nb = 0.5"),
+     "b", "0.5"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
+        "beta = 1.0", "beta = 1.0\ninteraction = square"),
+     "interaction", "square"),
+], ids=["model-bogus", "model-custom", "model-cubic", "chain-custom",
+        "chain-cubic", "model-g0-zero", "stationary-no-force",
+        "compare-alpha-2", "compare-beta-above-1", "compare-sine-gordon",
+        "compare-cubic-force", "compare-square"])
 def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
     cfgp = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=f"invalid '{key}': '{value}'"):

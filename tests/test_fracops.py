@@ -26,7 +26,8 @@ from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, _fast_len,
                              l1_weights, mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
-from oracles import caputo_left_quadrature_oracle, riesz_quadrature_oracle
+from oracles import (caputo_left_quadrature_oracle, ml_series_scalar,
+                     riesz_quadrature_oracle)
 
 # ------------------------------------------------------------ L1 weights
 
@@ -505,7 +506,7 @@ def _ml_mpmath(beta, z, terms=300):
 
 def test_ml_beta_one_is_exp():
     for z in np.linspace(-5, 5, 21):
-        assert mittag_leffler(1.0, z) == pytest.approx(math.exp(z), rel=1e-12)
+        assert mittag_leffler(1.0, z) == math.exp(z)
 
 
 def test_ml_at_zero():
@@ -578,6 +579,29 @@ def test_ml_quadrature_vs_mpmath(beta):
                                     rel=1e-12)
 
 
+def test_ml_cancelled_series_falls_back_to_quadrature():
+    # inside |z| <= 5 the series' largest term reaches 1e10-1e15 times E
+    # here (it returned -22.5 for E_0.3(-3), which lies in (0, 1)); the
+    # guard sends these arguments to the integral form, also inside arrays
+    cases = [(0.3, 3.0), (0.3, 4.0), (0.4, 4.0), (0.5, 4.9)]
+    for beta, x in cases:
+        val, der = mittag_leffler(beta, -x, derivative=True)
+        assert val == pytest.approx(_ml_negative_mpmath(beta, x), rel=1e-12)
+        assert der == pytest.approx(_ml_negative_mpmath(beta, x, True),
+                                    rel=1e-12)
+    z = np.array([-0.5, -3.0, -4.0, -8.0, 1.0])
+    assert mittag_leffler(0.3, z).tolist() == [mittag_leffler(0.3, v)
+                                               for v in z]
+    # E_{1/2}(z) = exp(z^2) erfc(-z) and E_{1/2}'(z) = 2 z E + 2 / sqrt(pi)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(4.9)
+        ref = mpmath.exp(x * x) * mpmath.erfc(x)
+        dref = -2 * x * ref + 2 / mpmath.sqrt(mpmath.pi)
+    val, der = mittag_leffler(0.5, -4.9, derivative=True)
+    assert val == pytest.approx(float(ref), rel=1e-12)
+    assert der == pytest.approx(float(dref), rel=1e-12)
+
+
 def test_ml_quadrature_raises_on_an_unmet_error_estimate(monkeypatch):
     # cut to its two coarsest levels, the quadrature's level-to-level error
     # estimate stays far above 1e-9 at the sharp beta = 0.99 peak
@@ -619,6 +643,19 @@ def test_ml_series_derivative_vs_mpmath(beta):
         assert der == pytest.approx(_ml_derivative_mpmath(beta, z), rel=1e-12)
 
 
+def test_ml_array_pass_matches_scalar_loops():
+    # the array loop keeps each element's arithmetic and stopping rule, so
+    # real arguments where the series keeps its digits give the scalar
+    # loops' values bit for bit
+    for beta, lo in ((0.5, -2.5), (0.8, -3.5), (0.9, -4.0), (1.5, -5.0),
+                     (2.0, -5.0)):
+        z = np.linspace(lo, 5.0, 97)
+        val, der = mittag_leffler(beta, z, derivative=True)
+        ref = [ml_series_scalar(beta, float(v)) for v in z]
+        assert val.tolist() == [v for v, _ in ref]
+        assert der.tolist() == [d for _, d in ref]
+
+
 def test_ml_derivative_closed_forms():
     # beta = 1: exp on both sides of the series radius (to the series'
     # rounding inside it); beta = 1/2: E'(z) = 2 z E(z) + 2 / sqrt(pi);
@@ -652,7 +689,9 @@ def test_ml_rejects_bad_beta():
 
 
 def test_ml_cancellation_guard():
-    # large positive-imaginary argument at small beta loses all digits in
-    # double precision; must refuse rather than return noise
-    with pytest.raises(ConvergenceError):
-        mittag_leffler(0.25, complex(0.0, 60.0))
+    # imaginary arguments at small beta lose all digits in double precision,
+    # also inside |z| <= 5 (E_0.3(3i) = 0.0519+0.2517i, the series gave
+    # 104+326i); the series must refuse rather than return noise
+    for beta, z in ((0.25, 60j), (0.3, 3j)):
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(beta, z)
