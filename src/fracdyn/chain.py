@@ -28,9 +28,14 @@ and as ``k dx -> 0`` the lattice rate approaches the continuum rate
 
 so the relative gap to the pure ``|k|^alpha`` law closes only like
 ``(k dx)^(2-alpha)``, which is what ``continuum_limit_compare`` measures.
-Because its modes do not couple, it steps only the compared modes'
-coefficients, through the same stepper with identity transforms; the full
-ring's ``evolve_chain`` stays the oracle of that path in the tests.
+Because its modes do not couple, it evolves only the compared modes'
+coefficients.  At ``beta = 1`` it steps them through the same stepper with
+identity transforms.  Below ``beta = 1`` the stepper's equations for a
+linear mode form one lower-triangular Toeplitz system over the whole run,
+so it solves them at once by an O(n log n) power-series reciprocal
+(``fracops._series_reciprocal``) instead of ``n`` Python steps.  The
+stepper stays the oracle of the solve, and the full ring's
+``evolve_chain`` the oracle of both, in the tests.
 The ring's coupling cutoff adds a further small tail, nearly independent of
 ``k``, from the interactions beyond it.
 """
@@ -43,8 +48,9 @@ import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError
-from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
-                     _evolve_linear_implicit, _transforms)
+from .fields import (GROWTH_LIMIT, FieldState, Interaction, LevelRing,
+                     ModelSpec, Potential, _evolve_linear_implicit, _transforms)
+from .fracops import _series_reciprocal, l1_weights
 from .grids import GridSpec, TimeGrid, validate_temporal_order
 from .kernels import LatticeCoupling, renormalized_constant
 
@@ -202,6 +208,63 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
     return float(_ml_rate(times[1:], amps[1:] / a0, beta, rate_guess))
 
 
+def _identity(v):
+    return v
+
+
+def _step_modes(time, u0, beta, model, sym):
+    """Every level of uncoupled mode coefficients from ``u0`` over the time
+    grid ``time``, advanced on a full :class:`LevelRing` by the
+    linear-implicit stepper with multiplier ``sym``, identity transforms
+    and time coefficient 1."""
+    ring = LevelRing.start(time, u0)
+    return _evolve_linear_implicit(ring, beta, 1.0, model, sym, _identity,
+                                   _identity).history
+
+
+def _solve_modes(time, u0, beta, model, sym):
+    """The levels of :func:`_step_modes` at ``beta < 1``, solved for
+    the whole run at once.
+
+    With ``c = dt^(-beta) / Gamma(2 - beta)``, L1 weights ``w`` (``w_0 =
+    1``), linear force ``a`` and increments ``d_i = u_{i+1} - u_i``, the
+    stepper solves, per mode with multiplier ``s``,
+
+        c sum_{i<=j} w_{j-i} d_i + s u_{j+1} + a u_j = 0,   j = 0..n-1,
+
+    a lower-triangular Toeplitz system.  As power series it reads
+    ``D(z) = -(s + a) u_0 / P(z)`` with ``P(z) = c (1 - z) W(z) + s + a z``,
+    so one real series reciprocal over all modes gives every increment, and
+    ``u_j = u_0 + sum_{i<j} d_i``.
+
+    The solved levels must pass the stepper's guard rule in step order
+    (finite, largest coefficient growing at most ``GROWTH_LIMIT``-fold per
+    step), or the modes are stepped instead, which raises the stepper's
+    ``BlowUpError`` with its step and norm: an overflow inside one Newton
+    round spoils the whole round, so the solved levels alone would name
+    too early a step.  Memory: the ``(n + 1) x modes`` levels and FFT work
+    arrays of ``modes x _fast_len(n)``.
+    """
+    n, dt = time.n_steps, time.dt
+    a = model.a if model.potential is Potential.GINZBURG_LANDAU else 0.0
+    c = dt ** (-beta) / math.gamma(2.0 - beta)
+    p = np.repeat(c * np.diff(l1_weights(beta, n), prepend=0.0)[:, None],
+                  sym.size, axis=1)
+    p[0] += sym
+    if n > 1:
+        p[1] += a
+    levels = np.empty((n + 1, sym.size), dtype=u0.dtype)
+    levels[0] = u0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        levels[1:] = u0 * (1.0 - (sym + a) * np.cumsum(_series_reciprocal(p),
+                                                       axis=0))
+        norms = np.abs(levels).max(axis=1)
+        grew = (norms[:-1] > 0) & (norms[1:] > GROWTH_LIMIT * norms[:-1])
+    if grew.any() or not np.isfinite(norms).all():
+        return _step_modes(time, u0, beta, model, sym)
+    return levels
+
+
 def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
                             fit_horizon=2.0):
     """Evolve lattice modes and compare their rates with the continuum law.
@@ -215,12 +278,15 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     least-squares exponent of ``|rate + a|`` against ``|k|``, NaN for a
     single mode.
 
-    Only the requested modes are stepped: a ring of their ``rfft``
-    coefficients, started from the sum of their cosines, with multiplier
+    Only the requested modes are evolved: their ``rfft`` coefficients,
+    started from the sum of their cosines, with multiplier
     ``g0 (J^(k) - J^(0))`` on those modes and the linear force acting per
-    mode.  The blow-up guard therefore sees the largest mode coefficient,
-    not the field's sup-norm: a ``BlowUpError``'s ``norm`` is in
-    coefficient units, ``n_particles / 2`` times a cosine's amplitude.
+    mode.  At ``beta = 1`` the linear-implicit stepper advances them; below
+    it the same discrete equations are solved for the whole run at once
+    (see ``_solve_modes``), which matches the stepper to rounding.  The
+    blow-up guard sees the largest mode coefficient, not the field's
+    sup-norm: a ``BlowUpError``'s ``norm`` is in coefficient units,
+    ``n_particles / 2`` times a cosine's amplitude.
     """
     beta = spec.beta
     if beta > 1.0:
@@ -243,7 +309,7 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     g_alpha = renormalized_constant(spec.alpha, spec.g0, spec.dx)
     a_lin = loc.a if loc.potential is Potential.GINZBURG_LANDAU else 0.0
 
-    # fit on a few time levels per mode; keep only those
+    # fit on a few time levels per mode
     sels = {}
     for m in modes:
         lam_latt = float(rates_lattice_all[m])
@@ -252,36 +318,23 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         # sorted(set()) rather than np.unique, which loads numpy.ma on first use
         sels[m] = sorted(set(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1))
                              .astype(int).tolist()))
-    rows = sorted(set().union(*sels.values()))
-    row_of = {j: i for i, j in enumerate(rows)}
 
-    # the modes do not couple: step only their coefficients, with identity
-    # transforms and the linear force acting per mode
+    # the modes do not couple: evolve only their coefficients, with the
+    # linear force acting per mode
     u0 = np.zeros(nn)
     for m in modes:
         u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
     time = TimeGrid(n_steps=n_steps, dt=dt)
-    ring = LevelRing.start(time, np.fft.rfft(u0)[modes], rows=2)
-    kept = np.empty((len(rows), len(modes)), dtype=complex)
-    kept[0] = ring.level(0)   # rows[0] is level 0
-
-    def observe(j, c):
-        if j in row_of:
-            kept[row_of[j]] = c
-
-    def identity(v):
-        return v
-
-    _evolve_linear_implicit(ring, beta, 1.0, loc,
-                            spec.g0 * _ring_symbol(spec)[modes], identity,
-                            identity, observe)
+    sym = spec.g0 * _ring_symbol(spec)[modes]
+    mode_levels = _solve_modes if beta < 1.0 else _step_modes
+    levels = mode_levels(time, np.fft.rfft(u0)[modes], beta, loc, sym)
     t = time.t
     meas, latt, cont, devc, devl = [], [], [], [], []
     for i, m in enumerate(modes):
         lam_latt = float(rates_lattice_all[m])
         lam_cont = -g_alpha * abs(kvals[i]) ** spec.alpha - a_lin
         sel = sels[m]
-        amps = np.abs(kept[[row_of[j] for j in sel], i])
+        amps = np.abs(levels[sel, i])
         if np.any(amps == 0):
             raise DomainError(f"mode {m} amplitude vanished; cannot fit a rate")
         lam_meas = _fit_mode_rate(t[sel], amps, beta, lam_latt)

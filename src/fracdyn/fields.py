@@ -127,6 +127,8 @@ class ModelSpec:
         if self.potential is Potential.NONE:
             return np.zeros_like(u)
         if self.potential is Potential.GINZBURG_LANDAU:
+            if self.b == 0:   # 0 * u^3 would be NaN once u^3 overflows
+                return self.a * u
             return self.a * u + self.b * u ** 3
         return np.sin(u)
 
@@ -253,8 +255,8 @@ def _transforms(state):
 
 
 def _guard(u, step, prev_norm):
-    norm = float(np.max(np.abs(u)))
-    if not np.isfinite(norm):
+    norm = float(np.abs(u).max())
+    if not math.isfinite(norm):
         raise BlowUpError(f"non-finite field at step {step}", step=step, norm=norm)
     if prev_norm > 0 and norm > GROWTH_LIMIT * prev_norm:
         raise BlowUpError(

@@ -15,8 +15,14 @@ zero-padded FFT product, O(n log n) per history instead of O(n^2).  Its
 rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
 
+Where the L1 equations of a linear mode are solved for a whole run at once
+(``chain``), the lower-triangular Toeplitz system is a power-series
+reciprocal, computed by Newton doubling on the same zero-padded FFT
+products in O(n log n).
+
 The Mittag-Leffler function sums its series over the whole argument array
-under one cancellation guard, with an integral form as fallback.
+under one cancellation guard, with an integral form as fallback, itself
+evaluated for all fallback arguments at once.
 
 Space-fractional derivatives use the symmetric (Riesz) form.  On a periodic
 grid the operator is defined by its Fourier multiplier ``-|k|^alpha``.
@@ -80,6 +86,47 @@ def _fast_len(n):
             f35 *= 3
         f5 *= 5
     return best
+
+
+def _series_reciprocal(p):
+    """The first ``n`` coefficients ``g`` of ``1 / P(z)`` for the real power
+    series ``P`` with coefficients ``p``: ``sum_{i<=j} p[j-i] g[i]`` is 1 at
+    ``j = 0`` and 0 for ``0 < j < n``.
+
+    ``p`` is ``(n, m)``, one series per column, with ``p[0]`` nonzero.
+    Newton doubling (Kung, Numer. Math. 22, 1974): the first ``k``
+    coefficients ``g_k`` are final, and the next ``k`` are those of
+    ``-g_k (P g_k - 1)``, where ``P g_k - 1`` starts at ``z^k``.  Each round
+    forms only the coefficients ``[k, 2k)`` of both products, by real FFTs
+    of length ``_fast_len(2k)``, so the whole reciprocal costs
+    O(n log n) per column in ``ceil(log2 n)`` rounds.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    n = p.shape[0]
+    g = np.empty_like(p)
+    g[0] = 1.0 / p[0]
+    # lag 0 of P never reaches the coefficients [k, 2k) of P g_k, and lag 1
+    # only at k: both stay out of the FFT products, whose rounding then
+    # scales with the tail of P alone
+    tail = p.copy()
+    tail[:2] = 0.0
+    k = 1
+    while k < n:
+        m = min(2 * k, n)
+        nfft = _fast_len(m)
+        g_hat = np.fft.rfft(g[:k], nfft, axis=0)
+        # coefficients [k, m) of P g_k; the product's circular wrap-around
+        # reaches only coefficients below k
+        err = np.fft.irfft(np.fft.rfft(tail[:m], nfft, axis=0) * g_hat, nfft,
+                           axis=0)[k:m]
+        err[0] += p[1] * g[k - 1]
+        # the first k coefficients of g_k err, its leading term directly
+        lead = err[0].copy()
+        err[0] = 0.0
+        g[k:m] = -(np.fft.irfft(np.fft.rfft(err, nfft, axis=0) * g_hat, nfft,
+                                axis=0)[:m - k] + lead * g[:m - k])
+        k = m
+    return g
 
 
 def _real_columns(x):
@@ -362,46 +409,74 @@ def _de_level(level):
 _DE_NODES = [_de_level(level) for level in range(_DE_LEVELS)]
 
 
+# Arguments integrated together: their (arguments, 2, nodes) work arrays
+# stay near 1 MB each at the finest level's 1,024 nodes.
+_ML_QUADRATURE_BLOCK = 64
+
+
 def _ml_integral_negative(beta, x):
-    # completely monotone spectral form of E_beta(-x), 0 < beta < 1, x >= 0:
-    # with t = x^(1/b), E_beta(-t^b) is the Laplace transform at t of the
-    # density sin(b pi)/pi * r^(b-1) / (r^(2b) + 2 r^b cos(b pi) + 1).  The
-    # substitution r = (z/x)^(1/b) removes the endpoint singularity and
-    # fixes the integrand's scale, leaving exp(-z^(1/b)) decay:
-    #   E_beta(-x)  = sin(b pi) / (pi b x)     int g(z) dz,
-    #   E_beta'(-x) = sin(b pi) / (pi b^2 x^2) int z^(1/b) g(z) dz
-    # with g(z) = exp(-z^(1/b)) / (y^2 + 2 y cos(b pi) + 1), y = z / x (the
-    # second is d/dt of the transform, whose integrand stays positive).
-    # Both integrals run over [0, 50^b], beyond which exp(-z^(1/b)) < 2e-22,
-    # split where the denominator peaks (y = -cos(b pi), for b > 1/2).
+    """``(E_beta(-x), E_beta'(-x))`` over the 1-D array ``x >= 0`` at
+    ``0 < beta < 1``, by tanh-sinh quadrature of the integral form.
+
+    The completely monotone spectral form: with ``t = x^(1/b)``,
+    ``E_beta(-t^b)`` is the Laplace transform at ``t`` of the density
+    ``sin(b pi)/pi * r^(b-1) / (r^(2b) + 2 r^b cos(b pi) + 1)``.  The
+    substitution ``r = (z/x)^(1/b)`` removes the endpoint singularity and
+    fixes the integrand's scale, leaving ``exp(-z^(1/b))`` decay:
+
+        E_beta(-x)  = sin(b pi) / (pi b x)     int g(z) dz,
+        E_beta'(-x) = sin(b pi) / (pi b^2 x^2) int z^(1/b) g(z) dz
+
+    with ``g(z) = exp(-z^(1/b)) / (y^2 + 2 y cos(b pi) + 1)``, ``y = z / x``
+    (the second is d/dt of the transform, whose integrand stays positive).
+    Both integrals run over ``[0, 50^b]``, beyond which ``exp(-z^(1/b)) <
+    2e-22``, split where the denominator peaks (``y = -cos(b pi)``, for
+    ``b > 1/2``; elsewhere one of the two pieces has zero width).
+
+    All arguments of a block share the nodes of each level; an argument
+    stops refining once both level-to-level error estimates are at most
+    ``1e-13`` of its sums.  An estimate above ``1e-9 max(1, value)`` raises
+    ``ConvergenceError``.
+    """
+    x = np.asarray(x, dtype=np.float64)
     sinb = math.sin(beta * math.pi)
     cosb = math.cos(beta * math.pi)
     end = 50.0 ** beta
-    edges = [0.0, -cosb * x, end] if 0.0 < -cosb * x < end else [0.0, end]
-    left = np.array(edges[:-1])[:, None]
-    width = np.diff(edges)[:, None]
-    total = err = None
-    for frac, weight in _DE_NODES:
-        z = (left + width * frac).ravel()
-        w = (width * weight).ravel()
-        u = z ** (1.0 / beta)
-        y = z / x
-        g = np.exp(-u) / (y * y + 2.0 * y * cosb + 1.0)
-        part = np.array([w @ g, w @ (u * g)])
-        if total is None:
-            total = part
-            continue
-        err, total = np.abs(part - total / 2), total / 2 + part
-        if np.all(err <= 1e-13 * total):
-            break
-    scale = np.array([sinb / (math.pi * beta * x),
-                      sinb / (math.pi * beta * beta * x * x)])
-    val, err = total * scale, err * scale
-    if np.any(err > 1e-9 * np.maximum(1.0, val)):
-        e = float(np.max(err))
-        raise ConvergenceError(
-            f"Mittag-Leffler integral representation error {e:.2e}", estimate=e)
-    return float(val[0]), float(val[1])
+    val, der = np.empty_like(x), np.empty_like(x)
+    for b in range(0, x.size, _ML_QUADRATURE_BLOCK):
+        xb = x[b:b + _ML_QUADRATURE_BLOCK]
+        split = np.clip(-cosb * xb, 0.0, end)
+        left = np.stack([np.zeros_like(split), split], axis=1)[:, :, None]
+        width = np.stack([split, end - split], axis=1)[:, :, None]
+        total = np.zeros((xb.size, 2))
+        err = np.full((xb.size, 2), np.inf)
+        on = np.arange(xb.size)
+        for level, (frac, weight) in enumerate(_DE_NODES):
+            z = left[on] + width[on] * frac
+            u = z ** (1.0 / beta)
+            y = z / xb[on, None, None]
+            wg = width[on] * weight * np.exp(-u) / (y * y + 2.0 * y * cosb + 1.0)
+            part = np.stack([wg.sum(axis=(1, 2)), (wg * u).sum(axis=(1, 2))],
+                            axis=1)
+            if level == 0:
+                total[on] = part
+                continue
+            half = total[on] / 2
+            err[on], total[on] = np.abs(part - half), half + part
+            on = on[~np.all(err[on] <= 1e-13 * total[on], axis=1)]
+            if not on.size:
+                break
+        scale = np.stack([sinb / (math.pi * beta * xb),
+                          sinb / (math.pi * beta * beta * xb * xb)], axis=1)
+        vals, err = total * scale, err * scale
+        if np.any(err > 1e-9 * np.maximum(1.0, vals)):
+            e = float(np.max(err))
+            raise ConvergenceError(
+                f"Mittag-Leffler integral representation error {e:.2e}",
+                estimate=e)
+        val[b:b + _ML_QUADRATURE_BLOCK] = vals[:, 0]
+        der[b:b + _ML_QUADRATURE_BLOCK] = vals[:, 1]
+    return val, der
 
 
 def mittag_leffler(beta, z, derivative=False):
@@ -445,8 +520,8 @@ def mittag_leffler(beta, z, derivative=False):
                 f"Mittag-Leffler series at z = {zf[i]:.6g} lost its digits: "
                 f"largest term / max(1, |sum|) = {loss[i]:.3g} (inf: no "
                 f"convergence in {_MAX_TERMS} terms)")
-        for i in np.flatnonzero(lost):
-            val[i], der[i] = _ml_integral_negative(beta, -zf[i].real)
+        if lost.any():
+            val[lost], der[lost] = _ml_integral_negative(beta, -zf[lost].real)
     val, der = (v.reshape(zarr.shape) if zarr.ndim else v.item()
                 for v in (val, der))
     return (val, der) if derivative else val

@@ -5,8 +5,10 @@ transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
 derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
 the time stepper with its memory sum formed directly at every step, the
-per-mode series of a whole stored trajectory transformed at once, and the
-Mittag-Leffler rate fit by SciPy's trust-region least squares.
+per-mode series of a whole stored trajectory transformed at once, the L1
+mode equations by forward substitution in extended precision, the
+Mittag-Leffler quadrature one argument at a time, and the Mittag-Leffler
+rate fit by SciPy's trust-region least squares.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.
 """
@@ -18,6 +20,7 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
+from fracdyn import fracops
 from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
 from fracdyn.fields import Interaction, Potential
@@ -296,6 +299,68 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
             uhat_prev, uhat = uhat, new_hat
     state.n_completed = n
     return state
+
+
+def l1_mode_levels_extended(u0, beta, dt, sym, a, n):
+    """Levels ``u_0..u_n`` of uncoupled modes under the L1 mode equations
+
+        c sum_{i<=j} w[j-i] d_i + s u_{j+1} + a u_j = 0,   j = 0..n-1,
+
+    with ``c = dt^(-beta) / Gamma(2 - beta)``, ``d_i = u_{i+1} - u_i``,
+    multiplier ``s = sym`` per mode and linear force ``a``: the equations
+    the linear-implicit stepper solves for a ring of mode coefficients.
+    Forward substitution in ``np.longdouble``, O(n^2) per mode, from the
+    same float64 ``c`` and weights ``w = l1_weights(beta, n)`` the library
+    uses, so it solves the same discrete equations with less rounding.
+    Returns ``(n + 1, modes)`` complex ``np.clongdouble`` levels."""
+    ld = np.longdouble
+    c = ld(dt ** (-beta) / math.gamma(2.0 - beta))
+    w = l1_weights(beta, n).astype(ld)
+    s = np.asarray(sym, dtype=ld)
+    u = np.zeros((n + 1, s.size), dtype=np.clongdouble)
+    u[0] = np.asarray(u0)
+    d = np.zeros((n, s.size), dtype=np.clongdouble)
+    for j in range(n):
+        hist = w[j:0:-1] @ d[:j] if j else 0
+        u[j + 1] = ((c - ld(a)) * u[j] - c * hist) / (c + s)
+        d[j] = u[j + 1] - u[j]
+    return u
+
+
+def ml_integral_negative_scalar(beta, x):
+    """``(E_beta(-x), E_beta'(-x))`` for one float ``x >= 0`` at ``0 < beta
+    < 1``: the library's tanh-sinh quadrature of the integral form (see
+    ``fracops._ml_integral_negative``) on the same node levels, one argument
+    at a time, with the interval split only where the denominator peaks
+    inside it.  Raises ``ConvergenceError`` on the same ``1e-9`` rule."""
+    sinb = math.sin(beta * math.pi)
+    cosb = math.cos(beta * math.pi)
+    end = 50.0 ** beta
+    edges = [0.0, -cosb * x, end] if 0.0 < -cosb * x < end else [0.0, end]
+    left = np.array(edges[:-1])[:, None]
+    width = np.diff(edges)[:, None]
+    total = err = None
+    for frac, weight in fracops._DE_NODES:
+        z = (left + width * frac).ravel()
+        w = (width * weight).ravel()
+        u = z ** (1.0 / beta)
+        y = z / x
+        g = np.exp(-u) / (y * y + 2.0 * y * cosb + 1.0)
+        part = np.array([w @ g, w @ (u * g)])
+        if total is None:
+            total = part
+            continue
+        err, total = np.abs(part - total / 2), total / 2 + part
+        if np.all(err <= 1e-13 * total):
+            break
+    scale = np.array([sinb / (math.pi * beta * x),
+                      sinb / (math.pi * beta * beta * x * x)])
+    val, err = total * scale, err * scale
+    if np.any(err > 1e-9 * np.maximum(1.0, val)):
+        e = float(np.max(err))
+        raise ConvergenceError(
+            f"Mittag-Leffler integral representation error {e:.2e}", estimate=e)
+    return float(val[0]), float(val[1])
 
 
 def mode_series(state, modes):

@@ -16,7 +16,7 @@ from fracdyn.fields import Interaction, ModelSpec, Potential
 from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import TimeGrid
 from oracles import (evolve_linear_implicit_direct, interaction_sum_direct,
-                     ml_rate_least_squares)
+                     l1_mode_levels_extended, ml_rate_least_squares)
 
 
 def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
@@ -308,8 +308,11 @@ def test_continuum_compare_rejects_modes_outside_ring(modes):
 @pytest.mark.parametrize("a", [0.0, 0.3])
 @pytest.mark.parametrize("beta", [0.6, 0.9, 1.0])
 def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
-    # the compare steps only its modes' coefficients; the oracle steps the
-    # whole ring with evolve_chain and hands the compare rfft(u)[modes]
+    # the compare evolves only its modes' coefficients, by the stepper at
+    # beta = 1 and by the whole-run solve below it; the oracle steps the
+    # whole ring with evolve_chain.  The stepper on the compare's modes
+    # must track the full ring's rfft(u)[modes], and the compare's rates
+    # must match those it fits to the full ring's levels
     n, modes, dt, steps = 4096, [12, 30, 60], 0.1, 600
     local = {"potential": Potential.GINZBURG_LANDAU, "a": a} if a else {}
     spec = _spec(n=n, beta=beta, **local)
@@ -321,31 +324,31 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
 
     evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(steps, dt), u0,
                                              rows=2), keep_modes)
-    stepped = {}
-    step_modes = chain._evolve_linear_implicit
-
-    def spy(ring, *args):
-        *head, observe = args
-        stepped[0] = ring.level(0).copy()
-
-        def seen(j, c):
-            stepped[j] = c.copy()
-            observe(j, c)
-        return step_modes(ring, *head, seen)
-
-    def replay_full_ring(ring, *args):
-        for j in range(1, steps + 1):
-            args[-1](j, full[j])
-
-    monkeypatch.setattr(chain, "_evolve_linear_implicit", spy)
-    report = continuum_limit_compare(spec, modes, dt, steps)
-    monkeypatch.setattr(chain, "_evolve_linear_implicit", replay_full_ring)
-    ref = continuum_limit_compare(spec, modes, dt, steps)
-
-    got = np.array([stepped[j] for j in range(steps + 1)])
     want = np.array([full[j] for j in range(steps + 1)])
-    assert got.shape == (steps + 1, len(modes))
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    step = chain._step_modes
+    helper = "_solve_modes" if beta < 1.0 else "_step_modes"
+    evolve = getattr(chain, helper)
+    calls = []
+
+    def spy(*args):
+        levels = evolve(*args)
+        calls.append((args, levels.copy()))
+        return levels
+
+    monkeypatch.setattr(chain, helper, spy)
+    report = continuum_limit_compare(spec, modes, dt, steps)
+    [(args, levels)] = calls
+    stepped = step(*args)
+    assert stepped.shape == levels.shape == (steps + 1, len(modes))
+    assert np.max(np.abs(stepped - want)) <= 1e-14 * np.max(np.abs(want))
+    if beta == 1.0:
+        assert np.array_equal(levels, stepped)
+    else:
+        # measured at most 1.0e-14
+        assert np.max(np.abs(levels - want)) <= 2e-14 * np.max(np.abs(want))
+
+    monkeypatch.setattr(chain, helper, lambda *args: want)
+    ref = continuum_limit_compare(spec, modes, dt, steps)
     rel = np.abs(np.subtract(report.rate_measured, ref.rate_measured)
                  / np.array(ref.rate_measured))
     # beta = 1 takes the log of two amplitudes, so the series rounding
@@ -354,6 +357,44 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
     assert rel.max() <= (4e-16 if beta == 1.0 else 1e-10)
     assert report.fitted_exponent == pytest.approx(ref.fitted_exponent,
                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, -0.01])
+@pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
+def test_mode_solve_and_stepper_match_extended_precision(beta, a):
+    # the L1 mode equations solved by forward substitution in long double:
+    # the whole-run solve and the stepper on the compare's modes (4,096
+    # particles, modes 12/30/60, dt = 0.1, 600 steps), in units of max|u|.
+    # Measured: solve at most 6.8e-15, stepper at most 9.1e-15
+    n, modes, dt, steps = 4096, [12, 30, 60], 0.1, 600
+    local = {"potential": Potential.GINZBURG_LANDAU, "a": a} if a else {}
+    spec = _spec(n=n, beta=beta, **local)
+    u0 = sum(np.cos(2 * np.pi * m * np.arange(n) / n) for m in modes)
+    coeffs = np.fft.rfft(u0)[modes]
+    sym = spec.g0 * chain._ring_symbol(spec)[modes]
+    truth = l1_mode_levels_extended(coeffs, beta, dt, sym, a, steps)
+    scale = np.max(np.abs(truth))
+
+    args = (TimeGrid(steps, dt), coeffs, beta, spec.local, sym)
+    solved = chain._solve_modes(*args)
+    stepped = chain._step_modes(*args)
+    assert np.max(np.abs(solved - truth)) <= 2e-14 * scale
+    assert np.max(np.abs(stepped - truth)) <= 2e-14 * scale
+
+
+@pytest.mark.parametrize("a, step", [(-500.0, 172), (-50.0, 365)])
+def test_continuum_compare_blow_up_names_the_overflow_step(a, step):
+    # the mode grows until a u overflows; the solve's levels fail the guard
+    # and the stepper names that step.  With 0 * u^3 in the force, u^3
+    # overflowed first and the guard saw NaN at steps 58 and 122
+    spec = _spec(n=256, beta=0.9, potential=Potential.GINZBURG_LANDAU, a=a)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(BlowUpError, match="non-finite") as info:
+            continuum_limit_compare(spec, [3], dt=0.1, n_steps=400)
+    assert info.value.step == step
+    assert info.value.norm == np.inf
+    assert str(seen[0].message) == "overflow encountered in multiply"
 
 
 @pytest.mark.parametrize("modes", [[16, 44, 62], [11, 23, 27]])
@@ -418,6 +459,16 @@ def test_continuum_compare_guard_sees_mode_coefficients():
     assert modes.value.norm == pytest.approx(1.52e6, rel=5e-3)
     assert modes.value.norm / (n / 2) == pytest.approx(full.value.norm / 1.0,
                                                        rel=1e-12)
+
+
+def test_mode_solve_growth_sends_the_compare_to_the_stepper():
+    # at a = -1e5 the solved levels of 10 steps stay finite (about 1e46)
+    # but grow about 1.19e4-fold per step: the growth rule alone must hand
+    # the run to the stepper, whose guard raises at step 1
+    spec = _spec(n=256, beta=0.9, potential=Potential.GINZBURG_LANDAU, a=-1e5)
+    with pytest.raises(BlowUpError, match="grew") as info:
+        continuum_limit_compare(spec, [3], dt=0.1, n_steps=10)
+    assert info.value.step == 1
 
 
 def test_continuum_compare_single_mode_has_no_exponent():

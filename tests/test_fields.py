@@ -32,6 +32,16 @@ def test_gl_force_pointwise():
     assert np.allclose(m.force(u), -u + 2.0 * u ** 3, rtol=0, atol=0)
 
 
+def test_gl_force_without_cubic_term_is_linear():
+    # at b = 0 the force is a u exactly, also where u^3 overflows (|u| above
+    # about 5.6e102), which made it 0 * inf = NaN
+    u = np.concatenate([-np.logspace(-300, 300, 61), np.logspace(-300, 300, 61),
+                        [0.0]])
+    for a in (-500.0, 0.3, 1.0):
+        m = ModelSpec(a=a, potential=Potential.GINZBURG_LANDAU)
+        assert np.array_equal(m.force(u), a * u)
+
+
 def test_sine_gordon_force():
     m = ModelSpec(potential=Potential.SINE_GORDON)
     u = np.linspace(-3, 3, 7)
