@@ -29,13 +29,10 @@ and as ``k dx -> 0`` the lattice rate approaches the continuum rate
 so the relative gap to the pure ``|k|^alpha`` law closes only like
 ``(k dx)^(2-alpha)``, which is what ``continuum_limit_compare`` measures.
 Because its modes do not couple, it evolves only the compared modes'
-coefficients.  At ``beta = 1`` it steps them through the same stepper with
-identity transforms.  Below ``beta = 1`` the stepper's equations for a
-linear mode form one lower-triangular Toeplitz system over the whole run,
-so it solves them at once by an O(n log n) power-series reciprocal
-(``fracops._series_reciprocal``) instead of ``n`` Python steps.  The
-stepper stays the oracle of the solve, and the full ring's
-``evolve_chain`` the oracle of both, in the tests.
+coefficients, through the same stepper with identity transforms; below
+``beta = 1`` their linear equations are solved there for the whole run at
+once, as for any linear field (see ``fields``).  The full ring, stepped,
+is the oracle of both paths in the tests.
 The ring's coupling cutoff adds a further small tail, nearly independent of
 ``k``, from the interactions beyond it.
 """
@@ -48,9 +45,8 @@ import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError
-from .fields import (GROWTH_LIMIT, FieldState, Interaction, LevelRing,
-                     ModelSpec, Potential, _evolve_linear_implicit, _transforms)
-from .fracops import _series_reciprocal, l1_weights
+from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
+                     _evolve_linear_implicit, _transforms)
 from .grids import GridSpec, TimeGrid, validate_temporal_order
 from .kernels import LatticeCoupling, renormalized_constant
 
@@ -136,12 +132,6 @@ def interaction_sum_fft(spec: ChainSpec, u):
     return np.fft.irfft(_ring_symbol(spec) * np.fft.rfft(fu), n=spec.n_particles)
 
 
-def _lattice_mode_rates(spec: ChainSpec):
-    """Per-mode linear rate ``-g0 (J^(k) - J^(0)) - a`` on rfft modes."""
-    a_lin = spec.local.a if spec.local.potential is Potential.GINZBURG_LANDAU else 0.0
-    return -spec.g0 * _ring_symbol(spec) - a_lin
-
-
 def evolve_chain(spec: ChainSpec, state: ChainState, observe=None):
     """Advance the chain over the state's whole time grid.
 
@@ -149,8 +139,10 @@ def evolve_chain(spec: ChainSpec, state: ChainState, observe=None):
     ``g0 (J^(k) - J^(0))`` on rfft modes and time coefficient 1: memory sum
     explicit except its newest weight, the linear coupling implicit in mode
     space when ``f`` is the identity, on-site force and nonlinear coupling
-    lagged one level.  Orders in (1, 2] need an initial velocity.
-    ``observe(j, u)``, if given, sees every new level ``j >= 1``.
+    lagged one level; a linear chain below ``beta = 1`` is solved for the
+    whole run at once, as ``evolve_field`` solves a linear field.  Orders in
+    (1, 2] need an initial velocity.  ``observe(j, u)``, if given, sees
+    every new level ``j >= 1``.
     """
     if state.history.shape[1] != spec.n_particles:
         raise DomainError("state does not match the chain size")
@@ -212,59 +204,6 @@ def _identity(v):
     return v
 
 
-def _step_modes(time, u0, beta, model, sym):
-    """Every level of uncoupled mode coefficients from ``u0`` over the time
-    grid ``time``, advanced on a full :class:`LevelRing` by the
-    linear-implicit stepper with multiplier ``sym``, identity transforms
-    and time coefficient 1."""
-    ring = LevelRing.start(time, u0)
-    return _evolve_linear_implicit(ring, beta, 1.0, model, sym, _identity,
-                                   _identity).history
-
-
-def _solve_modes(time, u0, beta, model, sym):
-    """The levels of :func:`_step_modes` at ``beta < 1``, solved for
-    the whole run at once.
-
-    With ``c = dt^(-beta) / Gamma(2 - beta)``, L1 weights ``w`` (``w_0 =
-    1``), linear force ``a`` and increments ``d_i = u_{i+1} - u_i``, the
-    stepper solves, per mode with multiplier ``s``,
-
-        c sum_{i<=j} w_{j-i} d_i + s u_{j+1} + a u_j = 0,   j = 0..n-1,
-
-    a lower-triangular Toeplitz system.  As power series it reads
-    ``D(z) = -(s + a) u_0 / P(z)`` with ``P(z) = c (1 - z) W(z) + s + a z``,
-    so one real series reciprocal over all modes gives every increment, and
-    ``u_j = u_0 + sum_{i<j} d_i``.
-
-    The solved levels must pass the stepper's guard rule in step order
-    (finite, largest coefficient growing at most ``GROWTH_LIMIT``-fold per
-    step), or the modes are stepped instead, which raises the stepper's
-    ``BlowUpError`` with its step and norm: an overflow inside one Newton
-    round spoils the whole round, so the solved levels alone would name
-    too early a step.  Memory: the ``(n + 1) x modes`` levels and FFT work
-    arrays of ``modes x _fast_len(n)``.
-    """
-    n, dt = time.n_steps, time.dt
-    a = model.a if model.potential is Potential.GINZBURG_LANDAU else 0.0
-    c = dt ** (-beta) / math.gamma(2.0 - beta)
-    p = np.repeat(c * np.diff(l1_weights(beta, n), prepend=0.0)[:, None],
-                  sym.size, axis=1)
-    p[0] += sym
-    if n > 1:
-        p[1] += a
-    levels = np.empty((n + 1, sym.size), dtype=u0.dtype)
-    levels[0] = u0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        levels[1:] = u0 * (1.0 - (sym + a) * np.cumsum(_series_reciprocal(p),
-                                                       axis=0))
-        norms = np.abs(levels).max(axis=1)
-        grew = (norms[:-1] > 0) & (norms[1:] > GROWTH_LIMIT * norms[:-1])
-    if grew.any() or not np.isfinite(norms).all():
-        return _step_modes(time, u0, beta, model, sym)
-    return levels
-
-
 def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
                             fit_horizon=2.0):
     """Evolve lattice modes and compare their rates with the continuum law.
@@ -281,12 +220,12 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     Only the requested modes are evolved: their ``rfft`` coefficients,
     started from the sum of their cosines, with multiplier
     ``g0 (J^(k) - J^(0))`` on those modes and the linear force acting per
-    mode.  At ``beta = 1`` the linear-implicit stepper advances them; below
-    it the same discrete equations are solved for the whole run at once
-    (see ``_solve_modes``), which matches the stepper to rounding.  The
-    blow-up guard sees the largest mode coefficient, not the field's
-    sup-norm: a ``BlowUpError``'s ``norm`` is in coefficient units,
-    ``n_particles / 2`` times a cosine's amplitude.
+    mode, by the linear-implicit evolution with identity transforms: stepped
+    at ``beta = 1``, solved for the whole run at once below it, which
+    matches the stepper to rounding.  The blow-up guard sees the largest
+    mode coefficient, not the field's sup-norm: a ``BlowUpError``'s
+    ``norm`` is in coefficient units, ``n_particles / 2`` times a cosine's
+    amplitude.
     """
     beta = spec.beta
     if beta > 1.0:
@@ -305,9 +244,11 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     if np.any(kdx > MAX_KDX):
         raise DomainError(f"requested modes leave the asymptotic regime k dx <= {MAX_KDX}")
 
-    rates_lattice_all = _lattice_mode_rates(spec)
+    ring_sym = _ring_symbol(spec)
     g_alpha = renormalized_constant(spec.alpha, spec.g0, spec.dx)
     a_lin = loc.a if loc.potential is Potential.GINZBURG_LANDAU else 0.0
+    # per-mode linear rate -g0 (J^(k) - J^(0)) - a on rfft modes
+    rates_lattice_all = -spec.g0 * ring_sym - a_lin
 
     # fit on a few time levels per mode
     sels = {}
@@ -325,9 +266,10 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     for m in modes:
         u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
     time = TimeGrid(n_steps=n_steps, dt=dt)
-    sym = spec.g0 * _ring_symbol(spec)[modes]
-    mode_levels = _solve_modes if beta < 1.0 else _step_modes
-    levels = mode_levels(time, np.fft.rfft(u0)[modes], beta, loc, sym)
+    ring = LevelRing.start(time, np.fft.rfft(u0)[modes])
+    levels = _evolve_linear_implicit(ring, beta, 1.0, loc,
+                                     spec.g0 * ring_sym[modes], _identity,
+                                     _identity).history
     t = time.t
     meas, latt, cont, devc, devl = [], [], [], [], []
     for i, m in enumerate(modes):

@@ -28,21 +28,33 @@ and for ``beta`` in (1, 2] the difference quotient ``(u_{j+1} - u_j) / dt``
 at order ``beta - 1``, led by the required initial velocity.  There the
 linear term after the first step is the symmetric average over levels
 ``j + 1`` and ``j - 1``, which reduces to a standard second-order implicit
-wave scheme at ``beta = 2``.  One stepper serves both this module and
-``chain.evolve_chain``: the chain is the same scheme with spatial multiplier
-``g0 (J^(k) - J^(0))`` in place of ``sum_s g_s |k|^s`` and time coefficient 1.
+wave scheme at ``beta = 2``.  One scheme serves this module,
+``chain.evolve_chain`` and ``chain.continuum_limit_compare``: the chain is
+the same scheme with spatial multiplier ``g0 (J^(k) - J^(0))`` in place of
+``sum_s g_s |k|^s`` and time coefficient 1.
 
-The memory sum over all earlier increment spectra is kept by
+When the equation is linear and first order (``beta < 1``, ``f`` the
+identity, ``F`` absent or ``a u``), every mode's L1 equations over the whole
+run form one lower-triangular Toeplitz system, so the levels are solved at
+once by a power-series reciprocal (``fracops._series_reciprocal``), O(n log
+n) per mode, instead of ``n`` Python steps; they match the stepper to
+rounding, pass its blow-up guard in step order, and are observed as the
+stepper would observe them.  Every other run is stepped.
+
+The stepper's memory sum over all earlier increment spectra is kept by
 ``fracops.HistorySum``: exact, direct within base blocks of
 ``HISTORY_BLOCK = 64`` steps and by FFT products between blocks, so a run of
 ``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
-O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.
+O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.  It
+serves only the stepped runs that have a memory sum: nonlinear ones below
+``beta = 1``, and every run at orders in (1, 2).
 
 Level policy: ``LevelRing.history``, and so ``FieldState.history``, is a
 ring of ``rows`` levels, with level ``j`` in row ``j % rows``.  By default
 it holds all ``n_steps + 1`` levels, which only ``residual`` still needs.
 The steppers themselves read only the newest level (the memory sum and the
-previous spectrum live in the stepper), so a caller that does not need the
+previous spectrum live in the stepper, the solve's factors in the solve),
+so a caller that does not need the
 trajectory asks for 2 rows and collects what it keeps through the
 steppers' ``observe(j, u)`` callback, called with every new level after its
 blow-up guard.  Reading a level the ring no longer holds raises
@@ -57,7 +69,8 @@ import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import BlowUpError, ConvergenceError, DomainError
-from .fracops import (HistorySum, caputo_left_l1, caputo_right_l1, l1_weights,
+from .fracops import (_FFT_BLOCK_BYTES, HistorySum, _series_reciprocal,
+                      caputo_left_l1, caputo_right_l1, l1_weights,
                       mittag_leffler, riesz_derivative_spectral)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
@@ -276,9 +289,11 @@ def _explicit_terms(model, u, sym, fwd, inv):
 
 def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     """Advance the field over the whole time grid with the semi-implicit L1
-    pseudo-spectral scheme.  Only the left (causal) memory term may drive the
-    evolution: ``g0_prime`` must be zero here and is honored by ``residual``.
-    ``observe(j, u)``, if given, sees every new level ``j >= 1``.
+    pseudo-spectral scheme, solved for the whole run at once where it is
+    linear and first order (see the module docstring).  Only the left
+    (causal) memory term may drive the evolution: ``g0_prime`` must be zero
+    here and is honored by ``residual``.  ``observe(j, u)``, if given, sees
+    every new level ``j >= 1`` once, in order, after its blow-up guard.
     """
     beta = validate_temporal_order(beta)
     if model.g0 == 0:
@@ -293,12 +308,41 @@ def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
 
 def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
                             observe=None):
-    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the time grid of the
-    :class:`LevelRing` ``state`` from level 0, where ``S`` is the spatial
-    operator with multiplier ``sym`` on the modes of ``fwd``.  ``S`` is
-    implicit when ``f`` is the identity and lags one level otherwise; the
-    on-site force ``F`` always lags.  Each new level is written to its ring
-    row, guarded by its largest magnitude, and passed to ``observe``."""
+    """Advance ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the time grid of
+    the :class:`LevelRing` ``state`` from level 0, where ``S`` is the spatial
+    operator with multiplier ``sym`` on the modes of ``fwd``: the levels of
+    :func:`_step_linear_implicit`, solved for the whole run at once by
+    :func:`_solve_linear_implicit` when the equation is linear and first
+    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``), and
+    stepped otherwise.  Logs the path taken at DEBUG."""
+    # logging is imported on first use: imported with this module, ahead of
+    # the CLI, it raised the peak RSS of the sg_wave benchmark by 0.3-0.6 MB
+    import logging
+    log = logging.getLogger("fracdyn")
+    n, m = state.time.n_steps, sym.shape[0]
+    linear = (model.potential is Potential.NONE
+              or (model.potential is Potential.GINZBURG_LANDAU and model.b == 0))
+    if beta < 1.0 and linear and model.interaction is Interaction.IDENTITY:
+        a = model.a if model.potential is Potential.GINZBURG_LANDAU else 0.0
+        failed = _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv,
+                                        observe)
+        if failed is None:
+            log.debug("evolve: solved %d steps × %d modes at once", n, m)
+            return state
+        log.debug("evolve: solve failed the guard at step %d; stepped", failed)
+    else:
+        log.debug("evolve: stepped %d steps × %d modes", n, m)
+    return _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
+                                 observe)
+
+
+def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
+                          observe=None):
+    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` one level at a time.
+    ``S`` is implicit when ``f`` is the identity and lags one level
+    otherwise; the on-site force ``F`` always lags.  Each new level is
+    written to its ring row, guarded by its largest magnitude, and passed
+    to ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
@@ -348,6 +392,83 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
         if observe is not None:
             observe(j + 1, row)
     return state
+
+
+def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
+    """The levels of :func:`_step_linear_implicit` at ``beta < 1`` for
+    ``g0 D^beta_t u + S u + a u = 0``, solved for the whole run at once.
+
+    With ``c = g0 dt^(-beta) / Gamma(2 - beta)``, L1 weights ``w`` (``w_0 =
+    1``) and increments ``d_i = u_{i+1} - u_i``, the stepper solves, per
+    mode with multiplier ``s``,
+
+        c sum_{i<=j} w_{j-i} d_i + s u_{j+1} + a u_j = 0,   j = 0..n-1,
+
+    a lower-triangular Toeplitz system.  As power series it reads
+    ``D(z) = -(s + a) u_0 / P(z)`` with ``P(z) = c (1 - z) W(z) + s + a z``,
+    so one real series reciprocal per mode gives every increment, and
+    level ``j + 1`` is ``u_0 (1 - (s + a) sum_{i<=j} [z^i] 1/P)``.
+
+    Those factors, one real ``n x modes`` array, are all the solve holds
+    beside the ring: levels are formed and inverse-transformed in row blocks
+    of ``_FFT_BLOCK_BYTES`` of spectrum.  They must pass the stepper's guard
+    rule in step order before any reaches ``observe``: a ring that holds
+    every level is written in that pass, a smaller one in a second pass
+    that calls ``observe``.  On a violation the state is left at level 0
+    and the failed step returned, for the stepper to run and raise its own
+    ``BlowUpError``: an overflow inside one Newton round of the reciprocal
+    spoils the whole round, so the solved levels alone would name too early
+    a step.  Returns None once every level is in place and observed.
+    """
+    n, dt = state.time.n_steps, state.time.dt
+    hist, rows = state.history, state.history.shape[0]
+    u0 = state.level(0)
+    u0_hat = fwd(u0)
+    c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
+    lags = c * np.diff(l1_weights(beta, n), prepend=0.0)  # c (1 - z) W(z)
+    if np.any(lags[0] + sym == 0):
+        raise DomainError("implicit system singular at the first step")
+    m = sym.shape[0]
+    full = rows == n + 1
+    norms = np.empty(n + 1)
+    norms[0] = np.max(np.abs(u0))
+    fac = np.empty((n, m))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # P of a block of modes at a time, so that the reciprocal's FFT work
+        # arrays stay block-sized
+        cols = max(1, _FFT_BLOCK_BYTES // (16 * n))
+        for c0 in range(0, m, cols):
+            p = np.repeat(lags[:, None], min(cols, m - c0), axis=1)
+            p[0] += sym[c0:c0 + cols]
+            if n > 1:
+                p[1] += a
+            fac[:, c0:c0 + cols] = _series_reciprocal(p)
+        np.cumsum(fac, axis=0, out=fac)
+        fac *= -(sym + a)
+        fac += 1.0
+        block = max(1, _FFT_BLOCK_BYTES // (16 * m))
+        for r in range(0, n, block):
+            lev = inv(u0_hat * fac[r:r + block])
+            if full:
+                hist[r + 1:r + 1 + block] = lev
+            norms[r + 1:r + 1 + block] = np.abs(lev).max(axis=1)
+        grew = (norms[:-1] > 0) & (norms[1:] > GROWTH_LIMIT * norms[:-1])
+    bad = grew | ~np.isfinite(norms[1:])
+    if bad.any():
+        return int(np.argmax(bad)) + 1
+    if full and observe is None:
+        state.n_completed = n
+        return None
+    for r in range(0, n, block):
+        lev = hist[r + 1:r + 1 + block] if full else inv(u0_hat * fac[r:r + block])
+        for j, level in enumerate(lev, r + 1):
+            row = hist[j % rows]
+            if not full:
+                row[:] = level
+            state.n_completed = j
+            if observe is not None:
+                observe(j, row)
+    return None
 
 
 def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one, observe=None):

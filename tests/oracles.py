@@ -301,12 +301,12 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
     return state
 
 
-def l1_mode_levels_extended(u0, beta, dt, sym, a, n):
+def l1_mode_levels_extended(u0, beta, dt, g0, sym, a, n):
     """Levels ``u_0..u_n`` of uncoupled modes under the L1 mode equations
 
         c sum_{i<=j} w[j-i] d_i + s u_{j+1} + a u_j = 0,   j = 0..n-1,
 
-    with ``c = dt^(-beta) / Gamma(2 - beta)``, ``d_i = u_{i+1} - u_i``,
+    with ``c = g0 dt^(-beta) / Gamma(2 - beta)``, ``d_i = u_{i+1} - u_i``,
     multiplier ``s = sym`` per mode and linear force ``a``: the equations
     the linear-implicit stepper solves for a ring of mode coefficients.
     Forward substitution in ``np.longdouble``, O(n^2) per mode, from the
@@ -314,7 +314,7 @@ def l1_mode_levels_extended(u0, beta, dt, sym, a, n):
     uses, so it solves the same discrete equations with less rounding.
     Returns ``(n + 1, modes)`` complex ``np.clongdouble`` levels."""
     ld = np.longdouble
-    c = ld(dt ** (-beta) / math.gamma(2.0 - beta))
+    c = ld(g0 * dt ** (-beta) / math.gamma(2.0 - beta))
     w = l1_weights(beta, n).astype(ld)
     s = np.asarray(sym, dtype=ld)
     u = np.zeros((n + 1, s.size), dtype=np.clongdouble)

@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from fracdyn import analysis, chain
+from fracdyn import analysis, chain, fields
 from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
                            evolve_chain, interaction_sum_fft)
 from fracdyn.errors import BlowUpError, DomainError
-from fracdyn.fields import Interaction, ModelSpec, Potential
+from fracdyn.fields import Interaction, LevelRing, ModelSpec, Potential
 from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import TimeGrid
 from oracles import (evolve_linear_implicit_direct, interaction_sum_direct,
@@ -200,14 +200,12 @@ def test_chain_two_row_ring_matches_full_history():
     assert np.array_equal(ring.current(), full.history[steps])
 
 
-def test_chain_stepper_memory_is_history_plus_one_buffer():
-    # the memory sum may hold one (n_steps, modes) complex buffer beside the
-    # history; a second such buffer, or a top-level FFT product taken over
-    # all columns at once, each need more than the 4 MiB allowed on top
-    n, steps = 2048, 4 * HISTORY_BLOCK + 45
-    modes = n // 2 + 1
-    assert steps * modes * 16 > 4 << 20
-    spec = _spec(n=n, beta=0.8, g0=-1.0)
+def _chain_peak_memory(spec, steps):
+    """Peak traced bytes of a full-history ``evolve_chain`` run, and the
+    bound of the history plus one ``(steps, modes)`` complex buffer plus
+    4 MiB."""
+    n = spec.n_particles
+    assert steps * (n // 2 + 1) * 16 > 4 << 20
     u0 = np.cos(2 * np.pi * 5 * np.arange(n) / n)
     tracemalloc.start()
     try:
@@ -216,7 +214,26 @@ def test_chain_stepper_memory_is_history_plus_one_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= state.history.nbytes + steps * modes * 16 + (4 << 20)
+    return peak, state.history.nbytes + steps * (n // 2 + 1) * 16 + (4 << 20)
+
+
+def test_chain_stepper_memory_is_history_plus_one_buffer():
+    # the linear chain is solved for the whole run at once: its factors, one
+    # real (n_steps, modes) array, and block-sized work arrays.  A second
+    # buffer of the stepper's size, or a reciprocal or FFT product taken
+    # over all columns at once, each need more than the 4 MiB allowed on top
+    peak, bound = _chain_peak_memory(_spec(n=2048, beta=0.8, g0=-1.0),
+                                     4 * HISTORY_BLOCK + 45)
+    assert peak <= bound
+
+
+def test_chain_stepped_memory_is_history_plus_one_buffer():
+    # a lagged cubic force sends the run to the stepper, whose memory sum
+    # may hold one (n_steps, modes) complex buffer beside the history
+    spec = _spec(n=2048, beta=0.8, g0=-1.0, potential=Potential.GINZBURG_LANDAU,
+                 a=0.1, b=0.1)
+    peak, bound = _chain_peak_memory(spec, 4 * HISTORY_BLOCK + 45)
+    assert peak <= bound
 
 
 def test_chain_validation():
@@ -310,9 +327,10 @@ def test_continuum_compare_rejects_modes_outside_ring(modes):
 def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
     # the compare evolves only its modes' coefficients, by the stepper at
     # beta = 1 and by the whole-run solve below it; the oracle steps the
-    # whole ring with evolve_chain.  The stepper on the compare's modes
-    # must track the full ring's rfft(u)[modes], and the compare's rates
-    # must match those it fits to the full ring's levels
+    # whole ring with evolve_chain's stepper (evolve_chain itself would
+    # solve it below beta = 1).  The stepper on the compare's modes must
+    # track the full ring's rfft(u)[modes], and the compare's rates must
+    # match those it fits to the full ring's levels
     n, modes, dt, steps = 4096, [12, 30, 60], 0.1, 600
     local = {"potential": Potential.GINZBURG_LANDAU, "a": a} if a else {}
     spec = _spec(n=n, beta=beta, **local)
@@ -322,23 +340,25 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
     def keep_modes(j, u):
         full[j] = np.fft.rfft(u)[modes]
 
-    evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(steps, dt), u0,
-                                             rows=2), keep_modes)
+    fields._step_linear_implicit(
+        ChainState.from_chain(spec, TimeGrid(steps, dt), u0, rows=2),
+        beta, 1.0, spec.local, spec.g0 * chain._ring_symbol(spec),
+        np.fft.rfft, lambda v: np.fft.irfft(v, n=n), keep_modes)
     want = np.array([full[j] for j in range(steps + 1)])
-    step = chain._step_modes
-    helper = "_solve_modes" if beta < 1.0 else "_step_modes"
-    evolve = getattr(chain, helper)
+    evolve = chain._evolve_linear_implicit
     calls = []
 
-    def spy(*args):
-        levels = evolve(*args)
-        calls.append((args, levels.copy()))
-        return levels
+    def spy(ring, *args):
+        u0 = ring.level(0).copy()
+        out = evolve(ring, *args)
+        calls.append((u0, args, out.history.copy()))
+        return out
 
-    monkeypatch.setattr(chain, helper, spy)
+    monkeypatch.setattr(chain, "_evolve_linear_implicit", spy)
     report = continuum_limit_compare(spec, modes, dt, steps)
-    [(args, levels)] = calls
-    stepped = step(*args)
+    [(u0_modes, args, levels)] = calls
+    stepped = fields._step_linear_implicit(
+        LevelRing.start(TimeGrid(steps, dt), u0_modes), *args).history
     assert stepped.shape == levels.shape == (steps + 1, len(modes))
     assert np.max(np.abs(stepped - want)) <= 1e-14 * np.max(np.abs(want))
     if beta == 1.0:
@@ -347,7 +367,12 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
         # measured at most 1.0e-14
         assert np.max(np.abs(levels - want)) <= 2e-14 * np.max(np.abs(want))
 
-    monkeypatch.setattr(chain, helper, lambda *args: want)
+    def replay(ring, *args):
+        ring.history[:] = want
+        ring.n_completed = steps
+        return ring
+
+    monkeypatch.setattr(chain, "_evolve_linear_implicit", replay)
     ref = continuum_limit_compare(spec, modes, dt, steps)
     rel = np.abs(np.subtract(report.rate_measured, ref.rate_measured)
                  / np.array(ref.rate_measured))
@@ -372,12 +397,16 @@ def test_mode_solve_and_stepper_match_extended_precision(beta, a):
     u0 = sum(np.cos(2 * np.pi * m * np.arange(n) / n) for m in modes)
     coeffs = np.fft.rfft(u0)[modes]
     sym = spec.g0 * chain._ring_symbol(spec)[modes]
-    truth = l1_mode_levels_extended(coeffs, beta, dt, sym, a, steps)
+    truth = l1_mode_levels_extended(coeffs, beta, dt, 1.0, sym, a, steps)
     scale = np.max(np.abs(truth))
 
-    args = (TimeGrid(steps, dt), coeffs, beta, spec.local, sym)
-    solved = chain._solve_modes(*args)
-    stepped = chain._step_modes(*args)
+    def levels(evolve):
+        ring = LevelRing.start(TimeGrid(steps, dt), coeffs)
+        return evolve(ring, beta, 1.0, spec.local, sym, chain._identity,
+                      chain._identity).history
+
+    solved = levels(fields._evolve_linear_implicit)
+    stepped = levels(fields._step_linear_implicit)
     assert np.max(np.abs(solved - truth)) <= 2e-14 * scale
     assert np.max(np.abs(stepped - truth)) <= 2e-14 * scale
 

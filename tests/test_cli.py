@@ -255,6 +255,19 @@ def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,
         ("fracdyn", "INFO"), ("fracdyn", "INFO"), ("fracdyn", "ERROR")]
 
 
+def test_cli_linear_run_prints_only_its_status_line(tmp_path, capsys,
+                                                     caplog):
+    # at b = 0 the run is solved for the whole run at once; the solve's
+    # DEBUG record stays below the console's INFO level
+    cfgp = _write(tmp_path, EVOLVE_CONFIG.replace("b = 1.0", "b = 0.0"))
+    assert main(["evolve_field", "--config", str(cfgp),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("evolve_field: ok\n", "")
+    assert [(r.name, r.levelname) for r in caplog.records] == [
+        ("fracdyn", "INFO")]
+
+
 def test_library_has_no_bare_print():
     src = Path(fracdyn.__file__).parent
     for path in sorted(src.glob("*.py")):
