@@ -31,7 +31,7 @@ so the relative gap to the pure ``|k|^alpha`` law closes only like
 Because its modes do not couple, it evolves only the compared modes'
 coefficients, through the same stepper with identity transforms; below
 ``beta = 1`` their linear equations are solved there for the whole run at
-once, as for any linear field (see ``fields``).  The full ring, stepped,
+once where no mode grows, as for any linear field (see ``fields``).  The full ring, stepped,
 is the oracle of both paths in the tests.
 The ring's coupling cutoff adds a further small tail, nearly independent of
 ``k``, from the interactions beyond it.
@@ -221,8 +221,10 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     started from the sum of their cosines, with multiplier
     ``g0 (J^(k) - J^(0))`` on those modes and the linear force acting per
     mode, by the linear-implicit evolution with identity transforms: stepped
-    at ``beta = 1``, solved for the whole run at once below it, which
-    matches the stepper to rounding.  The blow-up guard sees the largest
+    at ``beta = 1`` or where a mode grows, solved for the whole run at once
+    otherwise, each mode's levels then matching the stepped ones to
+    rounding of its initial coefficient (see ``fields``).  The blow-up
+    guard sees the largest
     mode coefficient, not the field's sup-norm: a ``BlowUpError``'s
     ``norm`` is in coefficient units, ``n_particles / 2`` times a cosine's
     amplitude.

@@ -37,17 +37,28 @@ When the equation is linear and first order (``beta < 1``, ``f`` the
 identity, ``F`` absent or ``a u``), every mode's L1 equations over the whole
 run form one lower-triangular Toeplitz system, so the levels are solved at
 once by a power-series reciprocal (``fracops._series_reciprocal``), O(n log
-n) per mode, instead of ``n`` Python steps; they match the stepper to
-rounding, pass its blow-up guard in step order, and are observed as the
-stepper would observe them.  Every other run is stepped.
+n) per mode, instead of ``n`` Python steps.  The solve is kept only where no
+mode grows: the reciprocal's rounding in each Newton round is relative to
+that round's largest coefficient, so on a growing mode the round's early
+levels would carry the growth across it as relative error.  A run with a
+growing mode of the equation (``g0 (s_k + a) < 0`` for a mode ``k`` with
+multiplier ``s_k``) is stepped at once; one with a solved mode that exceeds
+its initial coefficient in magnitude (the lagged ``a u`` lets a mode of the
+scheme grow where ``a`` is large beside ``g0 dt^(-beta)``) is stepped after
+the solve.  Where the solve is kept, each mode's levels match the stepped
+ones to rounding of its initial coefficient, pass the stepper's blow-up
+guard in step order and are observed as the stepper would observe them;
+relative to a level that has decayed far below it the stepper is the more
+accurate (see the README's performance notes).
 
 The stepper's memory sum over all earlier increment spectra is kept by
 ``fracops.HistorySum``: exact, direct within base blocks of
 ``HISTORY_BLOCK = 64`` steps and by FFT products between blocks, so a run of
 ``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
 O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.  It
-serves only the stepped runs that have a memory sum: nonlinear ones below
-``beta = 1``, and every run at orders in (1, 2).
+serves only the stepped runs that have a memory sum: nonlinear ones and
+linear ones with a growing mode below ``beta = 1``, and every run at orders
+in (1, 2).
 
 Level policy: ``LevelRing.history``, and so ``FieldState.history``, is a
 ring of ``rows`` levels, with level ``j`` in row ``j % rows``.  By default
@@ -62,6 +73,7 @@ blow-up guard.  Reading a level the ring no longer holds raises
 """
 
 import enum
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +105,8 @@ __all__ = [
     "sine_gordon_energy",
     "field_mass",
 ]
+
+log = logging.getLogger("fracdyn")
 
 GROWTH_LIMIT = 1.0e3  # per-step sup-norm growth that aborts an evolution
 GMRES_RESTART = 60      # Krylov vectors per GMRES restart cycle
@@ -290,9 +304,10 @@ def _explicit_terms(model, u, sym, fwd, inv):
 def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     """Advance the field over the whole time grid with the semi-implicit L1
     pseudo-spectral scheme, solved for the whole run at once where it is
-    linear and first order (see the module docstring).  Only the left
-    (causal) memory term may drive the evolution: ``g0_prime`` must be zero
-    here and is honored by ``residual``.  ``observe(j, u)``, if given, sees
+    linear, first order and without a growing mode (see the module
+    docstring).  Only the left (causal) memory term may drive the
+    evolution: ``g0_prime`` must be zero here and is honored by
+    ``residual``.  ``observe(j, u)``, if given, sees
     every new level ``j >= 1`` once, in order, after its blow-up guard.
     """
     beta = validate_temporal_order(beta)
@@ -313,23 +328,21 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
     operator with multiplier ``sym`` on the modes of ``fwd``: the levels of
     :func:`_step_linear_implicit`, solved for the whole run at once by
     :func:`_solve_linear_implicit` when the equation is linear and first
-    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``), and
-    stepped otherwise.  Logs the path taken at DEBUG."""
-    # logging is imported on first use: imported with this module, ahead of
-    # the CLI, it raised the peak RSS of the sg_wave benchmark by 0.3-0.6 MB
-    import logging
-    log = logging.getLogger("fracdyn")
+    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``) and
+    no mode grows (see the module docstring), and stepped otherwise.  Logs
+    the path taken at DEBUG."""
     n, m = state.time.n_steps, sym.shape[0]
-    linear = (model.potential is Potential.NONE
-              or (model.potential is Potential.GINZBURG_LANDAU and model.b == 0))
-    if beta < 1.0 and linear and model.interaction is Interaction.IDENTITY:
-        a = model.a if model.potential is Potential.GINZBURG_LANDAU else 0.0
+    gl = model.potential is Potential.GINZBURG_LANDAU
+    a = model.a if gl else 0.0
+    linear = (model.interaction is Interaction.IDENTITY
+              and (model.potential is Potential.NONE or (gl and model.b == 0)))
+    if beta < 1.0 and linear and np.all(g0 * (sym + a) >= 0):
         failed = _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv,
                                         observe)
         if failed is None:
             log.debug("evolve: solved %d steps × %d modes at once", n, m)
             return state
-        log.debug("evolve: solve failed the guard at step %d; stepped", failed)
+        log.debug("evolve: solve %s at step %d; stepped", *failed)
     else:
         log.debug("evolve: stepped %d steps × %d modes", n, m)
     return _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
@@ -411,14 +424,15 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
 
     Those factors, one real ``n x modes`` array, are all the solve holds
     beside the ring: levels are formed and inverse-transformed in row blocks
-    of ``_FFT_BLOCK_BYTES`` of spectrum.  They must pass the stepper's guard
-    rule in step order before any reaches ``observe``: a ring that holds
-    every level is written in that pass, a smaller one in a second pass
-    that calls ``observe``.  On a violation the state is left at level 0
-    and the failed step returned, for the stepper to run and raise its own
-    ``BlowUpError``: an overflow inside one Newton round of the reciprocal
-    spoils the whole round, so the solved levels alone would name too early
-    a step.  Returns None once every level is in place and observed.
+    of ``_FFT_BLOCK_BYTES`` of spectrum.  No factor may exceed 1 in
+    magnitude (no mode grows; see the module docstring), and the levels
+    must pass the stepper's guard rule in step order before any reaches
+    ``observe``: a ring that holds every level is written in that pass, a
+    smaller one in a second pass that calls ``observe``.  Where either
+    fails the state is left at level 0 and ``(reason, step)`` returned, for
+    the stepper to run the whole run, so that a ``BlowUpError`` carries a
+    stepped run's step and norm.  Returns None once every level is in
+    place and observed.
     """
     n, dt = state.time.n_steps, state.time.dt
     hist, rows = state.history, state.history.shape[0]
@@ -446,6 +460,9 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
         np.cumsum(fac, axis=0, out=fac)
         fac *= -(sym + a)
         fac += 1.0
+        if fac.max() > 1.0 or fac.min() < -1.0:
+            grows = ((fac > 1.0) | (fac < -1.0)).any(axis=1)
+            return "found a growing mode", int(np.argmax(grows)) + 1
         block = max(1, _FFT_BLOCK_BYTES // (16 * m))
         for r in range(0, n, block):
             lev = inv(u0_hat * fac[r:r + block])
@@ -455,7 +472,7 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
         grew = (norms[:-1] > 0) & (norms[1:] > GROWTH_LIMIT * norms[:-1])
     bad = grew | ~np.isfinite(norms[1:])
     if bad.any():
-        return int(np.argmax(bad)) + 1
+        return "failed the guard", int(np.argmax(bad)) + 1
     if full and observe is None:
         state.n_completed = n
         return None

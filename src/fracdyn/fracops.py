@@ -16,9 +16,9 @@ rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
 
 Where the L1 equations of a linear mode are solved for a whole run at once
-(``fields``, for every linear first-order run), the lower-triangular
-Toeplitz system is a power-series reciprocal, computed by Newton doubling on
-the same zero-padded FFT products in O(n log n).
+(``fields``, for linear first-order runs without a growing mode), the
+lower-triangular Toeplitz system is a power-series reciprocal, computed by
+Newton doubling on the same zero-padded FFT products in O(n log n).
 
 The Mittag-Leffler function sums its series over the whole argument array
 under one cancellation guard, with an integral form as fallback, itself

@@ -257,9 +257,10 @@ def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,
 
 def test_cli_linear_run_prints_only_its_status_line(tmp_path, capsys,
                                                      caplog):
-    # at b = 0 the run is solved for the whole run at once; the solve's
-    # DEBUG record stays below the console's INFO level
-    cfgp = _write(tmp_path, EVOLVE_CONFIG.replace("b = 1.0", "b = 0.0"))
+    # at a = 1, b = 0 no mode grows and the run is solved for the whole run
+    # at once; the solve's DEBUG record stays below the console's INFO level
+    cfgp = _write(tmp_path, EVOLVE_CONFIG.replace("a = -1.0\nb = 1.0",
+                                                  "a = 1.0\nb = 0.0"))
     assert main(["evolve_field", "--config", str(cfgp),
                  "--out", str(tmp_path / "out")]) == EXIT_OK
     out = capsys.readouterr()

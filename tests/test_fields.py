@@ -4,7 +4,6 @@ Mittag-Leffler mode law, and manufactured solutions."""
 
 import logging
 import math
-import re
 import warnings
 
 import numpy as np
@@ -265,7 +264,8 @@ _LINEAR_FORCES = {
 @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
 @pytest.mark.parametrize("field_kind", ["real", "complex"])
 def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
-    # a linear run below beta = 1 is solved for the whole run at once; the
+    # a linear run below beta = 1 is solved for the whole run at once unless
+    # a mode grows (a = -0.01 grows the mean, which is then stepped); the
     # stepper (over FFT products of two block sizes in its memory sum) and
     # the direct memory sum are its oracles, in units of max|u|.  Measured:
     # at most 5.9e-15 against either
@@ -282,8 +282,10 @@ def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
     solved = FieldState.from_initial(grid, tg, u0)
     evolve_field(model, solved, beta)
     modes = n if field_kind == "complex" else n // 2 + 1
+    path = "stepped" if model.a < 0 else "solved"
     assert caplog.messages == [
-        f"evolve: solved {steps} steps × {modes} modes at once"]
+        f"evolve: {path} {steps} steps × {modes} modes"
+        + (" at once" if path == "solved" else "")]
 
     k, fwd, inv = fields._transforms(solved)
     sym = model.spatial_symbol(k)
@@ -310,9 +312,9 @@ def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
 
 
 def test_linear_solve_blow_up_is_the_steppers(caplog):
-    # a = -500 grows every mode until a u overflows: the solved levels fail
-    # the guard, and the stepper raises its own error from level 0, which
-    # observe has seen only up to the level before
+    # a = -500 grows every mode until a u overflows: the run goes straight
+    # to the stepper, whose error observe has seen only up to the level
+    # before
     n, steps, beta = 64, 400, 0.9
     grid = GridSpec(n, TWO_PI)
     tg = TimeGrid(steps, 0.1)
@@ -336,9 +338,67 @@ def test_linear_solve_blow_up_is_the_steppers(caplog):
     np.testing.assert_equal(solved.value.norm, stepped.value.norm)  # NaN here
     assert str(solved.value) == str(stepped.value)
     assert seen == list(range(1, stepped.value.step))
-    [message] = caplog.messages
-    assert re.fullmatch(r"evolve: solve failed the guard at step \d+; stepped",
-                        message)
+    assert caplog.messages == [f"evolve: stepped {steps} steps × 33 modes"]
+
+
+@pytest.mark.parametrize("g0, a, message", [
+    # a mode of the equation grows: stepped without a solve
+    (1.0, -10.0, "evolve: stepped 100 steps × 33 modes"),
+    # every mode of the equation decays, but the lagged a u at a = 50 beside
+    # g0 dt^-beta / Gamma(2 - beta) = 16.7 makes a mode of the scheme grow
+    (2.0, 50.0, "evolve: solve found a growing mode at step 1; stepped")])
+def test_growing_linear_run_is_stepped(g0, a, message, caplog):
+    # on a growing mode the reciprocal's rounding in a Newton round scales
+    # with the round's largest, latest level, so a solved level could carry
+    # the growth across its round as relative error; each level must match
+    # the stepper's relative to that level
+    n, steps, beta = 64, 100, 0.9
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 0.1)
+    model = ModelSpec(g0=g0, spatial_terms=((1.5, 0.5),), a=a,
+                      potential=Potential.GINZBURG_LANDAU)
+    u0 = np.cos(grid.x) + 0.5 * np.cos(7 * grid.x)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    state = FieldState.from_initial(grid, tg, u0)
+    evolve_field(model, state, beta)
+    assert caplog.messages == [message]
+    ref = FieldState.from_initial(grid, tg, u0)
+    k, fwd, inv = fields._transforms(ref)
+    fields._step_linear_implicit(ref, beta, g0, model,
+                                 model.spatial_symbol(k), fwd, inv)
+    level_max = np.abs(ref.history).max(axis=1)
+    assert level_max[-1] > 1e10 * level_max[0]
+    err = np.abs(state.history - ref.history).max(axis=1)
+    assert np.all(err <= 1e-14 * level_max)
+
+
+def test_solve_guard_violation_is_stepped(monkeypatch, caplog):
+    # a growth limit below 1 trips the guard on a decaying run: the solve
+    # names the step and hands the run to the stepper, whose error observe
+    # has seen only up to the level before
+    monkeypatch.setattr(fields, "GROWTH_LIMIT", 0.9)
+    n, steps, beta = 32, 50, 0.9
+    grid = GridSpec(n, TWO_PI)
+    tg = TimeGrid(steps, 0.1)
+    model = ModelSpec(spatial_terms=((1.5, 0.5),), a=5.0,
+                      potential=Potential.GINZBURG_LANDAU)
+    u0 = 0.3 * np.cos(grid.x) + 0.1 * np.cos(5 * grid.x)
+    ref = FieldState.from_initial(grid, tg, u0)
+    k, fwd, inv = fields._transforms(ref)
+    with pytest.raises(BlowUpError) as stepped:
+        fields._step_linear_implicit(ref, beta, 1.0, model,
+                                     model.spatial_symbol(k), fwd, inv)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    seen = []
+    state = FieldState.from_initial(grid, tg, u0, rows=2)
+    with pytest.raises(BlowUpError) as solved:
+        evolve_field(model, state, beta, lambda j, u: seen.append(j))
+    step = stepped.value.step
+    assert 2 < step < steps
+    assert (solved.value.step, solved.value.norm) == (step, stepped.value.norm)
+    assert seen == list(range(1, step))
+    assert caplog.messages == [
+        f"evolve: solve failed the guard at step {step}; stepped"]
 
 
 @pytest.mark.parametrize("beta, b", [(1.0, 0.0), (0.8, 1.0), (1.5, 0.0)])
