@@ -311,17 +311,20 @@ def load_config(path, kind=None, seed=None):
 
 # ---------------------------------------------------------------- writers
 
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+_CSV_BLOCK_ROWS = 1024   # rows formatted by one ``%``; bounds the text held
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, blocks):
+    """Write ``header``, then each of ``blocks`` (float64 rows of
+    ``len(header)`` columns), formatting ``_CSV_BLOCK_ROWS`` rows at a time."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=np.float64).reshape(-1, len(header))
+            for i in range(0, len(block), _CSV_BLOCK_ROWS):
+                part = block[i:i + _CSV_BLOCK_ROWS]
+                fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def _jsonable(o):
@@ -414,13 +417,13 @@ def _snapshot_observer(cfg, state):
 
 def _write_snapshots(path, state, kept):
     """The kept levels as rows ``t, x, u``, or ``t, x, u_re, u_im`` for a
-    complex field."""
+    complex field, one block of rows per level."""
     t, x = state.times, state.grid.x
     cols = ("t", "x", "u_re", "u_im") if state.is_complex else ("t", "x", "u")
     # a complex row viewed as float64 holds re, im pairs
-    write_csv(path, cols, ((t[j], x[i], *v) for j in sorted(kept)
-                           for i, v in enumerate(
-                               kept[j].view(np.float64).reshape(len(x), -1))))
+    write_csv(path, cols, (np.column_stack((
+        np.full(len(x), t[j]), x, kept[j].view(np.float64).reshape(len(x), -1)))
+        for j in sorted(kept)))
 
 
 def _grid(cfg):
@@ -511,7 +514,7 @@ def _run_stationary(cfg, outdir, rng):
     result = stationary_fgle_solve(grid, p["alpha"], p["g"], p["a"], p["b"],
                                    guess, tol=p["tol"], max_iter=p["max_iter"])
     write_csv(outdir / "solution.csv", ("x", "u"),
-              zip(grid.x, result.u))
+              [np.column_stack((grid.x, result.u))])
     if not result.converged:
         raise ConvergenceError(
             f"stationary solve stalled at residual {result.residual_norm:.3e}",

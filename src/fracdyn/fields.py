@@ -635,11 +635,14 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
     matrix-free FFT products, so a Krylov iteration costs O(N log N) time
     and the solve holds O(N) memory (``GMRES_RESTART + 1`` basis vectors).
     The right preconditioner is the spectral inverse of
-    ``P(k) = -g |k|^alpha - copysign(c, g)`` with ``c = |a|``, or
-    ``max |3 b u^2|`` when ``a = 0``; ``P`` keeps the sign of the spatial
-    term on every mode, so it cannot vanish unless ``a = 0`` and ``u = 0``,
-    where the residual is already zero.  Inexact-Newton forcing asks GMRES
-    for the relative residual
+    ``P(k) = -g |k|^alpha - sigma`` with ``sigma = copysign(c, g)``,
+    ``c = |a|``, or ``max |3 b u^2|`` when ``a = 0``; ``P`` keeps the sign
+    of the spatial term on every mode, so it cannot vanish unless ``a = 0``
+    and ``u = 0``, where the residual is already zero.  As
+    ``-g |k|^alpha / P = 1 + sigma / P``, the preconditioned product is
+    ``J P^-1 y = y + (a + 3 b u^2 + sigma) irfft(rfft(y) / P)``, one forward
+    and one inverse real FFT per Krylov iteration.  Inexact-Newton forcing
+    asks GMRES for the relative residual
     ``max(1e-10, min(1e-2, 1e-2 ||r||_inf))``, or the absolute 2-norm
     residual ``1e-2 tol`` if that is larger: a linear residual below 1 % of
     the Newton target cannot change the outcome, and near a singular
@@ -671,13 +674,13 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
             return StationaryResult(u=u, residual_norm=rnorm, n_iter=it - 1,
                                     converged=True, krylov_iters=krylov_iters,
                                     line_search_halvings=halvings)
-        diag = a + 3.0 * b * u ** 2
         shift = abs(a) if a != 0 else float(np.max(np.abs(3.0 * b * u ** 2)))
-        pinv = 1.0 / (sym - math.copysign(shift, g))
+        sigma = math.copysign(shift, g)
+        pinv = 1.0 / (sym - sigma)
+        diag = a + 3.0 * b * u ** 2 + sigma
 
-        def jac_prec(y):
-            vhat = pinv * np.fft.rfft(y)
-            return np.fft.irfft(sym * vhat, n=n) + diag * np.fft.irfft(vhat, n=n)
+        def jac_prec(y):   # sym pinv = 1 + sigma pinv
+            return y + diag * np.fft.irfft(pinv * np.fft.rfft(y), n=n)
 
         rtol = max(1e-10, min(1e-2, 1e-2 * rnorm))
         y, inner, solved = _gmres(jac_prec, -res, rtol, 1e-2 * tol,

@@ -7,8 +7,10 @@ derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
 the time stepper with its memory sum formed directly at every step, the
 per-mode series of a whole stored trajectory transformed at once, the L1
 mode equations by forward substitution in extended precision, the
-Mittag-Leffler quadrature one argument at a time, and the Mittag-Leffler
-rate fit by SciPy's trust-region least squares.
+Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
+rate fit by SciPy's trust-region least squares, the preconditioned
+stationary Jacobian with its two terms transformed apart, and the CSV
+writer that formats one value at a time.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.
 """
@@ -25,7 +27,7 @@ from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
 from fracdyn.fields import Interaction, Potential
 from fracdyn.fracops import _series_ratios, l1_weights, mittag_leffler
-from fracdyn.grids import validate_temporal_order
+from fracdyn.grids import GridSpec, validate_temporal_order
 
 
 class TailBoundError(FracdynError, ValueError):
@@ -470,3 +472,33 @@ def lattice_symbol_increment(alpha, k, dx, cutoff, tol=1e-10):
         raise DomainError("lattice symbol requires alpha > 0")
     _check_tail(alpha, cutoff, tol)
     return _coupling_cosine_sum(alpha, k * dx, int(cutoff), increment=True)
+
+
+def stationary_jacobian_three_fft(u, y, grid: GridSpec, alpha, g, a, b):
+    """``J P^-1 y`` of ``fields.stationary_fgle_solve`` at the state ``u``,
+    with ``v = P^-1 y`` formed in Fourier space and the two terms of
+    ``J v = g Riesz_alpha v + (a + 3 b u^2) v`` inverse-transformed apart:
+    one forward and two inverse real FFTs.  ``P`` is the solver's documented
+    preconditioner ``-g |k|^alpha - copysign(c, g)``, ``c = |a|`` or, when
+    ``a = 0``, ``max |3 b u^2|``."""
+    n = grid.n_points
+    sym = -g * grid.wavenumbers_real ** alpha
+    shift = abs(a) if a != 0 else float(np.max(np.abs(3.0 * b * u ** 2)))
+    vhat = np.fft.rfft(y) / (sym - math.copysign(shift, g))
+    return (np.fft.irfft(sym * vhat, n=n)
+            + (a + 3.0 * b * u ** 2) * np.fft.irfft(vhat, n=n))
+
+
+def write_csv_per_value(path, header, rows):
+    """A CSV file of ``header`` and ``rows`` (iterables of numbers), each
+    value written alone by ``format``: integers as ``str``, floats with 17
+    significant digits."""
+    def fmt(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")

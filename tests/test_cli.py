@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
 from fracdyn.errors import ConfigError
 from fracdyn.fields import FieldState, nls_evolve
 from fracdyn.grids import GridSpec, TimeGrid
-from oracles import mode_series
+from oracles import mode_series, write_csv_per_value
 
 EVOLVE_CONFIG = """
 [experiment]
@@ -476,6 +477,73 @@ def test_csv_float_format_roundtrips(tmp_path):
     line = p.read_text().splitlines()[1].split(",")
     for text, v in zip(line, vals):
         assert float(text) == v  # 17 significant digits reproduce the double
+
+
+def _awkward_floats(rng, n):
+    """``n`` float64: special values (NaN, infinities, signed zeros,
+    subnormals, integer-valued floats), the rest from random bit patterns."""
+    special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 1e22, -1e300, 123456789.0,
+               1.7976931348623157e308]
+    bits = np.frombuffer(rng.bytes(8 * (n - len(special))), dtype=np.float64)
+    return np.concatenate([bits, special])
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    # one "%" per block of rows against one format() per value, over more
+    # rows than one block and a block that is not full
+    vals = _awkward_floats(np.random.default_rng(18),
+                           3 * (cli._CSV_BLOCK_ROWS + 7)).reshape(-1, 3)
+    header = ("a", "b", "c")
+    write_csv(tmp_path / "block.csv", header, [vals[:5], vals[5:]])
+    write_csv_per_value(tmp_path / "value.csv", header, vals.tolist())
+    assert ((tmp_path / "block.csv").read_bytes()
+            == (tmp_path / "value.csv").read_bytes())
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_write_snapshots_matches_per_value_writer(tmp_path, complex_field):
+    # 1500 points: each kept level is more than one block of rows
+    rng = np.random.default_rng(7)
+    grid = GridSpec(1500, 30.0)
+    u0 = rng.standard_normal(grid.n_points)
+    if complex_field:
+        u0 = u0 + 1j * rng.standard_normal(grid.n_points)
+    state = FieldState.from_initial(grid, TimeGrid(12, 0.1), u0, rows=2)
+    kept = {j: (u0 * math.cos(j)).copy() for j in (0, 5, 12)}
+    kept[5][::97] = -0.0
+    cli._write_snapshots(tmp_path / "block.csv", state, kept)
+    cols = ("t", "x", "u_re", "u_im") if complex_field else ("t", "x", "u")
+    t, x = state.times, grid.x
+    write_csv_per_value(tmp_path / "value.csv", cols, (
+        (t[j], x[i], *v) for j in sorted(kept)
+        for i, v in enumerate(kept[j].view(np.float64).reshape(len(x), -1))))
+    text = (tmp_path / "block.csv").read_bytes()
+    assert text == (tmp_path / "value.csv").read_bytes()
+    assert text.count(b"\n") == 1 + 3 * grid.n_points
+
+
+def test_write_snapshots_memory_is_one_block(tmp_path):
+    # 200 kept levels of 1024 points (4.9 MB as float64): the writer holds
+    # one level's block and the Python floats and text of one format call at
+    # a time, never all levels.  Measured: 0.22 MB traced beyond the kept
+    # levels, 8.8 float64 blocks of 1024 rows of t, x, u; all levels joined
+    # would take at least 200
+    grid = GridSpec(1024, 10.0)
+    rng = np.random.default_rng(3)
+    state = FieldState.from_initial(grid, TimeGrid(199, 0.1),
+                                    rng.standard_normal(1024), rows=2)
+    kept = {j: rng.standard_normal(1024) for j in range(200)}
+    block_bytes = cli._CSV_BLOCK_ROWS * 3 * 8
+    tracemalloc.start()
+    try:
+        cli._write_snapshots(tmp_path / "snap.csv", state, kept)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * block_bytes
+    assert (tmp_path / "snap.csv").read_text().count("\n") == 1 + 200 * 1024
 
 
 def test_sine_gordon_cli_summary(tmp_path):
