@@ -28,7 +28,13 @@ and for ``beta`` in (1, 2] the difference quotient ``(u_{j+1} - u_j) / dt``
 at order ``beta - 1``, led by the required initial velocity.  There the
 linear term after the first step is the symmetric average over levels
 ``j + 1`` and ``j - 1``, which reduces to a standard second-order implicit
-wave scheme at ``beta = 2``.  One scheme serves this module,
+wave scheme at ``beta = 2``; each such step updates the spectrum's increment
+``d = u_{j+1} - u_j`` as ``d <- d - pull u_j - c push h - push F_j`` (memory
+sum ``h``, lagged terms ``F_j``, factors ``push = dt / (c + dt lin / 2)`` and
+``pull = lin push`` formed once per run), then ``u_{j+1} = u_j + d``.  These
+terms are of the size of ``d``, while solving for the level itself would form
+``c (u_j / dt + y_j)``, ``c / dt`` times ``|u|`` (1e4 on the sine-Gordon
+config), and cancel most of it every step.  One scheme serves this module,
 ``chain.evolve_chain`` and ``chain.continuum_limit_compare``: the chain is
 the same scheme with spatial multiplier ``g0 (J^(k) - J^(0))`` in place of
 ``sum_s g_s |k|^s`` and time coefficient 1.
@@ -64,12 +70,11 @@ Level policy: ``LevelRing.history``, and so ``FieldState.history``, is a
 ring of ``rows`` levels, with level ``j`` in row ``j % rows``.  By default
 it holds all ``n_steps + 1`` levels, which only ``residual`` still needs.
 The steppers themselves read only the newest level (the memory sum and the
-previous spectrum live in the stepper, the solve's factors in the solve),
-so a caller that does not need the
-trajectory asks for 2 rows and collects what it keeps through the
-steppers' ``observe(j, u)`` callback, called with every new level after its
-blow-up guard.  Reading a level the ring no longer holds raises
-``DomainError``.
+spectrum live in the stepper, the solve's factors in the solve), so a
+caller that does not need the trajectory asks for 2 rows and collects what
+it keeps through the steppers' ``observe(j, u)`` callback, called with every
+new level after its blow-up guard.  Reading a level the ring no longer holds
+raises ``DomainError``.
 """
 
 import enum
@@ -371,7 +376,7 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
     q = beta - 1.0 if second_order else beta
     c = g0 * dt ** (-q) / math.gamma(2.0 - q)
     if second_order:
-        first_denom, denom = c / dt + lin, c / dt + 0.5 * lin
+        first_denom, denom = c / dt + lin, c + 0.5 * dt * lin
         y = fwd(state.initial_velocity.astype(u.dtype))
     else:
         first_denom = denom = c + lin
@@ -380,26 +385,39 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
         raise DomainError("implicit system singular at the first step")
     if np.any(denom == 0):
         raise DomainError("implicit system singular after the first step")
+    if second_order:   # per-mode factors of the increment form
+        push = dt / denom
+        pull, mem_push = lin * push, c * push
     # at q = 1 every weight beyond the newest vanishes: no memory sum
     mem = HistorySum(l1_weights(q, n), n, sym.shape[0]) if q < 1.0 else None
-    uhat_prev = None
+    d = None   # u_{j+1} - u_j in Fourier space, carried after the first step
     for j in range(n):
-        rhs = uhat / dt + y if second_order else y
-        if mem is not None:
-            rhs = rhs - mem.history(j)
-        rhs = c * rhs
-        if j and second_order:
-            rhs = rhs - 0.5 * lin * uhat_prev
-        if not no_force:
-            rhs = rhs - fwd(_explicit_terms(model, u[j % rows], sym, fwd, inv))
-        new_hat = rhs / (denom if j else first_denom)
+        force = (None if no_force else
+                 fwd(_explicit_terms(model, u[j % rows], sym, fwd, inv)))
+        if d is None:
+            rhs = uhat / dt + y if second_order else y
+            if mem is not None:
+                rhs = rhs - mem.history(j)
+            rhs = c * rhs
+            if force is not None:
+                rhs = rhs - force
+            new_hat = rhs / first_denom
+            d = new_hat - uhat if second_order else None
+            y_new = d / dt if second_order else new_hat
+            if mem is not None:
+                mem.push(j, y_new - y)
+            y, uhat = y_new, new_hat
+        else:
+            step = pull * uhat
+            if force is not None:
+                step += push * force
+            if mem is not None:
+                step += mem_push * mem.history(j)
+                mem.push(j, step / -dt)
+            d -= step
+            uhat += d
         row = u[(j + 1) % rows]
-        row[:] = inv(new_hat)
-        y_new = (new_hat - uhat) / dt if second_order else new_hat
-        if mem is not None:
-            mem.push(j, y_new - y)
-        y = y_new
-        uhat_prev, uhat = uhat, new_hat
+        row[:] = inv(uhat)
         prev_norm = _guard(row, j + 1, prev_norm)
         state.n_completed = j + 1
         if observe is not None:

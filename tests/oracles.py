@@ -4,7 +4,8 @@ Each function here evaluates a quantity the library computes by a faster or
 transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
 derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
-the time stepper with its memory sum formed directly at every step, the
+the time stepper with its memory sum formed directly at every step (also in
+extended precision, with dense DFT matrices for its transforms), the
 per-mode series of a whole stored trajectory transformed at once, the L1
 mode equations by forward substitution in extended precision, the
 Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 import scipy.integrate
 import scipy.optimize
 
@@ -242,28 +244,45 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
     Same scheme and signature as ``fields._evolve_linear_implicit``, but at
     step ``j`` the memory sum is the dot product ``w[j..1] @ inc[:j]``, O(j)
     rows per step and O(n^2) over a run.  Fills ``state.history`` without
-    the blow-up guard.  At ``beta`` in {1, 2} no memory sum exists, and the
-    arithmetic is that of the library stepper operation for operation.
+    the blow-up guard.  At ``beta = 1`` no memory sum exists, and the
+    arithmetic is that of the library stepper operation for operation; in
+    (1, 2] it forms each level from the previous two, where the library
+    carries the increment, so the two round differently.
     """
+    state.history[:] = _direct_levels(state, beta, g0, model, sym, fwd, inv,
+                                      np.float64)
+    state.n_completed = state.time.n_steps
+    return state
+
+
+def _direct_levels(state, beta, g0, model, sym, fwd, inv, real):
+    """The levels of the L1 stepper with its memory sum formed directly,
+    every array in the float type ``real`` (its complex type for spectra
+    and complex fields): the body of :func:`evolve_linear_implicit_direct`
+    and :func:`evolve_linear_implicit_extended`."""
     def explicit(u):
         out = model.force(u)
         if model.interaction is not Interaction.IDENTITY:
             out = out + inv(sym * fwd(model.interaction_apply(u)))
         return out
 
+    cplx = np.promote_types(real, np.complex64)
     implicit = model.interaction is Interaction.IDENTITY
+    sym = np.asarray(sym, dtype=real)
     lin = sym if implicit else np.zeros_like(sym)
     no_force = model.potential is Potential.NONE and implicit
     n = state.time.n_steps
     dt = state.time.dt
-    u = state.history
+    u = np.zeros((n + 1, state.history.shape[1]),
+                 dtype=cplx if state.is_complex else real)
+    u[0] = state.level(0)
     uhat = fwd(u[0])
     if beta <= 1.0:
-        c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
+        c = real(g0 * dt ** (-beta) / math.gamma(2.0 - beta))
         w = l1_weights(beta, n)
         denom = c + lin
         has_memory = beta < 1.0
-        inc_hat = np.zeros((n, sym.shape[0]), dtype=complex)
+        inc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
         for j in range(n):
             hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
             rhs = c * (uhat - hist)
@@ -275,13 +294,13 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
             uhat = new_hat
     else:
         bp = beta - 1.0
-        cp = g0 * dt ** (-bp) / math.gamma(2.0 - bp)
+        cp = real(g0 * dt ** (-bp) / math.gamma(2.0 - bp))
         w = l1_weights(bp, n)
         first_denom = cp / dt + lin
         denom = cp / dt + 0.5 * lin
         has_memory = bp < 1.0
         dq_prev = fwd(state.initial_velocity.astype(u.dtype))
-        dinc_hat = np.zeros((n, sym.shape[0]), dtype=complex)
+        dinc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
         uhat_prev = None
         for j in range(n):
             rhs_force = 0.0
@@ -299,8 +318,56 @@ def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
             dinc_hat[j] = dq_new - dq_prev
             dq_prev = dq_new
             uhat_prev, uhat = uhat, new_hat
-    state.n_completed = n
-    return state
+    return u
+
+
+def _dft_extended(n, is_complex):
+    """``fwd, inv``: the DFT of length ``n`` and its inverse as products with
+    dense ``np.clongdouble`` matrices, on the modes of ``np.fft.fft`` for a
+    complex field and of ``np.fft.rfft`` for a real one, where ``inv`` sums
+    the Hermitian half spectrum as ``np.fft.irfft`` does (the imaginary
+    parts of the mean and Nyquist modes drop out)."""
+    ld = np.longdouble
+    modes = n if is_complex else n // 2 + 1
+    # angles 2 pi (j k mod n) / n, with pi in extended precision
+    theta = (8 * np.arctan(ld(1)) / n) * (
+        np.outer(np.arange(modes), np.arange(n)) % n).astype(ld)
+    fwd_mat = np.empty((modes, n), dtype=np.clongdouble)
+    fwd_mat.real, fwd_mat.imag = np.cos(theta), -np.sin(theta)
+    if is_complex:
+        inv_mat = fwd_mat.conj() / n
+        return (lambda v: fwd_mat @ v), (lambda v: v @ inv_mat)
+    weight = np.full(modes, 2, dtype=ld)
+    weight[0] = 1
+    if n % 2 == 0:
+        weight[-1] = 1
+    inv_mat = fwd_mat.conj() * (weight / n)[:, None]
+    return (lambda v: fwd_mat @ v), (lambda v: (v @ inv_mat).real)
+
+
+EXTENDED_PRECISION = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-16,
+    reason="np.longdouble is no wider than float64 on this platform, so the "
+           "extended-precision oracle would round as the library does")
+
+
+def evolve_linear_implicit_extended(state, beta, g0, model, sym):
+    """:func:`evolve_linear_implicit_direct` in ``np.longdouble``: the same
+    scheme, memory sum formed directly, with every level and spectrum in
+    extended precision and the transforms those of :func:`_dft_extended`
+    (``np.fft`` casts its input to double under NumPy 1.x).  It starts from
+    the same float64 ``c``, L1 weights and multipliers ``sym`` the library
+    uses, so it solves the same discrete equations with less rounding.
+    ``state`` is only read; returns its ``(n_steps + 1, points)`` levels,
+    ``np.longdouble`` for a real field and ``np.clongdouble`` for a complex
+    one.  Use it under :data:`EXTENDED_PRECISION`.  In (1, 2] it forms each
+    level from the previous two, so its own rounding grows like the square
+    of the step count: 3.9e-14 of max|u| after the 2,000 kink-pair steps of
+    ``test_second_order_stepper_keeps_its_digits_over_a_long_run``, against
+    the same scheme carried by increments in extended precision.
+    """
+    fwd, inv = _dft_extended(state.history.shape[1], state.is_complex)
+    return _direct_levels(state, beta, g0, model, sym, fwd, inv, np.longdouble)
 
 
 def l1_mode_levels_extended(u0, beta, dt, g0, sym, a, n):
