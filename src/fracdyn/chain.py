@@ -47,7 +47,8 @@ from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError
 from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
                      _evolve_linear_implicit, _transforms)
-from .grids import GridSpec, TimeGrid, validate_temporal_order
+from .grids import (GridSpec, TimeGrid, validate_spatial_order,
+                    validate_temporal_order)
 from .kernels import LatticeCoupling, renormalized_constant
 
 __all__ = [
@@ -65,7 +66,8 @@ MAX_KDX = 0.2     # largest k dx of the asymptotic regime continuum_limit_compar
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Ring of ``n_particles`` oscillators spaced ``dx`` apart.
+    """Ring of ``n_particles`` oscillators spaced ``dx`` apart, coupled with
+    exponent ``alpha`` in (0, 2].
 
     ``local`` supplies the on-site force ``F`` and the interaction
     composition ``f`` (its spatial terms must be empty: the chain's only
@@ -82,15 +84,14 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.n_particles < 8:
-            raise DomainError("need at least 8 particles")
+            raise DomainError("need at least 8 particles", key="n_particles")
         if self.dx <= 0:
-            raise DomainError("dx must be positive")
-        if self.alpha <= 0:
-            raise DomainError("coupling exponent alpha must be positive")
+            raise DomainError("dx must be positive", key="dx")
+        validate_spatial_order(self.alpha)
         validate_temporal_order(self.beta)
-        cutoff = self.cutoff
-        if cutoff < 1 or cutoff > self.n_particles // 2:
-            raise DomainError("coupling cutoff must lie in [1, n_particles/2]")
+        if not 1 <= self.cutoff <= self.n_particles // 2:
+            raise DomainError("coupling cutoff must lie in [1, n_particles/2]",
+                              key="cutoff")
         if self.local.spatial_terms:
             raise DomainError("chain local model must not carry spatial terms")
 
@@ -204,6 +205,35 @@ def _identity(v):
     return v
 
 
+def _check_compare(spec: ChainSpec, modes, fit_horizon):
+    """Reject what ``continuum_limit_compare`` cannot compare; returns the
+    modes as ints, their wavenumbers and the continuum constant."""
+    if spec.beta > 1.0:
+        raise DomainError("rate comparison requires beta <= 1", key="beta")
+    loc = spec.local
+    if loc.potential not in (Potential.NONE, Potential.GINZBURG_LANDAU):
+        raise DomainError("on-site force must be absent or linear",
+                          key="potential")
+    if loc.b != 0:
+        raise DomainError("on-site force must be linear (b = 0)", key="b")
+    if loc.interaction is not Interaction.IDENTITY:
+        raise DomainError("rate comparison requires f = identity",
+                          key="interaction")
+    if not fit_horizon > 0:
+        raise DomainError(f"fit_horizon must be positive, got {fit_horizon}",
+                          key="fit_horizon")
+    modes = [int(m) for m in modes]
+    nn = spec.n_particles
+    if not all(1 <= m <= nn // 2 for m in modes):
+        raise DomainError(f"modes must lie in [1, {nn // 2}], got {modes}",
+                          key="modes")
+    kvals = 2.0 * math.pi * np.asarray(modes) / (nn * spec.dx)
+    if np.any(kvals * spec.dx > MAX_KDX):
+        raise DomainError("requested modes leave the asymptotic regime "
+                          f"k dx <= {MAX_KDX}", key="modes")
+    return modes, kvals, renormalized_constant(spec.alpha, spec.g0, spec.dx)
+
+
 def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
                             fit_horizon=2.0):
     """Evolve lattice modes and compare their rates with the continuum law.
@@ -211,7 +241,7 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     ``modes`` are ring mode numbers in ``[1, n_particles // 2]``; each must
     satisfy ``k dx <= MAX_KDX`` (the asymptotic regime).  The on-site force
     must be absent or linear so the modes close on themselves.  Requires
-    ``beta <= 1`` (monotone amplitude).
+    ``beta <= 1`` (monotone amplitude) and ``fit_horizon > 0``.
     Reports, per mode: the fitted rate, the exact lattice rate, the continuum
     rate ``-g_alpha |k|^alpha - a``, and relative deviations; plus the
     least-squares exponent of ``|rate + a|`` against ``|k|``, NaN for a
@@ -229,25 +259,10 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     ``norm`` is in coefficient units, ``n_particles / 2`` times a cosine's
     amplitude.
     """
-    beta = spec.beta
-    if beta > 1.0:
-        raise DomainError("rate comparison requires beta <= 1")
-    loc = spec.local
-    if loc.potential not in (Potential.NONE, Potential.GINZBURG_LANDAU) or loc.b != 0:
-        raise DomainError("on-site force must be absent or linear")
-    if loc.interaction is not Interaction.IDENTITY:
-        raise DomainError("rate comparison requires f = identity")
-    modes = [int(m) for m in modes]
-    nn = spec.n_particles
-    if not all(1 <= m <= nn // 2 for m in modes):
-        raise DomainError(f"modes must lie in [1, {nn // 2}], got {modes}")
-    kvals = 2.0 * math.pi * np.asarray(modes) / (nn * spec.dx)
+    modes, kvals, g_alpha = _check_compare(spec, modes, fit_horizon)
+    beta, loc, nn = spec.beta, spec.local, spec.n_particles
     kdx = kvals * spec.dx
-    if np.any(kdx > MAX_KDX):
-        raise DomainError(f"requested modes leave the asymptotic regime k dx <= {MAX_KDX}")
-
     ring_sym = _ring_symbol(spec)
-    g_alpha = renormalized_constant(spec.alpha, spec.g0, spec.dx)
     a_lin = loc.a if loc.potential is Potential.GINZBURG_LANDAU else 0.0
     # per-mode linear rate -g0 (J^(k) - J^(0)) - a on rfft modes
     rates_lattice_all = -spec.g0 * ring_sym - a_lin

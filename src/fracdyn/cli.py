@@ -27,16 +27,18 @@ import numpy.random  # eager: NumPy 2 loads it on first use, inside a run
 
 from . import __version__
 from .analysis import dispersion_check
-from .chain import (MAX_KDX, ChainSpec, ChainState, continuum_limit_compare,
-                    evolve_chain)
+from .chain import (ChainSpec, ChainState, _check_compare,
+                    continuum_limit_compare, evolve_chain)
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
-                     evolve_field, evolve_sine_gordon, field_mass,
-                     nls_evolve, sine_gordon_energy, stationary_fgle_solve)
+                     _check_evolve_field, _check_sine_gordon,
+                     _check_stationary, evolve_field, evolve_sine_gordon,
+                     field_mass, nls_evolve, sine_gordon_energy,
+                     stationary_fgle_solve)
 from .fracops import (caputo_left_l1, mittag_leffler,
                       riesz_derivative_spectral)
-from .grids import GridSpec, TimeGrid
+from .grids import GridSpec, TimeGrid, validate_spatial_order
 from .kernels import MemoryKernel, memory_convolution
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
@@ -171,99 +173,106 @@ def _resolve_section(name, raw):
     return out
 
 
-def _validate_ranges(cfg: ExperimentConfig):
-    """Range checks that name the offending key."""
-    def check(cond, key, msg):
-        if not cond:
-            raise ConfigError(f"invalid '{key}': {msg}")
+def _invalid(section, key, value, reason):
+    return ConfigError(f"invalid '{key}': '{value}' in [{section}]: {reason}")
 
-    for sec in ("nls", "stationary", "sine_gordon", "chain"):
-        if sec in cfg.sections and "alpha" in cfg.sections[sec]:
-            a = cfg.sections[sec]["alpha"]
-            check(0.0 < a <= 2.0, "alpha", f"must be in (0, 2], got {a}")
-    if "model" in cfg.sections:
-        for order, _ in cfg.sections["model"]["spatial_terms"]:
-            check(0.0 < order <= 2.0, "spatial_terms",
-                  f"order must be in (0, 2], got {order}")
-    if "model" in cfg.sections:
-        fk = cfg.sections["model"]["field_kind"]
-        check(fk in ("real", "complex"), "field_kind",
-              f"'{fk}' in [model] is not one of real, complex")
-        g0 = cfg.sections["model"]["g0"]
-        check(g0 != 0, "g0", f"'{g0}' in [model] must be nonzero for time "
-              "stepping")
-    for sec in ("model", "chain"):
-        if sec in cfg.sections:
-            beta = cfg.sections[sec]["beta"]
-            check(0.0 < beta <= 2.0, "beta", f"must be in (0, 2], got {beta}")
-            for key, enum_type in (("potential", Potential),
-                                   ("interaction", Interaction)):
-                allowed = [e.value for e in enum_type]
-                value = cfg.sections[sec][key]
-                check(value in allowed, key,
-                      f"'{value}' in [{sec}] is not one of {', '.join(allowed)}")
-    if cfg.kind == "continuum_compare":
-        # what continuum_limit_compare and renormalized_constant accept
-        ch = cfg.sections["chain"]
-        check(1.0 < ch["alpha"] < 2.0, "alpha", f"'{ch['alpha']}' in [chain] "
-              "is outside (1, 2), where the continuum constant is defined")
-        check(ch["beta"] <= 1.0, "beta", f"'{ch['beta']}' in [chain] is above "
-              "1; rate comparison needs a monotone amplitude")
-        check(ch["potential"] in ("none", "ginzburg_landau"), "potential",
-              f"'{ch['potential']}' in [chain] is nonlinear; rate comparison "
-              "needs none or ginzburg_landau with b = 0")
-        check(ch["b"] == 0, "b", f"'{ch['b']}' in [chain] makes the on-site "
-              "force nonlinear; rate comparison needs b = 0")
-        check(ch["interaction"] == "identity", "interaction",
-              f"'{ch['interaction']}' in [chain] is nonlinear; rate "
-              "comparison needs identity")
-    if "initial" in cfg.sections:
-        kind = cfg.sections["initial"]["kind"]
-        check(kind in INITIAL_KINDS, "kind",
-              f"'{kind}' in [initial] is not one of {', '.join(INITIAL_KINDS)}")
-        check(kind != "plane_wave" or cfg.kind == "nls"
-              or cfg.section("model").get("field_kind") == "complex", "kind",
-              "'plane_wave' in [initial] needs a complex field")
-    if "sine_gordon" in cfg.sections:
-        bp1 = cfg.sections["sine_gordon"]["beta_plus_one"]
-        check(1.0 < bp1 <= 2.0, "beta_plus_one", f"must be in (1, 2], got {bp1}")
-        v = cfg.sections["sine_gordon"]["velocity"]
-        check(abs(v) < 1.0, "velocity", "kink velocity must satisfy |v| < 1")
-    if "grid" in cfg.sections:
-        check(cfg.sections["grid"]["n_points"] >= 2, "n_points", "need >= 2")
-        check(cfg.sections["grid"]["length"] > 0, "length", "must be positive")
-    if "time" in cfg.sections:
-        check(cfg.sections["time"]["dt"] > 0, "dt", "must be positive")
-        check(cfg.sections["time"]["n_steps"] >= 1, "n_steps", "need >= 1")
-    if "output" in cfg.sections:
-        every = cfg.sections["output"]["snapshot_every"]
-        check(every >= 0, "snapshot_every", f"need >= 0, got {every}")
-    if "stationary" in cfg.sections:
-        st = cfg.sections["stationary"]
-        check(st["tol"] > 0, "tol", f"must be positive, got {st['tol']}")
-        check(st["max_iter"] >= 1, "max_iter", f"need >= 1, got {st['max_iter']}")
-        check(st["a"] != 0 or st["b"] != 0, "a", f"'{st['a']}' in "
-              "[stationary] with b = 0 leaves the equation no local force")
-    if "compare" in cfg.sections:
-        n = cfg.sections["chain"]["n_particles"]
-        for m in cfg.sections["compare"]["modes"]:
-            check(1 <= m <= n // 2, "modes",
-                  f"ring mode {m} is not in [1, n_particles // 2 = {n // 2}]")
-            kdx = 2.0 * math.pi * m / n
-            check(kdx <= MAX_KDX, "modes",
-                  f"ring mode {m} has k dx = {kdx:.4g}, outside the asymptotic "
-                  f"regime k dx <= {MAX_KDX}")
-    for sec in ("compare", "dispersion"):
-        if sec in cfg.sections:
-            modes = cfg.sections[sec]["modes"]
-            check(modes, "modes", f"[{sec}] lists no mode")
-            check(len(set(modes)) == len(modes), "modes",
-                  f"[{sec}] lists a mode twice: {modes}")
-    if "dispersion" in cfg.sections:
-        n = cfg.sections["grid"]["n_points"]
-        for m in cfg.sections["dispersion"]["modes"]:
-            check(abs(m) < n / 2, "modes",
-                  f"grid mode {m} does not satisfy |m| < n_points / 2 = {n / 2:g}")
+
+def _checked(cfg, section, key, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ``DomainError`` turned into a
+    ``ConfigError`` for the config key the error names or, when no section
+    of ``cfg`` has that key, for ``key`` of ``section``, the value the call
+    was made from."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        for name, sec in cfg.sections.items():
+            if exc.key in sec:
+                section, key = name, exc.key
+                break
+        raise _invalid(section, key, cfg.sections[section][key], exc) from exc
+
+
+def _choice(section, sec, key, enum_type):
+    try:
+        return enum_type(sec[key])
+    except ValueError:
+        allowed = ", ".join(e.value for e in enum_type)
+        raise _invalid(section, key, sec[key], f"not one of {allowed}") from None
+
+
+def _local_model(section, sec, **kw):
+    """The on-site force and interaction of ``[model]`` or ``[chain]``."""
+    return ModelSpec(a=sec["a"], b=sec["b"],
+                     potential=_choice(section, sec, "potential", Potential),
+                     interaction=_choice(section, sec, "interaction", Interaction),
+                     interaction_mix=sec["interaction_mix"], **kw)
+
+
+def _build(cfg: ExperimentConfig):
+    """Build what ``cfg``'s run uses through the library's own checks, and
+    check the rules only the runner states.  Returns the ``GridSpec``,
+    ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run has, by section."""
+    s = cfg.sections
+    specs = {}
+    if "grid" in s:
+        specs["grid"] = _checked(cfg, "grid", "length", GridSpec,
+                                 s["grid"]["n_points"], s["grid"]["length"])
+    if "time" in s:
+        specs["time"] = _checked(cfg, "time", "dt", TimeGrid,
+                                 s["time"]["n_steps"], s["time"]["dt"])
+    if "model" in s:
+        m = s["model"]
+        specs["model"] = _checked(
+            cfg, "model", "spatial_terms", _local_model, "model", m, g0=m["g0"],
+            spatial_terms=tuple(map(tuple, m["spatial_terms"])),
+            field_kind=m["field_kind"])
+        _checked(cfg, "model", "beta", _check_evolve_field, specs["model"],
+                 m["beta"])
+    if "chain" in s:
+        c = s["chain"]
+        specs["chain"] = _checked(
+            cfg, "chain", "alpha", ChainSpec, c["n_particles"], c["dx"],
+            c["alpha"], c["g0"], c["beta"], c["cutoff"],
+            _local_model("chain", c))
+    if "compare" in s:
+        _checked(cfg, "compare", "modes", _check_compare, specs["chain"],
+                 s["compare"]["modes"], s["compare"]["fit_horizon"])
+    for name in ("nls", "sine_gordon"):
+        if name in s:
+            _checked(cfg, name, "alpha", validate_spatial_order, s[name]["alpha"])
+    if "sine_gordon" in s:
+        sg = s["sine_gordon"]
+        _checked(cfg, "sine_gordon", "beta_plus_one", _check_sine_gordon,
+                 sg["beta_plus_one"])
+        if not abs(sg["velocity"]) < 1.0:
+            raise _invalid("sine_gordon", "velocity", sg["velocity"],
+                           "kink velocity must satisfy |v| < 1")
+    if "stationary" in s:
+        st = s["stationary"]
+        _checked(cfg, "stationary", "alpha", _check_stationary, st["alpha"],
+                 st["a"], st["b"], st["tol"], st["max_iter"])
+    if "initial" in s:
+        kind = s["initial"]["kind"]
+        if kind not in INITIAL_KINDS:
+            raise _invalid("initial", "kind", kind,
+                           f"not one of {', '.join(INITIAL_KINDS)}")
+        if kind == "plane_wave" and cfg.kind != "nls" \
+                and s.get("model", {}).get("field_kind") != "complex":
+            raise _invalid("initial", "kind", kind, "needs a complex field")
+    if "output" in s and s["output"]["snapshot_every"] < 0:
+        raise ConfigError(f"invalid 'snapshot_every': need >= 0, got "
+                          f"{s['output']['snapshot_every']}")
+    for name in ("compare", "dispersion"):
+        modes = s.get(name, {}).get("modes")
+        if modes is not None and (not modes or len(set(modes)) < len(modes)):
+            raise _invalid(name, "modes", modes,
+                           "needs at least one mode and no mode twice")
+    if "dispersion" in s:
+        n = s["grid"]["n_points"]
+        if not all(abs(m) < n / 2 for m in s["dispersion"]["modes"]):
+            raise _invalid("dispersion", "modes", s["dispersion"]["modes"],
+                           f"grid modes need |m| < n_points / 2 = {n / 2:g}")
+    return specs
 
 
 def load_config(path, kind=None, seed=None):
@@ -305,7 +314,7 @@ def load_config(path, kind=None, seed=None):
     cfg = ExperimentConfig(kind=exp["kind"],
                            seed=exp["seed"] if seed is None else int(seed),
                            sections=sections)
-    _validate_ranges(cfg)
+    _build(cfg)
     return cfg
 
 
@@ -362,20 +371,9 @@ def read_metadata(path):
 
 # ---------------------------------------------------------------- builders
 
-def _build_model(sec):
-    return ModelSpec(
-        g0=sec["g0"],
-        spatial_terms=tuple((o, c) for o, c in sec["spatial_terms"]),
-        a=sec["a"], b=sec["b"], potential=Potential(sec["potential"]),
-        interaction=Interaction(sec["interaction"]),
-        interaction_mix=sec["interaction_mix"], field_kind=sec["field_kind"])
-
-
 def _initial_field(sec, grid, rng, complex_field=False):
     x = grid.x
     kind = sec["kind"]
-    if kind not in INITIAL_KINDS:
-        raise ConfigError(f"unknown initial kind '{kind}'")
     amp, mode = sec["amplitude"], sec["mode"]
     if kind == "cosine":
         u0 = amp * np.cos(2 * np.pi * mode * np.arange(grid.n_points)
@@ -393,11 +391,7 @@ def _initial_field(sec, grid, rng, complex_field=False):
     else:  # pulse
         c = grid.length / 2
         u0 = amp / np.cosh((x - c) / sec["width"])
-    if complex_field:
-        return u0.astype(complex)
-    if np.iscomplexobj(u0):
-        raise ConfigError(f"initial kind '{kind}' produces a complex field")
-    return u0
+    return u0.astype(complex) if complex_field else u0
 
 
 def _snapshot_observer(cfg, state):
@@ -426,35 +420,22 @@ def _write_snapshots(path, state, kept):
         for j in sorted(kept)))
 
 
-def _grid(cfg):
-    g = cfg.section("grid")
-    return GridSpec(g["n_points"], g["length"])
-
-
-def _time_grid(cfg):
-    t = cfg.section("time")
-    return TimeGrid(t["n_steps"], t["dt"])
-
-
 # ---------------------------------------------------------------- runners
 
-def _run_evolve_field(cfg, outdir, rng):
-    grid = _grid(cfg)
-    model = _build_model(cfg.section("model"))
-    beta = cfg.section("model")["beta"]
+def _run_evolve_field(cfg, specs, outdir, rng):
+    grid, model = specs["grid"], specs["model"]
     u0 = _initial_field(cfg.section("initial"), grid, rng,
                         complex_field=model.field_kind == "complex")
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    state = FieldState.from_initial(grid, specs["time"], u0, rows=2)
     observe, kept = _snapshot_observer(cfg, state)
-    evolve_field(model, state, beta, observe)
+    evolve_field(model, state, cfg.section("model")["beta"], observe)
     _write_snapshots(outdir / "snapshots.csv", state, kept)
     return {"final_sup_norm": float(np.max(np.abs(state.current()))),
             "steps": state.n_completed, "passed": True}
 
 
-def _run_sine_gordon(cfg, outdir, rng):
-    grid = _grid(cfg)
-    time = _time_grid(cfg)
+def _run_sine_gordon(cfg, specs, outdir, rng):
+    grid, time = specs["grid"], specs["time"]
     sg = cfg.section("sine_gordon")
     alpha, bp1, v = sg["alpha"], sg["beta_plus_one"], sg["velocity"]
     L = grid.length
@@ -491,11 +472,11 @@ def _run_sine_gordon(cfg, outdir, rng):
     return summary
 
 
-def _run_nls(cfg, outdir, rng):
-    grid = _grid(cfg)
+def _run_nls(cfg, specs, outdir, rng):
+    grid = specs["grid"]
     p = cfg.section("nls")
     u0 = _initial_field(cfg.section("initial"), grid, rng, complex_field=True)
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    state = FieldState.from_initial(grid, specs["time"], u0, rows=2)
     m0 = field_mass(state.level(0), grid)
     observe, kept = _snapshot_observer(cfg, state)
     nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"], observe)
@@ -507,8 +488,8 @@ def _run_nls(cfg, outdir, rng):
             * max(1, state.n_completed / 1000)}
 
 
-def _run_stationary(cfg, outdir, rng):
-    grid = _grid(cfg)
+def _run_stationary(cfg, specs, outdir, rng):
+    grid = specs["grid"]
     p = cfg.section("stationary")
     guess = _initial_field(cfg.section("initial"), grid, rng)
     result = stationary_fgle_solve(grid, p["alpha"], p["g"], p["a"], p["b"],
@@ -525,20 +506,10 @@ def _run_stationary(cfg, outdir, rng):
             "converged": result.converged, "passed": result.converged}
 
 
-def _build_chain(sec):
-    local = ModelSpec(a=sec["a"], b=sec["b"],
-                      potential=Potential(sec["potential"]),
-                      interaction=Interaction(sec["interaction"]),
-                      interaction_mix=sec["interaction_mix"])
-    return ChainSpec(n_particles=sec["n_particles"], dx=sec["dx"],
-                     alpha=sec["alpha"], g0=sec["g0"], beta=sec["beta"],
-                     coupling_cutoff=sec["cutoff"], local=local)
-
-
-def _run_chain(cfg, outdir, rng):
-    spec = _build_chain(cfg.section("chain"))
+def _run_chain(cfg, specs, outdir, rng):
+    spec = specs["chain"]
     u0 = _initial_field(cfg.section("initial"), spec.grid, rng)
-    state = ChainState.from_chain(spec, _time_grid(cfg), u0, rows=2)
+    state = ChainState.from_chain(spec, specs["time"], u0, rows=2)
     observe, kept = _snapshot_observer(cfg, state)
     evolve_chain(spec, state, observe)
     _write_snapshots(outdir / "trajectory.csv", state, kept)
@@ -546,12 +517,10 @@ def _run_chain(cfg, outdir, rng):
             "steps": state.n_completed, "passed": True}
 
 
-def _run_continuum_compare(cfg, outdir, rng):
-    spec = _build_chain(cfg.section("chain"))
-    tsec = cfg.section("time")
-    comp = cfg.section("compare")
-    report = continuum_limit_compare(spec, comp["modes"], tsec["dt"],
-                                     tsec["n_steps"],
+def _run_continuum_compare(cfg, specs, outdir, rng):
+    time, comp = specs["time"], cfg.section("compare")
+    report = continuum_limit_compare(specs["chain"], comp["modes"], time.dt,
+                                     time.n_steps,
                                      fit_horizon=comp["fit_horizon"])
     write_json(outdir / "report.json", report.to_dict())
     worst = max(report.deviation_vs_continuum)
@@ -560,15 +529,15 @@ def _run_continuum_compare(cfg, outdir, rng):
             "passed": worst < cfg.section("tolerances")["rate_deviation"]}
 
 
-def _run_dispersion(cfg, outdir, rng):
-    grid = _grid(cfg)
+def _run_dispersion(cfg, specs, outdir, rng):
+    grid = specs["grid"]
     p = cfg.section("nls")
     modes = cfg.section("dispersion")["modes"]
     x = grid.x
     u0 = np.zeros(grid.n_points, dtype=complex)
     for m in modes:
         u0 += np.exp(1j * (2 * np.pi * m / grid.length) * x)
-    state = FieldState.from_initial(grid, _time_grid(cfg), u0, rows=2)
+    state = FieldState.from_initial(grid, specs["time"], u0, rows=2)
     series = np.empty((state.time.n_steps + 1, len(modes)), dtype=complex)
 
     def observe(j, u):
@@ -588,7 +557,7 @@ def _run_dispersion(cfg, outdir, rng):
             and (math.isnan(slope) or abs(slope - p["alpha"]) < 0.02)}
 
 
-def _run_selftest(cfg, outdir, rng):
+def _run_selftest(cfg, specs, outdir, rng):
     checks = {}
     grid = GridSpec(128, 2 * np.pi)
     x = grid.x
@@ -647,12 +616,14 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, outdir):
-    """Execute an experiment; returns the summary dict."""
+    """Execute an experiment; returns the summary dict.  ``cfg`` is checked
+    again, as ``load_config`` checks it, before any file is written."""
+    specs = _build(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_metadata(outdir, cfg)
     rng = np.random.default_rng(cfg.seed)
-    summary = _RUNNERS[cfg.kind](cfg, outdir, rng)
+    summary = _RUNNERS[cfg.kind](cfg, specs, outdir, rng)
     write_json(outdir / "summary.json", summary)
     return summary
 

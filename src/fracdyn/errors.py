@@ -6,7 +6,14 @@ class FracdynError(Exception):
 
 
 class DomainError(FracdynError, ValueError):
-    """An argument lies outside the admissible range of an operator."""
+    """An argument lies outside the admissible range of an operator.
+
+    ``key``, when known, names the argument whose rule failed.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConvergenceError(FracdynError):

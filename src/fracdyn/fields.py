@@ -152,7 +152,8 @@ class ModelSpec:
         for order, _ in self.spatial_terms:
             validate_spatial_order(order)
         if self.field_kind not in ("real", "complex"):
-            raise DomainError("field_kind must be 'real' or 'complex'")
+            raise DomainError("field_kind must be 'real' or 'complex'",
+                              key="field_kind")
 
     def force(self, u):
         """On-site force ``F(u) = dU/du``."""
@@ -315,15 +316,21 @@ def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     ``residual``.  ``observe(j, u)``, if given, sees
     every new level ``j >= 1`` once, in order, after its blow-up guard.
     """
-    beta = validate_temporal_order(beta)
-    if model.g0 == 0:
-        raise DomainError("g0 must be nonzero for time stepping")
-    if model.g0_prime != 0:
-        raise DomainError("right-derivative weight g0_prime is acausal in forward "
-                          "stepping; evaluate it with residual() instead")
+    beta = _check_evolve_field(model, beta)
     k, fwd, inv = _transforms(state)
     return _evolve_linear_implicit(state, beta, model.g0, model,
                                    model.spatial_symbol(k), fwd, inv, observe)
+
+
+def _check_evolve_field(model, beta):
+    """Reject what ``evolve_field`` cannot step; returns ``beta``."""
+    beta = validate_temporal_order(beta)
+    if model.g0 == 0:
+        raise DomainError("g0 must be nonzero for time stepping", key="g0")
+    if model.g0_prime != 0:
+        raise DomainError("right-derivative weight g0_prime is acausal in forward "
+                          "stepping; evaluate it with residual() instead")
+    return beta
 
 
 def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
@@ -514,10 +521,16 @@ def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one, observe=None):
     second-order implicit wave stepper.  ``observe`` is passed to
     :func:`evolve_field`.
     """
-    if not 1.0 < beta_plus_one <= 2.0:
-        raise DomainError("sine-Gordon stepping needs temporal order in (1, 2]")
+    _check_sine_gordon(beta_plus_one)
     return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one,
                         observe)
+
+
+def _check_sine_gordon(beta_plus_one):
+    """Reject a temporal order ``evolve_sine_gordon`` cannot step."""
+    if not 1.0 < beta_plus_one <= 2.0:
+        raise DomainError("sine-Gordon stepping needs temporal order in (1, 2]",
+                          key="beta_plus_one")
 
 
 def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
@@ -643,6 +656,19 @@ def _gmres(matvec, b, rtol, atol, restart, max_cycles):
     return x, iters, rnorm <= target
 
 
+def _check_stationary(alpha, a, b, tol, max_iter):
+    """Reject what ``stationary_fgle_solve`` cannot solve; returns ``alpha``."""
+    alpha = validate_spatial_order(alpha)
+    if a == 0 and b == 0:
+        raise DomainError("need a != 0 or b != 0", key="a")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}", key="tol")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}",
+                          key="max_iter")
+    return alpha
+
+
 def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
                           tol=1e-10, max_iter=100):
     """Damped Newton-Krylov solve of ``g Riesz_alpha u + a u + b u^3 = 0``.
@@ -671,13 +697,9 @@ def stationary_fgle_solve(grid: GridSpec, alpha, g, a, b, initial_guess,
     result rather than raised; a GMRES solve that misses its tolerance
     raises ``ConvergenceError`` naming the Newton iteration, with the
     achieved relative Krylov residual as ``estimate``.  ``tol`` must be
-    positive.
+    positive and ``max_iter`` at least 1.
     """
-    alpha = validate_spatial_order(alpha)
-    if a == 0 and b == 0:
-        raise DomainError("need a != 0 or b != 0")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    alpha = _check_stationary(alpha, a, b, tol, max_iter)
     u = np.asarray(initial_guess, dtype=float).copy()
     if u.shape != (grid.n_points,):
         raise DomainError("initial guess does not match the grid")

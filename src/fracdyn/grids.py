@@ -26,10 +26,11 @@ def validate_spatial_order(alpha, *, real_space=False):
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"spatial order alpha must be in (0, 2], got {alpha}")
+        raise DomainError(f"spatial order alpha must be in (0, 2], got {alpha}",
+                          key="alpha")
     if real_space and alpha == 1.0:
         raise DomainError("alpha = 1 is excluded for the real-space kernel "
-                          "(cos(pi*alpha/2) vanishes)")
+                          "(cos(pi*alpha/2) vanishes)", key="alpha")
     return alpha
 
 
@@ -42,7 +43,8 @@ def validate_temporal_order(beta, *, allow_high=True):
     beta = float(beta)
     hi = 2.0 if allow_high else 1.0
     if not 0.0 < beta <= hi:
-        raise DomainError(f"temporal order beta must be in (0, {hi:g}], got {beta}")
+        raise DomainError(f"temporal order beta must be in (0, {hi:g}], got {beta}",
+                          key="beta")
     return beta
 
 
@@ -55,11 +57,13 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise DomainError("grid needs at least 2 points")
+            raise DomainError("grid needs at least 2 points", key="n_points")
         if not np.isfinite(self.length) or self.length <= 0:
-            raise DomainError("grid length must be positive and finite")
+            raise DomainError("grid length must be positive and finite",
+                              key="length")
         if abs(self.dx * self.n_points - self.length) > 8 * np.finfo(float).eps * self.length:
-            raise DomainError("dx * n_points must equal length to machine precision")
+            raise DomainError("dx * n_points must equal length to machine "
+                              "precision", key="length")
 
     @property
     def dx(self):
@@ -90,9 +94,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise DomainError("time grid needs at least 1 step")
+            raise DomainError("time grid needs at least 1 step", key="n_steps")
         if not np.isfinite(self.dt) or self.dt <= 0:
-            raise DomainError("dt must be positive and finite")
+            raise DomainError("dt must be positive and finite", key="dt")
 
     @property
     def t(self):

@@ -121,7 +121,8 @@ def renormalized_constant(alpha, g0, dx):
     """
     alpha = float(alpha)
     if not 1.0 < alpha < 2.0:
-        raise DomainError(f"renormalized constant requires alpha in (1, 2), got {alpha}")
+        raise DomainError("renormalized constant requires alpha in (1, 2), "
+                          f"got {alpha}", key="alpha")
     if dx <= 0:
-        raise DomainError("dx must be positive")
+        raise DomainError("dx must be positive", key="dx")
     return 2.0 * g0 * dx ** alpha * math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)

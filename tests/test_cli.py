@@ -16,7 +16,8 @@ import fracdyn
 from fracdyn import cli
 from fracdyn.analysis import dispersion_check
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
-                         main, read_metadata, run, write_csv, write_json)
+                         main, read_metadata, run, write_csv, write_json,
+                         write_metadata)
 from fracdyn.errors import ConfigError
 from fracdyn.fields import FieldState, nls_evolve
 from fracdyn.grids import GridSpec, TimeGrid
@@ -151,6 +152,24 @@ amplitude = 1.0
 width = 1.0
 """
 
+SINE_GORDON_CONFIG = """
+[experiment]
+kind = sine_gordon
+
+[grid]
+n_points = 64
+length = 40.0
+
+[time]
+dt = 0.05
+n_steps = 20
+
+[sine_gordon]
+alpha = 2.0
+beta_plus_one = 2.0
+velocity = 0.2
+"""
+
 SELFTEST_CONFIG = """
 [experiment]
 kind = operator_selftest
@@ -189,7 +208,7 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_alpha_out_of_range_names_key(tmp_path):
     bad = NLS_CONFIG.replace("alpha = 1.5", "alpha = 3")
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ConfigError, match=r"invalid 'alpha': '3.0' in \[nls\]"):
         load_config(_write(tmp_path, bad))
 
 
@@ -222,10 +241,49 @@ def test_alpha_out_of_range_names_key(tmp_path):
     ("continuum_compare", COMPARE_CONFIG.format(modes="2,4").replace(
         "beta = 1.0", "beta = 1.0\ninteraction = square"),
      "interaction", "square"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4")
+     + "fit_horizon = -5\n", "fit_horizon", "-5.0"),
+    ("continuum_compare", COMPARE_CONFIG.format(modes="2,4")
+     + "fit_horizon = 0\n", "fit_horizon", "0.0"),
+    # the library's ChainSpec rules, which a copy in the runner once missed
+    ("chain", CHAIN_CONFIG + "cutoff = 100\n", "cutoff", "100"),
+    ("chain", CHAIN_CONFIG.replace("n_particles = 32", "n_particles = 4"),
+     "n_particles", "4"),
+    ("chain", CHAIN_CONFIG + "dx = -1.0\n", "dx", "-1.0"),
+    ("chain", CHAIN_CONFIG + "beta = 0\n", "beta", "0.0"),
+    ("evolve_field", EVOLVE_CONFIG.replace("n_points = 64", "n_points = 1"),
+     "n_points", "1"),
+    ("evolve_field", EVOLVE_CONFIG.replace("length = 6.283185307179586",
+                                           "length = 0"), "length", "0.0"),
+    ("evolve_field", EVOLVE_CONFIG.replace("dt = 0.001", "dt = 0"), "dt",
+     "0.0"),
+    ("evolve_field", EVOLVE_CONFIG.replace("n_steps = 200", "n_steps = 0"),
+     "n_steps", "0"),
+    ("evolve_field", EVOLVE_CONFIG.replace("beta = 0.8", "beta = 2.5"),
+     "beta", "2.5"),
+    # a spatial order fails validate_spatial_order's 'alpha', which [model]
+    # states as spatial_terms
+    ("evolve_field", EVOLVE_CONFIG.replace("spatial_terms = 1.5:0.5",
+                                           "spatial_terms = 2.5:1"),
+     "spatial_terms", r"\[\[2.5, 1.0\]\]"),
+    ("sine_gordon", SINE_GORDON_CONFIG.replace("beta_plus_one = 2.0",
+                                               "beta_plus_one = 1.0"),
+     "beta_plus_one", "1.0"),
+    ("sine_gordon", SINE_GORDON_CONFIG.replace("velocity = 0.2",
+                                               "velocity = 1.0"),
+     "velocity", "1.0"),
+    ("stationary_fgle", STATIONARY_CONFIG.replace("alpha = 1.5", "alpha = 3"),
+     "alpha", "3.0"),
 ], ids=["model-bogus", "model-custom", "model-cubic", "chain-custom",
         "chain-cubic", "model-g0-zero", "stationary-no-force",
         "compare-alpha-2", "compare-beta-above-1", "compare-sine-gordon",
-        "compare-cubic-force", "compare-square"])
+        "compare-cubic-force", "compare-square", "compare-fit-horizon-negative",
+        "compare-fit-horizon-zero", "chain-cutoff-above-half",
+        "chain-4-particles", "chain-dx-negative", "chain-beta-zero",
+        "grid-1-point", "grid-length-zero", "time-dt-zero", "time-no-step",
+        "model-beta-above-2", "model-spatial-order-above-2",
+        "sine-gordon-order-1", "sine-gordon-velocity-1",
+        "stationary-alpha-3"])
 def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
     cfgp = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=f"invalid '{key}': '{value}'"):
@@ -233,6 +291,33 @@ def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
     out = tmp_path / "out"
     assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "metadata.json").exists()
+
+
+def test_run_checks_before_writing(tmp_path):
+    # a replayed config edited past a library rule fails in run() before
+    # the output directory is made
+    first = tmp_path / "first"
+    run(load_config(_write(tmp_path, CHAIN_CONFIG)), first)
+    cfg = read_metadata(first / "metadata.json")
+    cfg.sections["chain"]["cutoff"] = 100
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"invalid 'cutoff': '100' in \[chain\]"):
+        run(cfg, out)
+    assert not out.exists()
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["gl_relaxation", "sine_gordon_kink",
+                                  "chain_continuum"])
+def test_shipped_configs_resolve_to_golden_metadata(tmp_path, name):
+    # the resolved config of each shipped config, every default filled in,
+    # is pinned byte for byte
+    write_metadata(tmp_path, load_config(_CONFIGS / f"{name}.ini"))
+    assert (tmp_path / "metadata.json").read_bytes() \
+        == (_GOLDEN / f"{name}.metadata.json").read_bytes()
 
 
 def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,
@@ -813,19 +898,6 @@ print(sorted(m for m in set(sys.modules) - before
              if m.split(".")[0] in ("numpy", "scipy")))
 """
 
-_SG_SMALL_CONFIG = """
-[experiment]
-kind = sine_gordon
-
-[grid]
-n_points = 64
-length = 40.0
-
-[time]
-dt = 0.05
-n_steps = 20
-"""
-
 # beta < 1 takes the least-squares rate fit, and a fit horizon of 20 rate
 # times reaches Mittag-Leffler arguments beyond the series radius (the
 # quadrature path)
@@ -853,7 +925,7 @@ rate_deviation = 1.0
 
 _CONFIG_BY_KIND = {
     "evolve_field": EVOLVE_CONFIG,
-    "sine_gordon": _SG_SMALL_CONFIG,
+    "sine_gordon": SINE_GORDON_CONFIG,
     "nls": NLS_CONFIG,
     "stationary_fgle": STATIONARY_CONFIG,
     "chain": CHAIN_CONFIG,

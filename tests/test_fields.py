@@ -895,6 +895,14 @@ def test_stationary_rejects_nonpositive_tol():
             stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess, tol=tol)
 
 
+def test_stationary_rejects_no_iteration():
+    # max_iter = 0 once returned an unconverged result of 0 iterations
+    grid, guess = _fractional_pulse()
+    with pytest.raises(DomainError, match="max_iter") as exc:
+        stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0, guess, max_iter=0)
+    assert exc.value.key == "max_iter"
+
+
 def test_stationary_reports_non_convergence():
     grid = GridSpec(32, TWO_PI)
     res = stationary_fgle_solve(grid, 1.5, 1.0, -1.0, 1.0,
