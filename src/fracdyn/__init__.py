@@ -7,17 +7,15 @@ from .grids import GridSpec, TimeGrid
 from .fracops import (caputo_left_l1, caputo_right_l1, l1_weights,
                       mittag_leffler, riemann_liouville_left,
                       riesz_derivative_spectral)
-from .kernels import (LatticeCoupling, MemoryKernel, memory_convolution,
-                      renormalized_constant)
+from .kernels import MemoryKernel, memory_convolution, renormalized_constant
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      StationaryResult, evolve_field, evolve_sine_gordon,
                      field_mass, free_energy, free_energy_gradient,
                      nls_evolve, nls_linear_mode_evolution, residual,
                      sine_gordon_energy, stationary_fgle_solve,
                      stationary_residual)
-from .chain import (ChainContinuumReport, ChainSpec, ChainState,
-                    continuum_limit_compare, evolve_chain,
-                    interaction_sum_fft)
+from .chain import (ChainContinuumReport, ChainSpec, continuum_limit_compare,
+                    evolve_chain, interaction_sum_fft)
 from .analysis import DispersionReport, dispersion_check
 
 __version__ = "0.1.0"

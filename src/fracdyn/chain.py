@@ -6,13 +6,15 @@ The equation of motion is
 
     D^beta_t u_n + g0 * sum_{m != n} J(|n - m|) [f(u_m) - f(u_n)] + F(u_n) = 0
 
-with ``J(d) = 1/d^(alpha+1)`` on minimal-image ring distances.  The coupling
-sum is a circular convolution and is evaluated by FFT in O(N log N); the
-tests check it against a direct O(N^2) pair sum in ``tests/oracles.py``.
-Only the kinetic term carries memory; the interaction acts at equal times.
-In mode space the chain is the field equation of ``fields.evolve_field``
-with spatial multiplier ``g0 (J^(k) - J^(0))`` and time coefficient 1, and
-it is advanced by the same stepper.
+with ``J(d) = 1/d^(alpha+1)`` on minimal-image ring distances up to the
+coupling cutoff.  The coupling sum is a circular convolution and is
+evaluated by FFT in O(N log N); the tests check it against a direct O(N^2)
+pair sum in ``tests/oracles.py``.  Only the kinetic term carries memory;
+the interaction acts at equal times.  In mode space the chain is the field
+equation of ``fields.evolve_field`` with spatial multiplier
+``g0 (J^(k) - J^(0))`` and time coefficient 1: its state is a real
+``fields.FieldState`` on the ring's grid (``ChainSpec.grid``), advanced by
+the same stepper.
 
 For a single lattice mode the linear equation closes exactly:
 
@@ -49,11 +51,10 @@ from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
                      _evolve_linear_implicit, _transforms)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
-from .kernels import LatticeCoupling, renormalized_constant
+from .kernels import renormalized_constant
 
 __all__ = [
     "ChainSpec",
-    "ChainState",
     "evolve_chain",
     "interaction_sum_fft",
     "continuum_limit_compare",
@@ -70,8 +71,9 @@ class ChainSpec:
     exponent ``alpha`` in (0, 2].
 
     ``local`` supplies the on-site force ``F`` and the interaction
-    composition ``f`` (its spatial terms must be empty: the chain's only
-    spatial coupling is ``J``).
+    composition ``f``, and nothing else: its spatial terms must be empty
+    (the chain's only spatial coupling is ``J``), its ``g0`` 1 and its
+    ``g0_prime`` 0 (the chain's time coefficient is 1).
     """
 
     n_particles: int
@@ -94,6 +96,9 @@ class ChainSpec:
                               key="cutoff")
         if self.local.spatial_terms:
             raise DomainError("chain local model must not carry spatial terms")
+        if self.local.g0 != 1.0 or self.local.g0_prime != 0.0:
+            raise DomainError("chain local model must keep g0 = 1 and "
+                              "g0_prime = 0: the chain's time coefficient is 1")
 
     @property
     def cutoff(self):
@@ -103,27 +108,19 @@ class ChainSpec:
     def grid(self):
         return GridSpec(self.n_particles, self.n_particles * self.dx)
 
-    @property
-    def coupling(self):
-        return LatticeCoupling(alpha=self.alpha, cutoff=self.cutoff)
-
-    def ring_kernel(self):
-        return self.coupling.ring_kernel(self.n_particles)
-
-
-class ChainState(FieldState):
-    """Particle displacement history; the grid is the periodic ring."""
-
-    @classmethod
-    def from_chain(cls, spec: ChainSpec, time: TimeGrid, u0, initial_velocity=None,
-                   rows=None):
-        return cls.from_initial(spec.grid, time, np.asarray(u0, dtype=float),
-                                initial_velocity=initial_velocity, rows=rows)
-
 
 def _ring_symbol(spec: ChainSpec):
-    """Ring coupling increment ``J^(k) - J^(0)`` on rfft modes."""
-    kern = spec.ring_kernel()
+    """Ring coupling increment ``J^(k) - J^(0)`` on rfft modes.
+
+    ``J^`` is the rfft of the ring kernel, whose entry ``j`` holds ``J(d)``
+    at the minimal-image distance ``d = min(j, N - j)``, zeroed beyond the
+    cutoff; for even ``N`` the antipodal distance ``N/2`` appears once.
+    """
+    n = spec.n_particles
+    d = np.minimum(np.arange(n), n - np.arange(n))
+    kern = np.zeros(n)
+    near = (d > 0) & (d <= spec.cutoff)
+    kern[near] = 1.0 / d[near].astype(float) ** (spec.alpha + 1.0)
     return np.fft.rfft(kern).real - kern.sum()
 
 
@@ -133,7 +130,7 @@ def interaction_sum_fft(spec: ChainSpec, u):
     return np.fft.irfft(_ring_symbol(spec) * np.fft.rfft(fu), n=spec.n_particles)
 
 
-def evolve_chain(spec: ChainSpec, state: ChainState, observe=None):
+def evolve_chain(spec: ChainSpec, state: FieldState, observe=None):
     """Advance the chain over the state's whole time grid.
 
     This is the field stepper of ``evolve_field`` with spatial multiplier
@@ -142,11 +139,15 @@ def evolve_chain(spec: ChainSpec, state: ChainState, observe=None):
     space when ``f`` is the identity, on-site force and nonlinear coupling
     lagged one level; a linear chain below ``beta = 1`` is solved for the
     whole run at once, as ``evolve_field`` solves a linear field.  Orders in
-    (1, 2] need an initial velocity.  ``observe(j, u)``, if given, sees
-    every new level ``j >= 1``.
+    (1, 2] need an initial velocity.  ``state`` is a real
+    :class:`~fracdyn.fields.FieldState` on ``spec.grid``.  ``observe(j, u)``,
+    if given, sees every new level ``j >= 1``.
     """
     if state.history.shape[1] != spec.n_particles:
         raise DomainError("state does not match the chain size")
+    if state.is_complex:
+        # the ring symbol lives on the n // 2 + 1 rfft modes of a real ring
+        raise DomainError("chain displacements must be real")
     _, fwd, inv = _transforms(state)
     return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
                                    spec.g0 * _ring_symbol(spec), fwd, inv,

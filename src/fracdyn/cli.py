@@ -27,8 +27,8 @@ import numpy.random  # eager: NumPy 2 loads it on first use, inside a run
 
 from . import __version__
 from .analysis import dispersion_check
-from .chain import (ChainSpec, ChainState, _check_compare,
-                    continuum_limit_compare, evolve_chain)
+from .chain import (ChainSpec, _check_compare, continuum_limit_compare,
+                    evolve_chain)
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
@@ -121,6 +121,7 @@ _SECTIONS_BY_KIND = {
 
 INITIAL_KINDS = ("cosine", "uniform", "random", "gaussian", "plane_wave",
                  "pulse")
+FIELD_KINDS = ("real", "complex")
 
 
 @dataclass
@@ -224,10 +225,12 @@ def _build(cfg: ExperimentConfig):
         m = s["model"]
         specs["model"] = _checked(
             cfg, "model", "spatial_terms", _local_model, "model", m, g0=m["g0"],
-            spatial_terms=tuple(map(tuple, m["spatial_terms"])),
-            field_kind=m["field_kind"])
+            spatial_terms=tuple(map(tuple, m["spatial_terms"])))
         _checked(cfg, "model", "beta", _check_evolve_field, specs["model"],
                  m["beta"])
+        if m["field_kind"] not in FIELD_KINDS:
+            raise _invalid("model", "field_kind", m["field_kind"],
+                           f"not one of {', '.join(FIELD_KINDS)}")
     if "chain" in s:
         c = s["chain"]
         specs["chain"] = _checked(
@@ -237,6 +240,12 @@ def _build(cfg: ExperimentConfig):
     if "compare" in s:
         _checked(cfg, "compare", "modes", _check_compare, specs["chain"],
                  s["compare"]["modes"], s["compare"]["fit_horizon"])
+    if cfg.kind in ("evolve_field", "chain"):
+        name = "model" if cfg.kind == "evolve_field" else "chain"
+        if s[name]["beta"] > 1.0:
+            raise _invalid(name, "beta", s[name]["beta"],
+                           "orders in (1, 2] need an initial velocity, which "
+                           f"kind '{cfg.kind}' does not set")
     for name in ("nls", "sine_gordon"):
         if name in s:
             _checked(cfg, name, "alpha", validate_spatial_order, s[name]["alpha"])
@@ -259,6 +268,9 @@ def _build(cfg: ExperimentConfig):
         if kind == "plane_wave" and cfg.kind != "nls" \
                 and s.get("model", {}).get("field_kind") != "complex":
             raise _invalid("initial", "kind", kind, "needs a complex field")
+        if kind in ("gaussian", "pulse") and not s["initial"]["width"] > 0:
+            raise _invalid("initial", "width", s["initial"]["width"],
+                           f"a {kind} needs width > 0")
     if "output" in s and s["output"]["snapshot_every"] < 0:
         raise ConfigError(f"invalid 'snapshot_every': need >= 0, got "
                           f"{s['output']['snapshot_every']}")
@@ -423,12 +435,12 @@ def _write_snapshots(path, state, kept):
 # ---------------------------------------------------------------- runners
 
 def _run_evolve_field(cfg, specs, outdir, rng):
-    grid, model = specs["grid"], specs["model"]
+    grid, p = specs["grid"], cfg.section("model")
     u0 = _initial_field(cfg.section("initial"), grid, rng,
-                        complex_field=model.field_kind == "complex")
+                        complex_field=p["field_kind"] == "complex")
     state = FieldState.from_initial(grid, specs["time"], u0, rows=2)
     observe, kept = _snapshot_observer(cfg, state)
-    evolve_field(model, state, cfg.section("model")["beta"], observe)
+    evolve_field(specs["model"], state, p["beta"], observe)
     _write_snapshots(outdir / "snapshots.csv", state, kept)
     return {"final_sup_norm": float(np.max(np.abs(state.current()))),
             "steps": state.n_completed, "passed": True}
@@ -509,7 +521,7 @@ def _run_stationary(cfg, specs, outdir, rng):
 def _run_chain(cfg, specs, outdir, rng):
     spec = specs["chain"]
     u0 = _initial_field(cfg.section("initial"), spec.grid, rng)
-    state = ChainState.from_chain(spec, specs["time"], u0, rows=2)
+    state = FieldState.from_initial(spec.grid, specs["time"], u0, rows=2)
     observe, kept = _snapshot_observer(cfg, state)
     evolve_chain(spec, state, observe)
     _write_snapshots(outdir / "trajectory.csv", state, kept)

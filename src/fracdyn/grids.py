@@ -16,21 +16,16 @@ __all__ = ["GridSpec", "TimeGrid", "validate_spatial_order",
            "validate_temporal_order"]
 
 
-def validate_spatial_order(alpha, *, real_space=False):
+def validate_spatial_order(alpha):
     """Check a spatial order ``alpha``.
 
     ``alpha`` must lie in (0, 2]; ``alpha = 2`` is the classical limit.  The
-    real-space power-law kernel additionally excludes ``alpha = 1`` where its
-    ``1/cos(pi*alpha/2)`` normalization is singular; the spectral multiplier
-    has no such restriction.
+    spectral multiplier ``|k|^alpha`` is regular at ``alpha = 1`` too.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"spatial order alpha must be in (0, 2], got {alpha}",
                           key="alpha")
-    if real_space and alpha == 1.0:
-        raise DomainError("alpha = 1 is excluded for the real-space kernel "
-                          "(cos(pi*alpha/2) vanishes)", key="alpha")
     return alpha
 
 

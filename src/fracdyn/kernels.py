@@ -1,14 +1,15 @@
-"""Power-law memory kernel, lattice coupling, and the renormalized
-continuum coupling constant.
+"""Power-law memory kernel and the renormalized continuum coupling
+constant.
 
 The memory kernel ``M(t) = g0 t^(-beta) / Gamma(1-beta)`` turns the time
 convolution of a rate history into a Caputo derivative of order ``beta``.
-The lattice coupling ``J(n) = 1/|n|^(alpha+1)`` has a Fourier sum whose
-small-k increment behaves as ``|k dx|^alpha``, which is the mechanism by
-which a long-range chain acquires a fractional spatial derivative in the
-continuum.  The chain evaluates that sum on its ring by FFT; the truncated
-cosine sums on the infinite lattice that the tests check it against live in
-``tests/oracles.py``.
+The lattice coupling ``J(n) = 1/|n|^(alpha+1)`` of the chain has a Fourier
+sum whose small-k increment behaves as ``|k dx|^alpha``, which is the
+mechanism by which a long-range chain acquires a fractional spatial
+derivative in the continuum; ``renormalized_constant`` is the coefficient
+of that limit.  The chain evaluates the sum on its ring by FFT
+(``chain._ring_symbol``); the truncated cosine sums on the infinite lattice
+that the tests check it against live in ``tests/oracles.py``.
 """
 
 import math
@@ -21,7 +22,6 @@ from .fracops import l1_apply, l1_weights
 
 __all__ = [
     "MemoryKernel",
-    "LatticeCoupling",
     "memory_convolution",
     "renormalized_constant",
 ]
@@ -29,67 +29,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Power-law memory function ``M(t) = g0 t^(-beta) / Gamma(1-beta)``.
-
-    ``is_delta`` marks the memoryless limit ``M = delta(t)``, under which the
-    memory convolution returns the instantaneous rate unchanged.
-    """
+    """Power-law memory function ``M(t) = g0 t^(-beta) / Gamma(1-beta)``."""
 
     beta: float = 0.5
     g0: float = 1.0
-    is_delta: bool = False
 
     def __post_init__(self):
-        if self.is_delta:
-            return
         if not 0.0 < self.beta < 1.0:
             raise DomainError(f"memory kernel requires beta in (0, 1), got {self.beta}")
 
-    @classmethod
-    def delta(cls):
-        return cls(is_delta=True)
-
     def __call__(self, t):
-        if self.is_delta:
-            raise DomainError("the delta kernel has no pointwise values")
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise DomainError("memory kernel is defined for t > 0")
         return self.g0 * t ** (-self.beta) / math.gamma(1.0 - self.beta)
-
-
-@dataclass(frozen=True)
-class LatticeCoupling:
-    """Interparticle coupling ``J(n) = 1 / |n|^(alpha+1)`` with a cutoff."""
-
-    alpha: float
-    cutoff: int = 10_000
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("lattice coupling requires alpha > 0")
-        if self.cutoff < 1:
-            raise DomainError("cutoff must be a positive integer")
-
-    def __call__(self, n):
-        n = np.abs(np.asarray(n))
-        if np.any(n == 0):
-            raise DomainError("J(0) is not defined (self-coupling excluded)")
-        return 1.0 / n.astype(float) ** (self.alpha + 1.0)
-
-    def ring_kernel(self, n_particles):
-        """Length-N circular kernel with minimal-image distances.
-
-        Entry j holds ``J(d)`` with ``d = min(j, N - j)``, zeroed beyond the
-        cutoff; for even N the antipodal distance ``N/2`` appears once.
-        """
-        if self.cutoff > n_particles // 2:
-            raise DomainError("cutoff exceeds n_particles / 2")
-        d = np.minimum(np.arange(n_particles), n_particles - np.arange(n_particles))
-        k = np.zeros(n_particles)
-        mask = (d > 0) & (d <= self.cutoff)
-        k[mask] = 1.0 / d[mask].astype(float) ** (self.alpha + 1.0)
-        return k
 
 
 def memory_convolution(kernel: MemoryKernel, du_dt, dt):
@@ -98,12 +51,9 @@ def memory_convolution(kernel: MemoryKernel, du_dt, dt):
     ``du_dt`` holds the rate on each step interval (``(u_i - u_{i-1}) / dt``
     for sampled data, or analytic derivative values).  Product-integration
     with the power-law kernel uses exactly the L1 weights, so the result
-    equals ``g0 * caputo_left_l1(u, beta, dt)`` operation for operation; the
-    delta kernel returns the rate unchanged.
+    equals ``g0 * caputo_left_l1(u, beta, dt)`` operation for operation.
     """
     du_dt = np.asarray(du_dt)
-    if kernel.is_delta:
-        return du_dt
     if dt <= 0:
         raise DomainError("dt must be positive")
     increments = du_dt * dt

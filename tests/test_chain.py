@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from fracdyn import analysis, chain, fields
-from fracdyn.chain import (ChainSpec, ChainState, continuum_limit_compare,
-                           evolve_chain, interaction_sum_fft)
+from fracdyn.chain import (ChainSpec, continuum_limit_compare, evolve_chain,
+                           interaction_sum_fft)
 from fracdyn.errors import BlowUpError, DomainError
-from fracdyn.fields import Interaction, LevelRing, ModelSpec, Potential
+from fracdyn.fields import (FieldState, Interaction, LevelRing, ModelSpec,
+                            Potential)
 from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import TimeGrid
 from oracles import (EXTENDED_PRECISION, evolve_linear_implicit_direct,
@@ -27,6 +28,21 @@ def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
 
 
 # ------------------------------------------------------------ coupling sums
+
+
+@pytest.mark.parametrize("n, cutoff", [(16, 8), (17, 0), (33, 5), (64, 1)])
+def test_ring_symbol_matches_pair_sum(n, cutoff):
+    # the pair sums of a unit displacement at particle 0 are the ring
+    # kernel minus its sum at 0, so their rfft is J^(k) - J^(0): minimal-
+    # image distances, the antipode of an even ring counted once, nothing
+    # beyond the cutoff
+    spec = _spec(n=n, alpha=1.5, cutoff=cutoff)
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    want = np.fft.rfft(interaction_sum_direct(spec, impulse)).real
+    got = chain._ring_symbol(spec)
+    assert got.shape == (n // 2 + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * n * np.max(np.abs(want))
 
 
 def test_convolution_matches_double_loop():
@@ -59,7 +75,7 @@ def test_convolution_matches_double_loop_small_cutoff():
 
 def test_zero_chain_stays_zero():
     spec = _spec(potential=Potential.SINE_GORDON, interaction=Interaction.SQUARE)
-    state = ChainState.from_chain(spec, TimeGrid(50, 0.01), np.zeros(128))
+    state = FieldState.from_initial(spec.grid, TimeGrid(50, 0.01), np.zeros(128))
     evolve_chain(spec, state)
     assert np.all(state.history == 0.0)
 
@@ -73,7 +89,7 @@ def test_lagged_nonlinear_coupling_matches_pair_sum(beta):
                  interaction=Interaction.SQUARE)
     u0 = np.random.default_rng(6).standard_normal(n)
     v0 = np.zeros(n) if beta > 1.0 else None
-    state = ChainState.from_chain(spec, TimeGrid(1, dt), u0, initial_velocity=v0)
+    state = FieldState.from_initial(spec.grid, TimeGrid(1, dt), u0, initial_velocity=v0)
     evolve_chain(spec, state)
     h = math.gamma((2.0 if beta <= 1.0 else 3.0) - beta) * dt ** beta
     expected = u0 - h * (np.sin(u0) + spec.g0 * interaction_sum_direct(spec, u0))
@@ -83,7 +99,7 @@ def test_lagged_nonlinear_coupling_matches_pair_sum(beta):
 def test_chain_blow_up_guard_trips():
     # du/dt = +u^3 on every particle: finite-time blow-up from u = 10
     spec = _spec(n=16, potential=Potential.GINZBURG_LANDAU, b=-1.0)
-    state = ChainState.from_chain(spec, TimeGrid(1000, 0.05), np.full(16, 10.0))
+    state = FieldState.from_initial(spec.grid, TimeGrid(1000, 0.05), np.full(16, 10.0))
     with pytest.raises(BlowUpError) as info:
         evolve_chain(spec, state)
     assert info.value.step == 3
@@ -95,11 +111,9 @@ def test_single_mode_follows_lattice_rate(beta, tol):
     n, mode = 128, 2  # k dx about 0.1: first-step scheme error stays small
     spec = _spec(n=n, beta=beta)
     u0 = np.cos(2 * np.pi * mode * np.arange(n) / n)
-    state = ChainState.from_chain(spec, TimeGrid(1000, 1e-3), u0)
+    state = FieldState.from_initial(spec.grid, TimeGrid(1000, 1e-3), u0)
     evolve_chain(spec, state)
-    kern = spec.ring_kernel()
-    jhat = np.fft.rfft(kern).real
-    lam = -spec.g0 * (jhat[mode] - kern.sum())
+    lam = -spec.g0 * chain._ring_symbol(spec)[mode]
     amps = np.abs(np.fft.rfft(state.history, axis=1)[:, mode]) / (n / 2)
     t = state.times
     exact = np.array([abs(mittag_leffler(beta, lam * tt ** beta)) for tt in t])
@@ -112,7 +126,7 @@ def test_symmetric_bump_stays_symmetric():
     spec = _spec(n=n, beta=0.7, potential=Potential.GINZBURG_LANDAU, a=0.2, b=0.1)
     i = np.arange(n)
     u0 = np.exp(-0.05 * np.minimum(i, n - i) ** 2)  # even under n -> -n
-    state = ChainState.from_chain(spec, TimeGrid(100, 0.01), u0)
+    state = FieldState.from_initial(spec.grid, TimeGrid(100, 0.01), u0)
     evolve_chain(spec, state)
     u = state.current()
     assert np.allclose(u, np.roll(u[::-1], 1), atol=1e-12)
@@ -124,9 +138,9 @@ def test_translation_equivariance_on_ring():
     u0 = rng.standard_normal(n)
     spec = _spec(n=n, beta=0.6, potential=Potential.GINZBURG_LANDAU,
                  a=-0.3, b=0.2)
-    s1 = ChainState.from_chain(spec, TimeGrid(60, 0.01), u0)
+    s1 = FieldState.from_initial(spec.grid, TimeGrid(60, 0.01), u0)
     evolve_chain(spec, s1)
-    s2 = ChainState.from_chain(spec, TimeGrid(60, 0.01), np.roll(u0, 1))
+    s2 = FieldState.from_initial(spec.grid, TimeGrid(60, 0.01), np.roll(u0, 1))
     evolve_chain(spec, s2)
     assert np.allclose(s2.history, np.roll(s1.history, 1, axis=1),
                        rtol=1e-11, atol=1e-11)
@@ -136,7 +150,7 @@ def test_cross_mode_leakage_linear():
     n, mode = 128, 5
     spec = _spec(n=n, beta=1.0)
     u0 = np.cos(2 * np.pi * mode * np.arange(n) / n)
-    state = ChainState.from_chain(spec, TimeGrid(500, 0.01), u0)
+    state = FieldState.from_initial(spec.grid, TimeGrid(500, 0.01), u0)
     evolve_chain(spec, state)
     mags = np.abs(np.fft.rfft(state.current())) / (n / 2)
     other = np.delete(mags, mode)
@@ -147,8 +161,8 @@ def test_chain_high_order_runs():
     n = 64
     spec = _spec(n=n, beta=1.5, g0=1.0)
     u0 = 0.1 * np.cos(2 * np.pi * 3 * np.arange(n) / n)
-    state = ChainState.from_chain(spec, TimeGrid(200, 0.01), u0,
-                                  initial_velocity=np.zeros(n))
+    state = FieldState.from_initial(spec.grid, TimeGrid(200, 0.01), u0,
+                                    initial_velocity=np.zeros(n))
     evolve_chain(spec, state)
     assert np.all(np.isfinite(state.history))
 
@@ -168,7 +182,7 @@ def test_chain_stepper_matches_direct_memory_sum(beta):
     u0 = 0.3 * np.cos(2 * np.pi * 3 * np.arange(n) / n) + 0.05 * rng.standard_normal(n)
     v0 = 0.1 * rng.standard_normal(n) if beta > 1.0 else None
     time = TimeGrid(steps, 0.01)
-    state = ChainState.from_chain(spec, time, u0, initial_velocity=v0)
+    state = FieldState.from_initial(spec.grid, time, u0, initial_velocity=v0)
     evolve_chain(spec, state)
     sym = spec.g0 * chain._ring_symbol(spec)
     ref = evolve_linear_implicit_extended(state, beta, 1.0, spec.local, sym)
@@ -176,7 +190,7 @@ def test_chain_stepper_matches_direct_memory_sum(beta):
     assert err <= 1e-13 * np.max(np.abs(ref))
     if beta == 1.0:
         # no memory sum: the double-precision oracle's arithmetic, bit for bit
-        direct = ChainState.from_chain(spec, time, u0)
+        direct = FieldState.from_initial(spec.grid, time, u0)
         evolve_linear_implicit_direct(direct, beta, 1.0, spec.local, sym,
                                       np.fft.rfft,
                                       lambda v: np.fft.irfft(v, n=n))
@@ -190,9 +204,9 @@ def test_chain_two_row_ring_matches_full_history():
     rng = np.random.default_rng(13)
     u0 = 0.3 * np.cos(2 * np.pi * 3 * np.arange(n) / n) + 0.05 * rng.standard_normal(n)
     time = TimeGrid(steps, 0.01)
-    full = ChainState.from_chain(spec, time, u0)
+    full = FieldState.from_initial(spec.grid, time, u0)
     evolve_chain(spec, full)
-    ring = ChainState.from_chain(spec, time, u0, rows=2)
+    ring = FieldState.from_initial(spec.grid, time, u0, rows=2)
     seen = {}
 
     def observe(j, u):
@@ -215,7 +229,7 @@ def _chain_peak_memory(spec, steps):
     u0 = np.cos(2 * np.pi * 5 * np.arange(n) / n)
     tracemalloc.start()
     try:
-        state = ChainState.from_chain(spec, TimeGrid(steps, 0.05), u0)
+        state = FieldState.from_initial(spec.grid, TimeGrid(steps, 0.05), u0)
         evolve_chain(spec, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -251,10 +265,21 @@ def test_chain_validation():
     with pytest.raises(DomainError):
         ChainSpec(n_particles=64, dx=1.0, alpha=1.5, g0=1.0, beta=0.5,
                   local=ModelSpec(spatial_terms=((1.5, 1.0),)))
+    # the chain's time coefficient is 1: a local g0 or g0_prime would be
+    # ignored, so neither may be set
+    for local in (ModelSpec(g0=5.0), ModelSpec(g0_prime=3.0)):
+        with pytest.raises(DomainError, match="time coefficient is 1"):
+            ChainSpec(n_particles=64, dx=1.0, alpha=1.5, g0=1.0, beta=0.5,
+                      local=local)
     spec = _spec(n=16, beta=1.5)
     with pytest.raises(DomainError):  # orders in (1, 2] need a velocity
-        evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(10, 0.01),
-                                                 np.ones(16)))
+        evolve_chain(spec, FieldState.from_initial(spec.grid, TimeGrid(10, 0.01),
+                                                   np.ones(16)))
+    # a complex ring has 16 modes, the ring symbol 9
+    spec = _spec(n=16, beta=0.5)
+    with pytest.raises(DomainError, match="must be real"):
+        evolve_chain(spec, FieldState.from_initial(spec.grid, TimeGrid(10, 0.01),
+                                                   np.ones(16, dtype=complex)))
 
 
 # ------------------------------------------------------------ continuum limit
@@ -299,11 +324,10 @@ def test_continuum_compare_nearest_neighbor_classical():
     n = 1024
     spec = ChainSpec(n_particles=n, dx=1.0, alpha=1.5, g0=-1.0, beta=1.0,
                      coupling_cutoff=1)
-    kern = spec.ring_kernel()
-    jhat = np.fft.rfft(kern).real
+    sym = chain._ring_symbol(spec)
     for mode in (3, 8):
         k = 2 * np.pi * mode / n
-        dispersive = kern.sum() - jhat[mode]  # 2 (1 - cos k dx)
+        dispersive = -sym[mode]  # 2 (1 - cos k dx)
         assert dispersive / k ** 2 == pytest.approx(1.0, abs=0.02)
 
 
@@ -347,7 +371,7 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
         full[j] = np.fft.rfft(u)[modes]
 
     fields._step_linear_implicit(
-        ChainState.from_chain(spec, TimeGrid(steps, dt), u0, rows=2),
+        FieldState.from_initial(spec.grid, TimeGrid(steps, dt), u0, rows=2),
         beta, 1.0, spec.local, spec.g0 * chain._ring_symbol(spec),
         np.fft.rfft, lambda v: np.fft.irfft(v, n=n), keep_modes)
     want = np.array([full[j] for j in range(steps + 1)])
@@ -486,7 +510,7 @@ def test_continuum_compare_guard_sees_mode_coefficients():
     spec = _spec(n=n, beta=0.9, potential=Potential.GINZBURG_LANDAU, a=-1e5)
     u0 = np.cos(2 * np.pi * mode * np.arange(n) / n)
     with pytest.raises(BlowUpError) as full:
-        evolve_chain(spec, ChainState.from_chain(spec, TimeGrid(100, dt), u0))
+        evolve_chain(spec, FieldState.from_initial(spec.grid, TimeGrid(100, dt), u0))
     with pytest.raises(BlowUpError) as modes:
         continuum_limit_compare(spec, [mode], dt=dt, n_steps=100)
     assert full.value.step == modes.value.step == 1

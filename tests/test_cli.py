@@ -274,6 +274,16 @@ def test_alpha_out_of_range_names_key(tmp_path):
      "velocity", "1.0"),
     ("stationary_fgle", STATIONARY_CONFIG.replace("alpha = 1.5", "alpha = 3"),
      "alpha", "3.0"),
+    # the initial shapes divide by their width
+    ("evolve_field", EVOLVE_CONFIG.replace("kind = cosine",
+                                           "kind = gaussian\nwidth = 0"),
+     "width", "0.0"),
+    ("stationary_fgle", STATIONARY_CONFIG.replace("width = 1.0", "width = -1"),
+     "width", "-1.0"),
+    # neither kind has an initial velocity key, which orders above 1 need
+    ("evolve_field", EVOLVE_CONFIG.replace("beta = 0.8", "beta = 1.5"),
+     "beta", "1.5"),
+    ("chain", CHAIN_CONFIG + "beta = 1.5\n", "beta", "1.5"),
 ], ids=["model-bogus", "model-custom", "model-cubic", "chain-custom",
         "chain-cubic", "model-g0-zero", "stationary-no-force",
         "compare-alpha-2", "compare-beta-above-1", "compare-sine-gordon",
@@ -283,7 +293,8 @@ def test_alpha_out_of_range_names_key(tmp_path):
         "grid-1-point", "grid-length-zero", "time-dt-zero", "time-no-step",
         "model-beta-above-2", "model-spatial-order-above-2",
         "sine-gordon-order-1", "sine-gordon-velocity-1",
-        "stationary-alpha-3"])
+        "stationary-alpha-3", "gaussian-width-zero", "pulse-width-negative",
+        "model-beta-above-1", "chain-beta-above-1"])
 def test_unknown_model_choice_rejected(tmp_path, kind, text, key, value):
     cfgp = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=f"invalid '{key}': '{value}'"):

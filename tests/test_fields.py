@@ -99,9 +99,11 @@ def test_uniform_state_flows_to_gl_minimum():
     grid = GridSpec(16, TWO_PI)
     tg = TimeGrid(4000, 0.01)
     state = FieldState.from_initial(grid, tg, np.full(16, 0.1))
-    model = ModelSpec.ginzburg_landau_flow_form(alpha=2.0, g=1.0, a=1.0, b=-1.0)
-    # flow form du/dt = g Riesz u + a u + b u^3: fixed points u* with
-    # a u + b u^3 = 0 -> u* = 1 for a=1, b=-1
+    # flow du/dt = g Riesz u + a u + b u^3 at g = 1, a = 1, b = -1, written
+    # as du/dt + g (-Lap) u - a u - b u^3 = 0: fixed points u* with
+    # a u + b u^3 = 0 -> u* = 1
+    model = ModelSpec(g0=1.0, spatial_terms=((2.0, 1.0),), a=-1.0, b=1.0,
+                      potential=Potential.GINZBURG_LANDAU)
     evolve_field(model, state, 1.0)
     assert np.allclose(state.current(), 1.0, atol=1e-8)
 
@@ -203,7 +205,7 @@ def test_stepper_matches_direct_memory_sum(beta, field_kind):
     grid = GridSpec(n, TWO_PI)
     tg = TimeGrid(steps, 0.01)
     model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
-                      potential=Potential.GINZBURG_LANDAU, field_kind=field_kind)
+                      potential=Potential.GINZBURG_LANDAU)
     rng = np.random.default_rng(5)
     u0 = 0.3 * np.cos(grid.x) + 0.05 * rng.standard_normal(n)
     v0 = 0.1 * np.sin(grid.x)
@@ -306,7 +308,7 @@ def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
     grid = GridSpec(n, TWO_PI)
     tg = TimeGrid(steps, 0.01)
     model = ModelSpec(g0=g0, spatial_terms=((1.5, 0.5),),
-                      field_kind=field_kind, **_LINEAR_FORCES[force])
+                      **_LINEAR_FORCES[force])
     rng = np.random.default_rng(9)
     u0 = 0.3 * np.cos(grid.x) + 0.05 * rng.standard_normal(n)
     if field_kind == "complex":
@@ -342,6 +344,34 @@ def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
     assert seen == list(range(1, steps + 1))
     assert np.array_equal(ring.current(), solved.history[steps])
     assert np.array_equal(ring.level(steps - 1), solved.history[steps - 1])
+
+
+@EXTENDED_PRECISION
+def test_linear_solve_error_is_absolute_in_initial_coefficients():
+    # the whole-run solve's error is absolute: a small multiple of rounding
+    # of each mode's initial coefficient, from the series reciprocal's
+    # Newton rounds.  Relative accuracy is not promised on levels that have
+    # decayed far below that coefficient: here modes decay to 6.4e-6 of it,
+    # where the error reaches 4.7e-10 of the level (the stepper's stays
+    # below 3.6e-14 of every level).  Measured against the same scheme in extended
+    # precision: at most 4.5e-15 of the initial coefficient on this run and
+    # 1.4e-14 on others; the bound is 2x the latter
+    n, steps, beta, dt, a = 128, 1000, 0.9, 0.1, 5.0
+    grid = GridSpec(n, TWO_PI)
+    model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=a,
+                      potential=Potential.GINZBURG_LANDAU)
+    # every mode's initial coefficient has modulus n / 2
+    phases = np.exp(TWO_PI * 1j * np.random.default_rng(0).random(n // 2 + 1))
+    phases[[0, -1]] = 1.0
+    u0 = np.fft.irfft(phases * (n / 2), n=n)
+    state = FieldState.from_initial(grid, TimeGrid(steps, dt), u0)
+    k, fwd, inv = fields._transforms(state)
+    sym = model.spatial_symbol(k)
+    assert fields._solve_linear_implicit(state, beta, model.g0, a, sym, fwd,
+                                         inv, None) is None
+    ref = evolve_linear_implicit_extended(state, beta, model.g0, model, sym)
+    err = np.abs(np.fft.rfft((state.history - ref).astype(float), axis=1))
+    assert np.max(err) <= 2 * 1.4e-14 * (n / 2)
 
 
 def test_linear_solve_blow_up_is_the_steppers(caplog):
@@ -662,6 +692,22 @@ def test_nls_zero_initial_stays_zero():
                                     np.zeros(32, dtype=complex))
     nls_evolve(state, 1.5, 1.0, 0.1, 1.0)
     assert np.all(state.history == 0)
+
+
+def test_nls_blow_up_guard_carries_step_and_norm():
+    # |u|^2 overflows in the first phase rotation: the level is NaN, and the
+    # guard the L1 stepper uses names its step and sup-norm before any
+    # observer sees it
+    grid = GridSpec(32, TWO_PI)
+    state = FieldState.from_initial(grid, TimeGrid(10, 0.01),
+                                    np.full(32, 1e200, dtype=complex))
+    observe, seen = _recorder()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError, match="non-finite field at step 1") as info:
+            nls_evolve(state, 1.5, 1.0, 0.0, 1.0, observe)
+    assert info.value.step == 1
+    assert math.isnan(info.value.norm)
+    assert seen == {} and state.n_completed == 0
 
 
 def test_nls_requires_complex():
@@ -1044,8 +1090,7 @@ def test_residual_matches_row_loop(field_kind):
     tg = TimeGrid(steps, 1e-3)
     model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
                       potential=Potential.GINZBURG_LANDAU,
-                      interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.3,
-                      field_kind=field_kind)
+                      interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.3)
     rng = np.random.default_rng(8)
     u = rng.standard_normal((steps + 1, n))
     if field_kind == "complex":

@@ -50,8 +50,6 @@ def test_fractional_order_ranges():
         validate_spatial_order(2.5)
     with pytest.raises(DomainError):
         validate_temporal_order(0.0)
-    with pytest.raises(DomainError):
-        validate_spatial_order(1.0, real_space=True)
-    validate_spatial_order(1.0)  # spectral form is regular at alpha = 1
+    assert validate_spatial_order(1.0) == 1.0  # |k|^alpha is regular at 1
     with pytest.raises(DomainError):
         validate_temporal_order(1.5, allow_high=False)

@@ -1,6 +1,7 @@
 """Kernel and lattice-sum tests.  Oracles: scipy's zeta and gamma, the
 truncated lattice cosine sums of ``tests/oracles.py`` (direct high-cutoff
-summation), and the L1 operator identity."""
+summation), and the L1 operator identity.  The chain's ring symbol is
+tested against pair sums in ``test_chain.py``."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracdyn.errors import DomainError
 from fracdyn.fracops import caputo_left_l1
-from fracdyn.kernels import (LatticeCoupling, MemoryKernel, memory_convolution,
+from fracdyn.kernels import (MemoryKernel, memory_convolution,
                              renormalized_constant)
 from oracles import (TailBoundError, cutoff_for_tolerance, lattice_symbol,
                      lattice_symbol_increment)
@@ -35,13 +36,6 @@ def test_memory_kernel_positive():
         m(0.0)
     with pytest.raises(DomainError):
         MemoryKernel(beta=1.0)
-
-
-def test_memory_convolution_delta_identity():
-    rng = np.random.default_rng(0)
-    rate = rng.standard_normal(100)
-    out = memory_convolution(MemoryKernel.delta(), rate, 0.01)
-    assert np.array_equal(out, rate)
 
 
 def test_memory_convolution_equals_scaled_caputo_bitwise():
@@ -68,26 +62,6 @@ def test_memory_convolution_empty_history():
     assert out.shape == (1, 4)
     assert np.all(out == 0.0)
     assert np.array_equal(memory_convolution(kern, np.empty(0), 0.01), [0.0])
-
-
-# ------------------------------------------------------------ lattice coupling
-
-
-def test_lattice_coupling_symmetry_positive():
-    j = LatticeCoupling(alpha=1.5, cutoff=100)
-    assert j(5) == j(-5) > 0
-    with pytest.raises(DomainError):
-        j(0)
-
-
-def test_ring_kernel_minimal_image():
-    j = LatticeCoupling(alpha=1.5, cutoff=8)
-    k = j.ring_kernel(16)
-    assert k[0] == 0.0
-    assert k[1] == k[15] == 1.0
-    assert k[8] == pytest.approx(8.0 ** (-2.5), rel=1e-15)  # antipode counted once
-    with pytest.raises(DomainError):
-        LatticeCoupling(alpha=1.5, cutoff=9).ring_kernel(16)
 
 
 # ------------------------------------------------------------ lattice symbol
