@@ -40,22 +40,23 @@ the same scheme with spatial multiplier ``g0 (J^(k) - J^(0))`` in place of
 ``sum_s g_s |k|^s`` and time coefficient 1.
 
 When the equation is linear and first order (``beta < 1``, ``f`` the
-identity, ``F`` absent or ``a u``), every mode's L1 equations over the whole
-run form one lower-triangular Toeplitz system, so the levels are solved at
-once by a power-series reciprocal (``fracops._series_reciprocal``), O(n log
-n) per mode, instead of ``n`` Python steps.  The solve is kept only where no
-mode grows: the reciprocal's rounding in each Newton round is relative to
-that round's largest coefficient, so on a growing mode the round's early
-levels would carry the growth across it as relative error.  A run with a
-growing mode of the equation (``g0 (s_k + a) < 0`` for a mode ``k`` with
-multiplier ``s_k``) is stepped at once; one with a solved mode that exceeds
-its initial coefficient in magnitude (the lagged ``a u`` lets a mode of the
-scheme grow where ``a`` is large beside ``g0 dt^(-beta)``) is stepped after
-the solve.  Where the solve is kept, each mode's levels match the stepped
-ones to rounding of its initial coefficient, pass the stepper's blow-up
-guard in step order and are observed as the stepper would observe them;
-relative to a level that has decayed far below it the stepper is the more
-accurate (see the README's performance notes).
+identity, ``F`` absent or ``a u``) with real coefficients, every mode's L1
+equations over the whole run form one lower-triangular Toeplitz system, so
+the levels are solved at once by a power-series reciprocal
+(``fracops._series_reciprocal``), O(n log n) per mode, instead of ``n``
+Python steps.  The solve is kept only where no mode grows: the reciprocal's
+rounding in each Newton round is relative to that round's largest
+coefficient, so on a growing mode the round's early levels would carry the
+growth across it as relative error.  A run with a growing mode of the
+equation (``g0 (s_k + a) < 0`` for a mode ``k`` with multiplier ``s_k``) or
+a complex coefficient is stepped at once; one whose solved factors are not
+all finite and at most 1 in magnitude (the lagged ``a u`` lets a mode of
+the scheme grow where ``a`` is large beside ``g0 dt^(-beta)``) is stepped
+before any level is placed.  Where the solve is kept, each mode's levels
+match the stepped ones to rounding of its initial coefficient and are
+placed once each, through the stepper's blow-up guard and ``observe`` in
+step order; relative to a level that has decayed far below it the stepper
+is the more accurate (see the README's performance notes).
 
 The stepper's memory sum over all earlier increment spectra is kept by
 ``fracops.HistorySum``: exact, direct within base blocks of
@@ -272,8 +273,9 @@ def _transforms(state):
     return state.grid.wavenumbers_real, np.fft.rfft, lambda v: np.fft.irfft(v, n=n)
 
 
-def _guard(u, step, prev_norm):
-    norm = float(np.abs(u).max())
+def _guard(norm, step, prev_norm):
+    """Check a new level's sup-norm ``norm`` against the previous level's;
+    returns ``norm`` for the next call."""
     if not math.isfinite(norm):
         raise BlowUpError(f"non-finite field at step {step}", step=step, norm=norm)
     if prev_norm > 0 and norm > GROWTH_LIMIT * prev_norm:
@@ -325,21 +327,22 @@ def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
     operator with multiplier ``sym`` on the modes of ``fwd``: the levels of
     :func:`_step_linear_implicit`, solved for the whole run at once by
     :func:`_solve_linear_implicit` when the equation is linear and first
-    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``) and
-    no mode grows (see the module docstring), and stepped otherwise.  Logs
-    the path taken at DEBUG."""
+    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``), its
+    coefficients are real and no mode grows (see the module docstring), and
+    stepped otherwise.  Logs the path taken at DEBUG."""
     n, m = state.time.n_steps, sym.shape[0]
     gl = model.potential is Potential.GINZBURG_LANDAU
     a = model.a if gl else 0.0
     linear = (model.interaction is Interaction.IDENTITY
               and (model.potential is Potential.NONE or (gl and model.b == 0)))
-    if beta < 1.0 and linear and np.all(g0 * (sym + a) >= 0):
-        failed = _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv,
-                                        observe)
-        if failed is None:
-            log.debug("evolve: solved %d steps × %d modes at once", n, m)
+    rates = g0 * (sym + a)   # the solve is real: complex ones are stepped
+    if beta < 1.0 and linear and np.isrealobj(rates) and np.all(rates >= 0):
+        grows = _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv,
+                                       observe)
+        if grows is None:
             return state
-        log.debug("evolve: solve %s at step %d; stepped", *failed)
+        log.debug("evolve: solve found a growing mode at step %d; stepped",
+                  grows)
     else:
         log.debug("evolve: stepped %d steps × %d modes", n, m)
     return _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
@@ -410,7 +413,7 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
             uhat += d
         row = u[(j + 1) % rows]
         row[:] = inv(uhat)
-        prev_norm = _guard(row, j + 1, prev_norm)
+        prev_norm = _guard(float(np.abs(row).max()), j + 1, prev_norm)
         state.n_completed = j + 1
         if observe is not None:
             observe(j + 1, row)
@@ -419,7 +422,8 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
 
 def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
     """The levels of :func:`_step_linear_implicit` at ``beta < 1`` for
-    ``g0 D^beta_t u + S u + a u = 0``, solved for the whole run at once.
+    ``g0 D^beta_t u + S u + a u = 0`` with real ``g0``, ``a`` and ``S``,
+    solved for the whole run at once.
 
     With ``c = g0 dt^(-beta) / Gamma(2 - beta)``, L1 weights ``w`` (``w_0 =
     1``) and increments ``d_i = u_{i+1} - u_i``, the stepper solves, per
@@ -433,16 +437,15 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
     level ``j + 1`` is ``u_0 (1 - (s + a) sum_{i<=j} [z^i] 1/P)``.
 
     Those factors, one real ``n x modes`` array, are all the solve holds
-    beside the ring: levels are formed and inverse-transformed in row blocks
-    of ``_FFT_BLOCK_BYTES`` of spectrum.  No factor may exceed 1 in
-    magnitude (no mode grows; see the module docstring), and the levels
-    must pass the stepper's guard rule in step order before any reaches
-    ``observe``: a ring that holds every level is written in that pass, a
-    smaller one in a second pass that calls ``observe``.  Where either
-    fails the state is left at level 0 and ``(reason, step)`` returned, for
-    the stepper to run the whole run, so that a ``BlowUpError`` carries a
-    stepped run's step and norm.  Returns None once every level is in
-    place and observed.
+    beside the ring.  Every factor must be finite and at most 1 in
+    magnitude (no mode grows; see the module docstring); otherwise no level
+    is placed and the first step with such a factor is returned, for the
+    stepper to run the whole run.  Else the solve logs that it solved the
+    run and places each level once: levels are formed and
+    inverse-transformed in row blocks of ``_FFT_BLOCK_BYTES`` of spectrum,
+    written to the ring, then guarded, counted and passed to ``observe`` in
+    step order as the stepper does, so a ``BlowUpError`` leaves the state
+    and ``observe`` where the stepper's would.  Returns None.
     """
     n, dt = state.time.n_steps, state.time.dt
     hist, rows = state.history, state.history.shape[0]
@@ -453,9 +456,6 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
     if np.any(lags[0] + sym == 0):
         raise DomainError("implicit system singular at the first step")
     m = sym.shape[0]
-    full = rows == n + 1
-    norms = np.empty(n + 1)
-    norms[0] = np.max(np.abs(u0))
     fac = np.empty((n, m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # P of a block of modes at a time, so that the reciprocal's FFT work
@@ -470,31 +470,24 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
         np.cumsum(fac, axis=0, out=fac)
         fac *= -(sym + a)
         fac += 1.0
-        if fac.max() > 1.0 or fac.min() < -1.0:
-            grows = ((fac > 1.0) | (fac < -1.0)).any(axis=1)
-            return "found a growing mode", int(np.argmax(grows)) + 1
-        block = max(1, _FFT_BLOCK_BYTES // (16 * m))
-        for r in range(0, n, block):
-            lev = inv(u0_hat * fac[r:r + block])
-            if full:
-                hist[r + 1:r + 1 + block] = lev
-            norms[r + 1:r + 1 + block] = np.abs(lev).max(axis=1)
-        grew = (norms[:-1] > 0) & (norms[1:] > GROWTH_LIMIT * norms[:-1])
-    bad = grew | ~np.isfinite(norms[1:])
-    if bad.any():
-        return "failed the guard", int(np.argmax(bad)) + 1
-    if full and observe is None:
-        state.n_completed = n
-        return None
+    if not (fac.max() <= 1.0 and fac.min() >= -1.0):   # False on NaN too
+        bounded = (np.abs(fac) <= 1.0).all(axis=1)
+        return int(np.argmin(bounded)) + 1
+    log.debug("evolve: solved %d steps × %d modes at once", n, m)
+    full = rows == n + 1
+    prev_norm = float(np.abs(u0).max())
+    block = max(1, _FFT_BLOCK_BYTES // (16 * m))
     for r in range(0, n, block):
-        lev = hist[r + 1:r + 1 + block] if full else inv(u0_hat * fac[r:r + block])
-        for j, level in enumerate(lev, r + 1):
-            row = hist[j % rows]
+        lev = inv(u0_hat * fac[r:r + block])
+        if full:
+            hist[r + 1:r + 1 + block] = lev
+        for j, norm in enumerate(np.abs(lev).max(axis=1).tolist(), r + 1):
             if not full:
-                row[:] = level
+                hist[j % rows] = lev[j - r - 1]
+            prev_norm = _guard(norm, j, prev_norm)
             state.n_completed = j
             if observe is not None:
-                observe(j, row)
+                observe(j, hist[j % rows])
     return None
 
 
@@ -543,7 +536,7 @@ def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     for j in range(state.n_completed, state.time.n_steps):
         row = state.history[(j + 1) % rows]
         row[:] = rotate(np.fft.ifft(linear * np.fft.fft(rotate(state.level(j)))))
-        prev_norm = _guard(row, j + 1, prev_norm)
+        prev_norm = _guard(float(np.abs(row).max()), j + 1, prev_norm)
         state.n_completed = j + 1
         if observe is not None:
             observe(j + 1, row)

@@ -435,10 +435,10 @@ def test_growing_linear_run_is_stepped(g0, a, message, caplog):
     assert np.all(err <= 1e-14 * level_max)
 
 
-def test_solve_guard_violation_is_stepped(monkeypatch, caplog):
-    # a growth limit below 1 trips the guard on a decaying run: the solve
-    # names the step and hands the run to the stepper, whose error observe
-    # has seen only up to the level before
+def _guard_violation(monkeypatch, caplog, rows):
+    """A growth limit below 1 trips the guard on a decaying, solved run.
+    Returns the stepper's error, then the solve's with the levels observe
+    saw and the solved state."""
     monkeypatch.setattr(fields, "GROWTH_LIMIT", 0.9)
     n, steps, beta = 32, 50, 0.9
     grid = GridSpec(n, TWO_PI)
@@ -453,15 +453,110 @@ def test_solve_guard_violation_is_stepped(monkeypatch, caplog):
                                      model.spatial_symbol(k), fwd, inv)
     caplog.set_level(logging.DEBUG, logger="fracdyn")
     seen = []
-    state = FieldState.from_initial(grid, tg, u0, rows=2)
+    state = FieldState.from_initial(grid, tg, u0, rows=rows)
     with pytest.raises(BlowUpError) as solved:
         evolve_field(model, state, beta, lambda j, u: seen.append(j))
-    step = stepped.value.step
-    assert 2 < step < steps
-    assert (solved.value.step, solved.value.norm) == (step, stepped.value.norm)
+    assert caplog.messages == [f"evolve: solved {steps} steps × 17 modes at once"]
+    return stepped.value, solved.value, seen, state
+
+
+def test_solve_guard_violation_is_stepped(monkeypatch, caplog):
+    # the solve places its levels through the stepper's guard: it raises at
+    # the stepper's step, with the solved level's norm (measured 3.4e-15
+    # relative from the stepped one), once observe has seen only up to the
+    # level before
+    stepped, solved, seen, state = _guard_violation(monkeypatch, caplog, 2)
+    step = stepped.step
+    assert 2 < step < 50
+    assert solved.step == step
+    assert solved.norm == pytest.approx(stepped.norm, rel=1e-13, abs=0)
     assert seen == list(range(1, step))
+    assert state.n_completed == step - 1
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["full", "two-row"])
+def test_solve_guard_violation_in_a_later_row_block(rows, monkeypatch, caplog):
+    # row blocks of 4 levels: the failing level lies in a later block than
+    # the first, and the levels before it in that block are still observed
+    monkeypatch.setattr(fields, "_FFT_BLOCK_BYTES", 16 * 17 * 4)
+    stepped, solved, seen, state = _guard_violation(monkeypatch, caplog, rows)
+    step = stepped.step
+    assert step > 4 and step % 4 != 1
+    assert (solved.step, seen) == (step, list(range(1, step)))
+    assert state.n_completed == step - 1
+
+
+def test_solve_forms_each_row_block_once(caplog):
+    # a 2-row ring with observe: every row block is inverse-transformed
+    # once, then written, guarded and observed level by level
+    n, steps, beta = 128, 1000, 0.8
+    grid = GridSpec(n, TWO_PI)
+    state = FieldState.from_initial(grid, TimeGrid(steps, 0.01),
+                                    np.cos(grid.x), rows=2)
+    model = ModelSpec(spatial_terms=((1.5, 0.5),))
+    k, fwd, inv = fields._transforms(state)
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape[0])
+        return inv(v)
+
+    seen = []
+    assert fields._solve_linear_implicit(
+        state, beta, 1.0, 0.0, model.spatial_symbol(k), fwd, counted,
+        lambda j, u: seen.append(j)) is None
+    block = fields._FFT_BLOCK_BYTES // (16 * (n // 2 + 1))
+    assert len(calls) == math.ceil(steps / block) and sum(calls) == steps
+    assert seen == list(range(1, steps + 1))
+    assert state.n_completed == steps
+
+
+def test_complex_g0_is_stepped(caplog):
+    # the solve is real: a complex g0 passes g0 (s + a) >= 0 in NumPy's
+    # lexicographic order of complex numbers, but must be stepped
+    grid = GridSpec(16, TWO_PI)
+    tg = TimeGrid(500, 4e-3)
+    model = ModelSpec(g0=1j, spatial_terms=((1.5, 1.0),))
+    u0 = np.cos(grid.x) + 0.5j * np.sin(3 * grid.x)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    state = FieldState.from_initial(grid, tg, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve_field(model, state, 0.9)
+    assert caplog.messages == ["evolve: stepped 500 steps × 16 modes"]
+    ref = FieldState.from_initial(grid, tg, u0)
+    k, fwd, inv = fields._transforms(ref)
+    fields._step_linear_implicit(ref, 0.9, 1j, model,
+                                 model.spatial_symbol(k), fwd, inv)
+    assert np.array_equal(state.history, ref.history)
+
+
+def test_non_finite_factors_are_stepped(monkeypatch, caplog):
+    # a NaN factor is not at most 1 in magnitude: the run is stepped before
+    # any level is placed, from the first step whose factor is NaN
+    reciprocal = fields._series_reciprocal
+
+    def nan_in_column_0(p):
+        out = reciprocal(p)
+        out[10, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(fields, "_series_reciprocal", nan_in_column_0)
+    grid = GridSpec(32, TWO_PI)
+    tg = TimeGrid(100, 0.01)
+    model = ModelSpec(spatial_terms=((1.5, 0.5),), a=0.3,
+                      potential=Potential.GINZBURG_LANDAU)
+    u0 = 0.3 + np.cos(grid.x)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    state = FieldState.from_initial(grid, tg, u0)
+    evolve_field(model, state, 0.9)
     assert caplog.messages == [
-        f"evolve: solve failed the guard at step {step}; stepped"]
+        "evolve: solve found a growing mode at step 11; stepped"]
+    ref = FieldState.from_initial(grid, tg, u0)
+    k, fwd, inv = fields._transforms(ref)
+    fields._step_linear_implicit(ref, 0.9, 1.0, model,
+                                 model.spatial_symbol(k), fwd, inv)
+    assert np.array_equal(state.history, ref.history)
 
 
 @pytest.mark.parametrize("beta, b", [(1.0, 0.0), (0.8, 1.0), (1.5, 0.0)])
