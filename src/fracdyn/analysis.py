@@ -7,6 +7,7 @@ The Laplace-symbol identity of the Caputo derivative and the empirical
 convergence-order fit that the tests use live in ``tests/oracles.py``.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ __all__ = [
     "DispersionReport",
     "dispersion_check",
 ]
+
+log = logging.getLogger("fracdyn")
 
 
 @dataclass
@@ -82,7 +85,7 @@ def _ml_rate(times, ratio, beta, guess):
     ``J = t^beta E_beta'(lam t^beta)`` in either case, and the Gauss-Newton
     step ``-J^H r / |J|^2`` is the real two-parameter step in complex form.
     Each iteration makes one Mittag-Leffler pass returning both ``E_beta``
-    and ``E_beta'``.
+    and ``E_beta'``; a converged fit logs its passes and rate at DEBUG.
 
     The fit stops once the step is at rounding level: within a few ulps of
     ``lam`` or of the resolution ``eps |ratio| / |J|`` of the data, or, once
@@ -109,6 +112,7 @@ def _ml_rate(times, ratio, beta, guess):
         if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(ratio)
                                           / math.sqrt(jj))
                 or prev / 2 <= size <= _RATE_FIT_STALL_TOL * abs(lam)):
+            log.debug("rate fit: %d Mittag-Leffler passes, rate %s", it, lam)
             return lam
         prev = size
     raise DomainError(f"Mittag-Leffler rate fit from {guess} did not converge "

@@ -20,7 +20,8 @@ Where the L1 equations of a linear mode are solved for a whole run at once
 lower-triangular Toeplitz system is a power-series reciprocal, computed by
 Newton doubling on the same zero-padded FFT products in O(n log n).
 
-The Mittag-Leffler function sums its series over the whole argument array
+The Mittag-Leffler function sums its series over the whole argument array,
+a block of terms at a time and bit for bit as a loop over single terms,
 under one cancellation guard, with an integral form as fallback, itself
 evaluated for all fallback arguments at once.
 
@@ -343,6 +344,10 @@ _MAX_TERMS = 600
 # The largest series term may exceed max(1, |sum|) at most this much: with
 # each term rounded to eps relative, the sum then keeps about 1e-10.
 _CANCELLATION_LIMIT = 1e6
+# Series terms formed per block, before the block's sums, stop tests and
+# peaks are taken at once.  Wide argument arrays take fewer, so that each
+# work array of a block (both series, complex) stays near _FFT_BLOCK_BYTES.
+_TERM_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=16)
@@ -353,6 +358,15 @@ def _series_ratios(beta):
     return tuple(math.exp(lg[k] - lg[k + 1]) for k in range(_MAX_TERMS))
 
 
+@functools.lru_cache(maxsize=16)
+def _derivative_coefficients(beta):
+    """``(k + 1) r_k`` for the ratios ``r_k`` of ``_series_ratios``: term
+    ``k`` of ``E_beta'`` over term ``k`` of ``E_beta``."""
+    coef = np.arange(1, _MAX_TERMS + 1) * np.array(_series_ratios(beta))
+    coef.flags.writeable = False
+    return coef
+
+
 def _ml_series(beta, z):
     """``(E, E', loss)``: the series of ``E_beta(z)`` and ``E_beta'(z) =
     sum_k (k + 1) z^k / Gamma(beta (k + 1) + 1)`` over the 1-D array ``z``.
@@ -361,28 +375,65 @@ def _ml_series(beta, z):
     ``1e-17 max(1, |sum|)``, ``E'`` once its current term is.  ``loss`` is
     the larger ratio ``largest term / max(1, |sum|)`` of the two, infinite
     where a sum is not finite or has not stopped within ``_MAX_TERMS``.
+
+    The terms ``term_{k+1} = term_k z r_k`` are formed one row at a time,
+    up to ``_TERM_BLOCK`` rows per block.  Each block then takes, for both
+    series at once, the running sums (``np.cumsum``, adding in term order),
+    the stop tests, their running ``and`` and the running peaks, and each
+    element keeps its sums and peaks at its own stops.  Every operation on
+    an element is the one a loop over single terms makes, in the same
+    order, so the results are bit for bit those of that loop
+    (``tests/oracles.ml_series_loop``), which made about 25 NumPy calls per
+    term where a block makes 2 per term and about 20 per block.
     """
-    term = np.ones_like(z)
-    s, ds = np.zeros_like(z), np.zeros_like(z)
-    peak, dpeak = np.zeros(z.shape), np.zeros(z.shape)
-    on, don = np.ones(z.shape, bool), np.ones(z.shape, bool)
+    m = z.size
+    ratios = _series_ratios(beta)
+    dcoef = _derivative_coefficients(beta)
+    block = max(1, min(_TERM_BLOCK, _FFT_BLOCK_BYTES // (32 * max(1, m))))
+    cols, pair = np.arange(m), np.arange(2)[:, None]
+    # per block, row 0 holds the sums so far of E and E', rows 1..n their
+    # terms k0..k0 + n - 1, E's row 1 carried over from the block before
+    work = np.empty((2, block + 1, m), z.dtype)
+    rows = list(work[0])
+    rows[1][:] = 1
+    sums = np.zeros((2, m), z.dtype)
+    peaks = np.zeros((2, m))
+    on = np.ones((2, m), bool)
     # a diverging element may overflow to inf or nan; its loss is then inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, ratio in enumerate(_series_ratios(beta)):
-            dterm = (k + 1) * ratio * term
-            dsize = np.abs(dterm)
-            don &= ~(dsize <= 1e-17 * np.maximum(1.0, np.abs(ds)))
-            np.add(ds, dterm, out=ds, where=don)
-            np.maximum(dpeak, dsize, out=dpeak, where=don)
-            np.add(s, term, out=s, where=on)
-            np.maximum(peak, np.abs(term), out=peak, where=on)
-            term = term * z * ratio
-            on &= ~(np.abs(term) <= 1e-17 * np.maximum(1.0, np.abs(s)))
-            if not (on.any() or don.any()):
+        for k0 in range(0, _MAX_TERMS, block):
+            n = min(block, _MAX_TERMS - k0)
+            for i in range(1, n):
+                np.multiply(rows[i], z, out=rows[i + 1])
+                np.multiply(rows[i + 1], ratios[k0 + i - 1], out=rows[i + 1])
+            w = work[:, :n + 1]
+            np.multiply(dcoef[k0:k0 + n, None], w[0, 1:], out=w[1, 1:])
+            w[:, 0] = sums
+            size = np.abs(w[:, 1:])
+            part = np.cumsum(w, axis=1)
+            # A term joins its sum while neither it nor an earlier one is at
+            # most 1e-17 max(1, |sum before it|): E's next-term rule is this
+            # rule on its next term, and its term 0 (= 1) never meets it.
+            go = on[:, None] & np.logical_and.accumulate(
+                ~(size <= 1e-17 * np.maximum(1.0, np.abs(part[:, :n]))),
+                axis=1)
+            added = go.sum(axis=1)
+            sums = part[pair, added, cols]
+            peaks = np.maximum.accumulate(
+                np.concatenate([peaks[:, None], size], axis=1),
+                axis=1)[pair, added, cols]
+            on = go[:, -1]
+            np.multiply(rows[n], z, out=rows[1])
+            np.multiply(rows[1], ratios[k0 + n - 1], out=rows[1])
+            if not on.any():
                 break
-        loss = np.maximum(peak / np.maximum(1.0, np.abs(s)),
-                          dpeak / np.maximum(1.0, np.abs(ds)))
-    loss[on | don | ~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
+        else:
+            # E's rule also tests its term _MAX_TERMS, formed above
+            on[0] &= ~(np.abs(rows[1])
+                       <= 1e-17 * np.maximum(1.0, np.abs(sums[0])))
+        loss = np.max(peaks / np.maximum(1.0, np.abs(sums)), axis=0)
+    s, ds = sums
+    loss[on[0] | on[1] | ~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
     return s, ds, loss
 
 
@@ -466,8 +517,12 @@ def _ml_integral_negative(beta, x):
             on = on[~np.all(err[on] <= 1e-13 * total[on], axis=1)]
             if not on.size:
                 break
-        scale = np.stack([sinb / (math.pi * beta * xb),
-                          sinb / (math.pi * beta * beta * xb * xb)], axis=1)
+        # past |x| ~ 1e154 the derivative's x^2 overflows and E' underflows
+        # to 0, as its true value ~ 1 / (x^2 Gamma(1 - beta)) does
+        with np.errstate(over="ignore"):
+            scale = np.stack([sinb / (math.pi * beta * xb),
+                              sinb / (math.pi * beta * beta * xb * xb)],
+                             axis=1)
         vals, err = total * scale, err * scale
         if np.any(err > 1e-9 * np.maximum(1.0, vals)):
             e = float(np.max(err))
@@ -485,11 +540,15 @@ def mittag_leffler(beta, z, derivative=False):
     ``beta = 1`` is ``np.exp``.  Other orders sum the series of ``E_beta``
     and ``E_beta'`` over the whole argument array in one pass, and keep a
     sum only if it converged within ``_MAX_TERMS`` terms, none of them above
-    ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  Real negative
-    arguments at ``beta < 1`` that fail this guard, or lie beyond ``|z| = 5``,
-    use tanh-sinh quadrature of the completely monotone integral form (a
-    Laplace transform of an explicit spectral density) with its own error
-    estimate; any other failure raises ``ConvergenceError``.
+    ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  The pass forms
+    the terms one at a time and takes sums, stop tests and peaks a block of
+    ``_TERM_BLOCK`` terms at a time, bit for bit as a loop over single terms
+    would.  Real negative arguments at ``beta < 1`` that fail this guard,
+    or lie beyond ``|z| = 5``, use tanh-sinh quadrature of the completely
+    monotone integral form (a Laplace transform of an explicit spectral
+    density) with its own error estimate; any other failure raises
+    ``ConvergenceError``.  A NaN argument, real or complex, raises
+    ``DomainError`` naming the first one.
 
     ``derivative=True`` returns ``(E_beta(z), E_beta'(z))`` from that pass,
     the value being the one ``derivative=False`` gives.  A scalar argument
@@ -504,6 +563,10 @@ def mittag_leffler(beta, z, derivative=False):
         raise DomainError(f"mittag_leffler requires beta in (0, 2], got {beta}")
     zarr = np.asarray(z)
     zf = zarr.astype(np.result_type(zarr, float)).ravel()
+    nan = np.flatnonzero(np.isnan(zf))
+    if nan.size:
+        raise DomainError(f"mittag_leffler argument at flat index {nan[0]} is "
+                          f"NaN: {zf[nan[0]]}")
     if beta == 1.0:
         val, der = np.exp(zf), np.exp(zf)
     else:

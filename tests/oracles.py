@@ -8,6 +8,7 @@ the time stepper with its memory sum formed directly at every step (also in
 extended precision, with dense DFT matrices for its transforms), the
 per-mode series of a whole stored trajectory transformed at once, the L1
 mode equations by forward substitution in extended precision, the
+Mittag-Leffler series one term at a time over the argument array, the
 Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
 rate fit by SciPy's trust-region least squares, the preconditioned
 stationary Jacobian with its two terms transformed apart, and the CSV
@@ -441,6 +442,42 @@ def mode_series(state, modes):
     series = np.fft.fft(state.history, axis=1) / state.grid.n_points
     k = state.grid.wavenumbers
     return state.times, {k[m]: series[:, m] for m in modes}
+
+
+def ml_series_loop(beta, z):
+    """``(E, E', loss)``: the series of ``E_beta(z)`` and ``E_beta'(z) =
+    sum_k (k + 1) z^k / Gamma(beta (k + 1) + 1)`` over the 1-D array ``z``.
+
+    Each element stops on its own rule: ``E`` once its next term is at most
+    ``1e-17 max(1, |sum|)``, ``E'`` once its current term is.  ``loss`` is
+    the larger ratio ``largest term / max(1, |sum|)`` of the two, infinite
+    where a sum is not finite or has not stopped within ``_MAX_TERMS``.
+
+    ``fracops._ml_series``, which takes its sums a block of terms at a
+    time, must match it bit for bit.
+    """
+    term = np.ones_like(z)
+    s, ds = np.zeros_like(z), np.zeros_like(z)
+    peak, dpeak = np.zeros(z.shape), np.zeros(z.shape)
+    on, don = np.ones(z.shape, bool), np.ones(z.shape, bool)
+    # a diverging element may overflow to inf or nan; its loss is then inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ratio in enumerate(_series_ratios(beta)):
+            dterm = (k + 1) * ratio * term
+            dsize = np.abs(dterm)
+            don &= ~(dsize <= 1e-17 * np.maximum(1.0, np.abs(ds)))
+            np.add(ds, dterm, out=ds, where=don)
+            np.maximum(dpeak, dsize, out=dpeak, where=don)
+            np.add(s, term, out=s, where=on)
+            np.maximum(peak, np.abs(term), out=peak, where=on)
+            term = term * z * ratio
+            on &= ~(np.abs(term) <= 1e-17 * np.maximum(1.0, np.abs(s)))
+            if not (on.any() or don.any()):
+                break
+        loss = np.maximum(peak / np.maximum(1.0, np.abs(s)),
+                          dpeak / np.maximum(1.0, np.abs(ds)))
+    loss[on | don | ~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
+    return s, ds, loss
 
 
 def ml_series_scalar(beta, z):

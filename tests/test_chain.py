@@ -1,6 +1,7 @@
 """Chain tests.  Oracles: brute-force pair sums, the per-mode closed form
 through the ring coupling's Fourier sum, and the Mittag-Leffler law."""
 
+import logging
 import math
 import tracemalloc
 import warnings
@@ -488,6 +489,28 @@ def test_rate_fit_matches_least_squares(monkeypatch, modes):
         jac = tb * der
         assert abs(jac @ (val - ratio)) <= (
             2e-15 * np.linalg.norm(jac) * np.linalg.norm(ratio))
+
+
+def test_rate_fit_logs_its_passes(monkeypatch, caplog):
+    # one DEBUG record per rate fit with its Mittag-Leffler passes and its
+    # rate; the chain_fit-shaped compare (4,096 particles, beta = 0.9,
+    # dt = 0.1, modes 20/30/60, fit horizon 4) makes 14 passes over 3 fits
+    calls, ml = [], analysis.mittag_leffler
+
+    def counted_ml(*args, **kwargs):
+        calls.append(1)
+        return ml(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "mittag_leffler", counted_ml)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    report = continuum_limit_compare(_spec(n=4096, beta=0.9), [20, 30, 60],
+                                     0.1, 3000, fit_horizon=4.0)
+    fits = [r for r in caplog.records if r.msg.startswith("rate fit:")]
+    assert all(r.name == "fracdyn" and r.levelno == logging.DEBUG
+               for r in fits)
+    assert [r.args[1] for r in fits] == report.rate_measured
+    passes = [r.args[0] for r in fits]
+    assert len(passes) == 3 and sum(passes) == len(calls) == 14
 
 
 def test_rate_fit_failure_raises(monkeypatch):

@@ -22,14 +22,15 @@ from hypothesis import strategies as st
 import fracdyn
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, _fast_len,
-                             _ml_integral_negative, _series_reciprocal,
+                             _ml_integral_negative, _ml_series,
+                             _series_ratios, _series_reciprocal,
                              caputo_left_l1, caputo_right_l1, l1_apply,
                              l1_weights, mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
 from oracles import (caputo_left_quadrature_oracle,
-                     ml_integral_negative_scalar, ml_series_scalar,
-                     riesz_quadrature_oracle)
+                     ml_integral_negative_scalar, ml_series_loop,
+                     ml_series_scalar, riesz_quadrature_oracle)
 
 # ------------------------------------------------------------ L1 weights
 
@@ -712,6 +713,108 @@ def test_ml_array_pass_matches_scalar_loops():
         ref = [ml_series_scalar(beta, float(v)) for v in z]
         assert val.tolist() == [v for v, _ in ref]
         assert der.tolist() == [d for _, d in ref]
+
+
+def _terms_summed(beta, x):
+    """Terms in the sums of ``E_beta(x)`` and ``E_beta'(x)`` for one real
+    ``x``, by the series' stop rules."""
+    ratios = _series_ratios(beta)
+    term, s, n = 1.0, 0.0, 0
+    for ratio in ratios:
+        s, n = s + term, n + 1
+        term = term * x * ratio
+        if abs(term) <= 1e-17 * max(1.0, abs(s)):
+            break
+    term, ds, dn = 1.0, 0.0, 0
+    for k, ratio in enumerate(ratios):
+        dterm = (k + 1) * ratio * term
+        if abs(dterm) <= 1e-17 * max(1.0, abs(ds)):
+            break
+        ds, dn = ds + dterm, dn + 1
+        term = term * x * ratio
+    return n, dn
+
+
+def test_ml_series_blocks_match_term_loop():
+    # the block series against the loop over single terms it replaced:
+    # E, E' and loss bit for bit, also where a sum stops at either side of
+    # the first block's end, never stops, overflows or is NaN
+    def same(beta, z):
+        got, want = _ml_series(beta, z), ml_series_loop(beta, z)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True), (beta, z)
+        return got
+
+    rng = np.random.default_rng(23)
+    for beta in (0.3, 0.5, 0.8, 0.9, 1.2, 1.5, 1.8, 2.0):
+        for size in (1, 7, 24, 200):
+            same(beta, -rng.uniform(0.0, 5.0, size))
+            same(beta, rng.uniform(-5.0, 5.0, size))
+            same(beta, rng.uniform(-4.0, 4.0, size)
+                 + 1j * rng.uniform(-4.0, 4.0, size))
+            same(beta, 1j * rng.uniform(-6.0, 6.0, size))
+    # an argument array this wide takes blocks of 2 terms
+    same(0.9, rng.uniform(-5.0, 5.0, 3000))
+    same(0.9, rng.uniform(-3.0, 3.0, 3000)
+         + 1j * rng.uniform(-3.0, 3.0, 3000))
+    for dtype in (float, complex):
+        same(0.5, np.array([], dtype))
+    # sums of 31 to 34 terms: the first block holds terms 0-31
+    edge = {}
+    for beta in (0.5, 0.9):
+        for x in np.linspace(-5.0, 0.0, 1001):
+            for series, n in zip("ED", _terms_summed(beta, x)):
+                edge.setdefault((beta, series, n), x)
+    for n in (32, 33):
+        assert all((beta, series, n) in edge for beta in (0.5, 0.9)
+                   for series in "ED")
+    for beta in (0.5, 0.9):
+        xs = np.array([x for (b, _, n), x in edge.items()
+                       if b == beta and 31 <= n <= 34])
+        same(beta, xs)
+        same(beta, xs * np.exp(0.1j))
+    # still summing after the last term: at beta = 0.3 the term of 5^k
+    # reaches 1e90 at k = 600, finite but not small, so its loss is infinite
+    s, ds, loss = same(0.3, np.array([-0.5, 5.0, 5.0j, -4.0]))
+    assert np.isfinite(s[1]) and loss[1] == np.inf and loss[0] < np.inf
+    # terms overflowing to inf, sums to inf or NaN, and NaN arguments
+    wild = np.array([1e200, -1e200, 60.0, -60.0, np.inf, -np.inf, np.nan,
+                     0.0, 1.0])
+    for beta in (0.3, 0.9, 1.5, 2.0):
+        s, ds, loss = same(beta, wild)
+        assert np.all(loss[[0, 1, 4, 5, 6]] == np.inf)
+        same(beta, wild * (1 + 1j))
+        same(beta, np.array([complex(0.5, v) for v in wild]))
+
+
+def test_ml_large_negative_arguments_do_not_overflow():
+    # past x ~ 1e154 the quadrature's derivative scale x^2 overflowed and
+    # its RuntimeWarning escaped; E(-x) tends to 1 / (x Gamma(1 - beta))
+    # and E'(-x) to 1 / (x^2 Gamma(1 - beta)), which underflows to 0
+    for beta in (0.5, 0.9):
+        for x in (1e154, 1e200, 1e300):
+            val, der = mittag_leffler(beta, -x, derivative=True)
+            assert val == pytest.approx(1.0 / (x * math.gamma(1.0 - beta)),
+                                        rel=1e-14)
+            assert 0.0 <= der <= 1e-307
+    val, der = mittag_leffler(0.9, np.array([-1e200, -2.0]), derivative=True)
+    assert der[0] == 0.0 and der[1] == mittag_leffler(0.9, -2.0,
+                                                      derivative=True)[1]
+
+
+def test_ml_nan_argument_is_a_domain_error():
+    # a NaN argument is named before any summing (the series reported it as
+    # lost digits, with a ratio of inf); the first one is named
+    for beta in (0.5, 1.0, 1.5):
+        with pytest.raises(DomainError, match="flat index 1 is NaN: nan"):
+            mittag_leffler(beta, [-1.0, np.nan, np.nan])
+        with pytest.raises(DomainError,
+                           match=r"flat index 2 is NaN: \(1\+nanj\)"):
+            mittag_leffler(beta, np.array([[0.5j, -1.0],
+                                           [complex(1, np.nan), np.nan]]))
+        with pytest.raises(DomainError, match="flat index 0 is NaN"):
+            mittag_leffler(beta, float("nan"), derivative=True)
 
 
 def test_ml_derivative_closed_forms():
