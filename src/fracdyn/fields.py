@@ -759,9 +759,10 @@ def free_energy_gradient(u, model: ModelSpec, grid: GridSpec):
     return lap + model.a * u + model.b * u ** 3
 
 
-# Bytes of spectrum per row block of ``residual``: 256 KiB keeps the work
-# buffers small beside the trajectory, so a 3000-step, 128-point relaxation
-# holds the peak RSS of the row-by-row loop.
+# Bytes per row block of ``residual``'s spatial term, and per column block
+# of its right derivative: 256 KiB keeps the work buffers small beside the
+# trajectory, so a 3000-step, 128-point relaxation holds the peak RSS of
+# the row-by-row loop.
 _RESIDUAL_BLOCK_BYTES = 1 << 18
 
 
@@ -771,6 +772,10 @@ def residual(model: ModelSpec, state: FieldState, beta):
     Evaluates ``g0 D^beta_left u + g0' D^beta_right u + sum_s g_s
     (-Lap)^(s/2) f(u) + F(u)`` at every node; this is the only place the
     right-derivative weight ``g0_prime`` is honored, for ``beta <= 1``.
+    Beside its output it holds one block: the left derivative streams its
+    increments over column blocks and is scaled in place, the right one is
+    taken and added a column block at a time, and the spatial and force
+    terms a row block at a time (no force term where the model has none).
     """
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
@@ -780,18 +785,24 @@ def residual(model: ModelSpec, state: FieldState, beta):
                           f"only the last {state.history.shape[0]}")
     u = state.history
     dt = state.time.dt
-    out = model.g0 * caputo_left_l1(u, beta, dt,
-                                    initial_velocity=state.initial_velocity)
+    out = caputo_left_l1(u, beta, dt, initial_velocity=state.initial_velocity)
+    out *= model.g0
     if model.g0_prime != 0:
-        out = out + model.g0_prime * caputo_right_l1(u, beta, dt)
+        cols = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[0]))
+        for c in range(0, u.shape[1], cols):
+            right = caputo_right_l1(u[:, c:c + cols], beta, dt)
+            right *= model.g0_prime
+            out[:, c:c + cols] += right
     k, fwd, inv = _transforms(state)
     sym = model.spatial_symbol(k)
     # rows in blocks, one transform along the grid axis per block
     rows = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[1]))
     for r in range(0, u.shape[0], rows):
         ur = u[r:r + rows]
-        fu = model.interaction_apply(ur)
-        out[r:r + rows] += inv(sym * fwd(fu)) + model.force(ur)
+        term = inv(sym * fwd(model.interaction_apply(ur)))
+        if model.potential is not Potential.NONE:
+            term += model.force(ur)
+        out[r:r + rows] += term
     return out
 
 

@@ -14,6 +14,10 @@ convolution along the time axis.  :func:`l1_apply` evaluates it with one
 zero-padded FFT product, O(n log n) per history instead of O(n^2).  Its
 rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
+It takes the columns in blocks, and each operator forms the increments of
+a block from its own samples inside that block (differences, difference
+quotients led by the initial velocity, or scaled rates), so beside its
+output an operator holds one block, never a whole-history temporary.
 
 Where the L1 equations of a linear mode are solved for a whole run at once
 (``fields``, for linear first-order runs without a growing mode), the
@@ -73,6 +77,7 @@ _FFT_BLOCK_BYTES = 1 << 18
 HISTORY_BLOCK = 64
 
 
+@functools.lru_cache(maxsize=256)
 def _fast_len(n):
     """The smallest ``2^a 3^b 5^c >= n``, a length pocketfft's real
     transforms factor fully; equal to ``scipy.fft.next_fast_len(n,
@@ -137,26 +142,53 @@ def _real_columns(x):
     return x.view(np.float64) if np.iscomplexobj(x) else x
 
 
-def _convolve_columns(x, weights, nfft, start, stop):
-    """Rows ``start:stop`` of the length-``nfft`` circular convolution of the
-    real ``weights`` with every column of the real ``(rows, m)`` array ``x``.
+def _convolve_columns(increments, target, weights, nfft, start):
+    """Rows ``start:start + len(target)`` of the length-``nfft`` circular
+    convolution of the real ``weights`` with every column of an
+    ``(rows, m)`` history, ``m`` and the dtype being those of ``target``.
 
-    ``weights`` is the real FFT of the zero-padded weight sequence.  Yields
-    ``(columns, rows)`` pairs, one per column block of ``_FFT_BLOCK_BYTES``.
+    ``weights`` is the real FFT of the zero-padded weight sequence.  The
+    history is never held whole: ``increments(cols)`` returns its columns
+    ``cols``, formed by the caller from its own samples, one block at a
+    time, with ``_FFT_BLOCK_BYTES`` of spectrum per block.  Complex columns
+    are convolved as their real and imaginary parts.  Yields ``(cols,
+    rows)`` pairs, one per block: ``rows`` are the float64 columns ``cols``
+    of ``_real_columns(target)``, which the caller writes before the next
+    block is formed.
     """
-    block = max(1, _FFT_BLOCK_BYTES // (16 * nfft))
-    for c in range(0, x.shape[1], block):
-        spec = np.fft.rfft(x[:, c:c + block], nfft, axis=0)
+    width = 2 if target.dtype.kind == "c" else 1
+    block = max(1, _FFT_BLOCK_BYTES // (16 * nfft * width))
+    stop = start + target.shape[0]
+    for c in range(0, target.shape[1], block):
+        x = _real_columns(np.ascontiguousarray(increments(slice(c, c + block)),
+                                               dtype=target.dtype))
+        spec = np.fft.rfft(x, nfft, axis=0)
         spec *= weights[:, None]
-        yield slice(c, c + block), np.fft.irfft(spec, nfft, axis=0)[start:stop]
+        yield (slice(width * c, width * (c + block)),
+               np.fft.irfft(spec, nfft, axis=0)[start:stop])
 
 
-def l1_apply(increments, weights, scale):
+def _l1_output(n, columns):
+    """An unfilled ``(n + 1, m)`` array for the L1 sums over the 2-D
+    ``columns``: complex128 where they are complex, else float64."""
+    return np.empty((n + 1, columns.shape[1]),
+                    dtype=np.complex128 if np.iscomplexobj(columns) else np.float64)
+
+
+def l1_apply(increments, weights, scale, out=None):
     """Weighted history sums ``out[j] = scale * sum_{i=1..j} w[j-i] inc[i-1]``.
 
     ``increments`` may be 1-D (a single history) or 2-D ``(n, m)`` with time
     along axis 0; the output has one more row than the input, and row 0 is
     zero.  ``weights`` needs at least ``n`` entries.
+
+    An operator that derives its increments from samples passes instead a
+    function ``increments(cols)`` that forms the ``(n, k)`` increments of
+    the columns ``cols`` (a slice), and ``out``, the float64 or complex128
+    ``(n + 1, m)`` array that receives the sums and is returned.  Each
+    column block is formed, transformed and written before the next, so
+    the sums hold ``out`` plus one block; an array of increments is read
+    the same way, a block of its columns at a time.
 
     The sums are the first ``n`` terms of the linear convolution of the
     weights with each column, computed by a real FFT of length at least
@@ -167,19 +199,23 @@ def l1_apply(increments, weights, scale):
     bound it by ``1e-14 * max|out|`` against the direct row-by-row sum), so
     entries far below the maximum do not keep their own relative accuracy.
     """
-    is_complex = np.iscomplexobj(increments)
-    inc = np.ascontiguousarray(increments,
-                               dtype=np.complex128 if is_complex else np.float64)
-    squeeze = inc.ndim == 1
-    if squeeze:
-        inc = inc[:, None]
-    n = inc.shape[0]
-    out = np.zeros((n + 1, inc.shape[1]), dtype=inc.dtype)
+    form, squeeze = increments, False
+    if out is None:
+        inc = np.asarray(increments)
+        squeeze = inc.ndim == 1
+        if squeeze:
+            inc = inc[:, None]
+        out = _l1_output(inc.shape[0], inc)
+
+        def form(cols):
+            return inc[:, cols]
+    n = out.shape[0] - 1
+    out[0] = 0
     if n:
         nfft = _fast_len(2 * n - 1)
         w_hat = np.fft.rfft(scale * np.asarray(weights, dtype=np.float64)[:n], nfft)
         flat = _real_columns(out)
-        for cols, rows in _convolve_columns(_real_columns(inc), w_hat, nfft, 0, n):
+        for cols, rows in _convolve_columns(form, out[1:], w_hat, nfft, 0):
             flat[1:, cols] = rows
     return out[:, 0] if squeeze else out
 
@@ -236,9 +272,10 @@ class HistorySum:
         # when nfft >= s + count - 1
         nfft = _fast_len(s + count - 1)
         w_hat = np.fft.rfft(self._w[1:1 + nfft], nfft)
+        source = self._flat[p - s:p]
         target = self._flat[p:p + count]
-        for cols, rows in _convolve_columns(self._flat[p - s:p], w_hat, nfft,
-                                            s - 1, s - 1 + count):
+        for cols, rows in _convolve_columns(lambda c: source[:, c],
+                                            target, w_hat, nfft, s - 1):
             target[:, cols] += rows
 
 
@@ -261,21 +298,34 @@ def caputo_left_l1(u, beta, dt, initial_velocity=None):
     Every order is the L1 sum of order ``q`` over the increments of a memory
     variable ``y``: ``y = u`` at ``q = beta <= 1``, and at ``q = beta - 1``
     the quotients ``y_j = (u_j - u_{j-1}) / dt`` led by ``y_0 = u'(0)``.
+    The increments are formed a column block at a time, inside the block
+    loop of :func:`l1_apply`, so beside its output the derivative holds one
+    block.
     """
     beta = validate_temporal_order(beta)
     if dt <= 0:
         raise DomainError("dt must be positive")
     u = _check_history(u)
-    q, y = beta, u
+    n = u.shape[0] - 1
+    hist = u.reshape(n + 1, math.prod(u.shape[1:]))
+    q = beta
     if beta > 1.0:
         if initial_velocity is None:
             raise DomainError("orders in (1, 2] require initial_velocity")
         v0 = np.asarray(initial_velocity, dtype=np.result_type(u, float))
+        v0 = v0.reshape(1, hist.shape[1])
         q = beta - 1.0
-        y = np.concatenate([v0.reshape((1,) + u.shape[1:]),
-                            np.diff(u, axis=0) / dt], axis=0)
+
+        def increments(cols):
+            quotients = np.diff(hist[:, cols], axis=0) / dt
+            return np.diff(np.concatenate([v0[:, cols], quotients], axis=0),
+                           axis=0)
+    else:
+        def increments(cols):
+            return np.diff(hist[:, cols], axis=0)
     scale = dt ** (-q) / math.gamma(2.0 - q)
-    return l1_apply(np.diff(y, axis=0), l1_weights(q, u.shape[0] - 1), scale)
+    out = l1_apply(increments, l1_weights(q, n), scale, _l1_output(n, hist))
+    return out.reshape(u.shape)
 
 
 def caputo_right_l1(u, beta, dt):
@@ -303,7 +353,7 @@ def riemann_liouville_left(u, beta, dt):
     if not 0.0 < beta < 1.0:
         raise DomainError(f"Riemann-Liouville path requires beta in (0, 1), got {beta}")
     u = _check_history(u)
-    out = caputo_left_l1(u, beta, dt).astype(np.result_type(u, float), copy=True)
+    out = caputo_left_l1(u, beta, dt).astype(np.result_type(u, float), copy=False)
     n = u.shape[0] - 1
     t = np.arange(1, n + 1) * dt
     corr = t ** (-beta) / math.gamma(1.0 - beta)
@@ -548,7 +598,9 @@ def mittag_leffler(beta, z, derivative=False):
     monotone integral form (a Laplace transform of an explicit spectral
     density) with its own error estimate; any other failure raises
     ``ConvergenceError``.  A NaN argument, real or complex, raises
-    ``DomainError`` naming the first one.
+    ``DomainError`` naming the first one, and so does an infinite argument
+    that would reach the series: any but a real ``-inf`` at ``beta < 1``,
+    which the integral form takes to 0.
 
     ``derivative=True`` returns ``(E_beta(z), E_beta'(z))`` from that pass,
     the value being the one ``derivative=False`` gives.  A scalar argument
@@ -574,6 +626,10 @@ def mittag_leffler(beta, z, derivative=False):
         loss = np.full(zf.shape, np.inf)
         negative = (zf.imag == 0) & (zf.real < 0) & (beta < 1.0)
         series = ~negative | (np.abs(zf) <= _SERIES_RADIUS)
+        inf = np.flatnonzero(series & np.isinf(zf))
+        if inf.size:
+            raise DomainError(f"mittag_leffler argument at flat index {inf[0]} "
+                              f"is infinite: {zf[inf[0]]}")
         val[series], der[series], loss[series] = _ml_series(beta, zf[series])
         lost = ~(loss <= _CANCELLATION_LIMIT)
         bad = np.flatnonzero(lost & ~negative)

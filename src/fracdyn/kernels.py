@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fracops import l1_apply, l1_weights
+from .fracops import _l1_output, l1_apply, l1_weights
 
 __all__ = [
     "MemoryKernel",
@@ -52,13 +52,20 @@ def memory_convolution(kernel: MemoryKernel, du_dt, dt):
     for sampled data, or analytic derivative values).  Product-integration
     with the power-law kernel uses exactly the L1 weights, so the result
     equals ``g0 * caputo_left_l1(u, beta, dt)`` operation for operation.
+    The increments ``du_dt * dt`` are formed a column block at a time and
+    ``g0`` is applied in place, so beside its output the convolution holds
+    one block.
     """
     du_dt = np.asarray(du_dt)
     if dt <= 0:
         raise DomainError("dt must be positive")
-    increments = du_dt * dt
+    n = du_dt.shape[0]
+    rates = du_dt.reshape(n, math.prod(du_dt.shape[1:]))
     scale = dt ** (-kernel.beta) / math.gamma(2.0 - kernel.beta)
-    return kernel.g0 * l1_apply(increments, l1_weights(kernel.beta, du_dt.shape[0]), scale)
+    out = l1_apply(lambda cols: rates[:, cols] * dt,
+                   l1_weights(kernel.beta, n), scale, _l1_output(n, rates))
+    out *= kernel.g0
+    return out.reshape((n + 1,) + du_dt.shape[1:])
 
 
 def renormalized_constant(alpha, g0, dx):

@@ -5,7 +5,8 @@ transform-based route, directly from its definition: adaptive quadrature of
 the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
 derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
 the time stepper with its memory sum formed directly at every step (also in
-extended precision, with dense DFT matrices for its transforms), the
+extended precision, with dense DFT matrices for its transforms), the L1
+operators and the trajectory residual on whole-array increments, the
 per-mode series of a whole stored trajectory transformed at once, the L1
 mode equations by forward substitution in extended precision, the
 Mittag-Leffler series one term at a time over the argument array, the
@@ -431,6 +432,118 @@ def ml_integral_negative_scalar(beta, x):
         raise ConvergenceError(
             f"Mittag-Leffler integral representation error {e:.2e}", estimate=e)
     return float(val[0]), float(val[1])
+
+
+# (rows, columns): at 101 rows an FFT block holds 81 real or 40 complex
+# columns, at 3001 rows 2 real or 1 complex, so these shapes run 1, 1, 2
+# and 5 real blocks and 1, 2, 3 and 9 complex ones
+L1_BLOCK_SHAPES = [(101, 1), (101, 70), (101, 120), (3001, 9)]
+
+
+def l1_history(shape, is_complex, seed=4):
+    """Samples of ``shape`` and an initial velocity for one level."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape)
+    v0 = rng.standard_normal(shape[1:])
+    if is_complex:
+        u = u + 1j * rng.standard_normal(shape)
+        v0 = v0 + 1j * rng.standard_normal(shape[1:])
+    return u, v0
+
+
+def assert_same_bits(got, ref):
+    """``got`` and ``ref`` hold the same bits, in the same dtype and shape."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def l1_apply_whole(increments, weights, scale):
+    """``fracops.l1_apply`` on a whole increment array: the array is
+    converted to float64 or complex128 at once, then convolved in blocks of
+    its real columns.  The L1 operators below feed it whole arrays of
+    increments, as the library did before it formed them a column block at
+    a time; each yields the same bits as the library's operator."""
+    is_complex = np.iscomplexobj(increments)
+    inc = np.ascontiguousarray(increments,
+                               dtype=np.complex128 if is_complex else np.float64)
+    squeeze = inc.ndim == 1
+    if squeeze:
+        inc = inc[:, None]
+    n = inc.shape[0]
+    out = np.zeros((n + 1, inc.shape[1]), dtype=inc.dtype)
+    if n:
+        nfft = fracops._fast_len(2 * n - 1)
+        w_hat = np.fft.rfft(scale * np.asarray(weights, dtype=np.float64)[:n],
+                            nfft)
+        x = inc.view(np.float64) if is_complex else inc
+        flat = out.view(np.float64) if is_complex else out
+        block = max(1, fracops._FFT_BLOCK_BYTES // (16 * nfft))
+        for c in range(0, x.shape[1], block):
+            spec = np.fft.rfft(x[:, c:c + block], nfft, axis=0)
+            spec *= w_hat[:, None]
+            flat[1:, c:c + block] = np.fft.irfft(spec, nfft, axis=0)[:n]
+    return out[:, 0] if squeeze else out
+
+
+def caputo_left_whole(u, beta, dt, initial_velocity=None):
+    """``caputo_left_l1`` with its increments differenced over the whole
+    history at once (at ``beta > 1`` the quotients concatenated behind
+    ``u'(0)`` first)."""
+    u = np.asarray(u)
+    q, y = beta, u
+    if beta > 1.0:
+        v0 = np.asarray(initial_velocity, dtype=np.result_type(u, float))
+        q = beta - 1.0
+        y = np.concatenate([v0.reshape((1,) + u.shape[1:]),
+                            np.diff(u, axis=0) / dt], axis=0)
+    scale = dt ** (-q) / math.gamma(2.0 - q)
+    return l1_apply_whole(np.diff(y, axis=0), l1_weights(q, u.shape[0] - 1),
+                          scale)
+
+
+def riemann_liouville_whole(u, beta, dt):
+    """``riemann_liouville_left`` on a copy of the whole Caputo value."""
+    u = np.asarray(u)
+    out = caputo_left_whole(u, beta, dt).astype(np.result_type(u, float),
+                                                copy=True)
+    n = u.shape[0] - 1
+    t = np.arange(1, n + 1) * dt
+    corr = t ** (-beta) / math.gamma(1.0 - beta)
+    out[1:] += corr.reshape((-1,) + (1,) * (u.ndim - 1)) * u[0]
+    u0 = np.asarray(u[0])
+    with np.errstate(invalid="ignore"):
+        origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
+    out[0] = origin if u.ndim > 1 else float(origin)
+    return out
+
+
+def memory_convolution_whole(kernel, du_dt, dt):
+    """``memory_convolution`` with the whole increment array ``du_dt * dt``
+    formed first and ``g0`` applied to a copy of the sums."""
+    du_dt = np.asarray(du_dt)
+    scale = dt ** (-kernel.beta) / math.gamma(2.0 - kernel.beta)
+    return kernel.g0 * l1_apply_whole(
+        du_dt * dt, l1_weights(kernel.beta, du_dt.shape[0]), scale)
+
+
+def residual_whole(model, state, beta):
+    """``fields.residual`` from whole-array copies: ``g0`` times the left
+    derivative, plus ``g0'`` times the whole right derivative, plus the
+    spatial and force terms (the force added where it is zero too)."""
+    from fracdyn.fields import _RESIDUAL_BLOCK_BYTES, _transforms
+    u = state.history
+    dt = state.time.dt
+    out = model.g0 * caputo_left_whole(u, beta, dt, state.initial_velocity)
+    if model.g0_prime != 0:
+        out = out + model.g0_prime * caputo_left_whole(u[::-1], beta, dt)[::-1]
+    k, fwd, inv = _transforms(state)
+    sym = model.spatial_symbol(k)
+    rows = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[1]))
+    for r in range(0, u.shape[0], rows):
+        ur = u[r:r + rows]
+        fu = model.interaction_apply(ur)
+        out[r:r + rows] += inv(sym * fwd(fu)) + model.force(ur)
+    return out
 
 
 def mode_series(state, modes):

@@ -4,6 +4,7 @@ Mittag-Leffler mode law, and manufactured solutions."""
 
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,9 +21,10 @@ from fracdyn.fields import (FieldState, Interaction, ModelSpec, Potential,
 from fracdyn.fracops import (HISTORY_BLOCK, mittag_leffler,
                              riesz_derivative_spectral)
 from fracdyn.grids import GridSpec, TimeGrid
-from oracles import (EXTENDED_PRECISION, evolve_linear_implicit_direct,
-                     evolve_linear_implicit_extended,
-                     stationary_jacobian_three_fft)
+from oracles import (EXTENDED_PRECISION, assert_same_bits,
+                     evolve_linear_implicit_direct,
+                     evolve_linear_implicit_extended, l1_history,
+                     residual_whole, stationary_jacobian_three_fft)
 
 TWO_PI = 2 * np.pi
 
@@ -1196,6 +1198,59 @@ def test_residual_matches_row_loop(field_kind):
     out = residual(model, state, 0.7)
     ref = _residual_row_loop(model, state, 0.7)
     assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _completed_state(u, v0):
+    """A completed full-history state holding the levels ``u``."""
+    grid = GridSpec(u.shape[1], TWO_PI)
+    state = FieldState.from_initial(grid, TimeGrid(u.shape[0] - 1, 1e-3),
+                                    u[0], initial_velocity=v0)
+    state.history[:] = u
+    state.n_completed = u.shape[0] - 1
+    return state
+
+
+# (levels, points): the left derivative runs 1, 2 (3 complex) and many
+# column blocks, the right one 1, 1 and 4, the spatial term 1, 1 and 3
+# row blocks
+@pytest.mark.parametrize("shape", [(101, 8), (101, 120), (3001, 16)])
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("beta", [0.3, 0.8, 1.0, 1.5, 2.0])
+def test_residual_streamed_matches_whole_arrays_bitwise(shape, is_complex, beta):
+    # g0 and g0' applied in place, the right derivative a column block at a
+    # time and no zero force added give the bits of the whole-array form
+    state = _completed_state(*l1_history(shape, is_complex))
+    for potential in (Potential.NONE, Potential.GINZBURG_LANDAU):
+        for g0_prime in ((0.0, -0.6) if beta <= 1.0 else (0.0,)):
+            model = ModelSpec(g0=1.7, g0_prime=g0_prime,
+                              spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
+                              potential=potential)
+            assert_same_bits(residual(model, state, beta),
+                             residual_whole(model, state, beta))
+
+
+@pytest.mark.parametrize("beta", [0.8, 1.5])
+def test_l1_operators_hold_their_output_plus_one_block(beta):
+    # frac_relax's 3001 x 128 trajectory and model: beside its output, the
+    # left derivative (and the residual built on it) allocates one column
+    # block of increments and spectrum, not whole-array differences,
+    # quotients or scaled copies (3.4 MB beyond the output at beta = 0.8,
+    # 6.5 MB at beta = 1.5, when they were)
+    u, v0 = l1_history((3001, 128), False)
+    state = _completed_state(u, v0)
+    model = ModelSpec(g0=1.0, spatial_terms=((1.5, 0.5),))
+    for run in (lambda: fields.caputo_left_l1(u, beta, 1e-3, v0),
+                lambda: residual(model, state, beta)):
+        run()   # FFT plans and caches first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == u.shape
+        assert peak <= out.nbytes + (1 << 20)
 
 
 # ------------------------------------------------------------ energy helper

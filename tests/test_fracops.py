@@ -28,9 +28,11 @@ from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, _fast_len,
                              l1_weights, mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec
-from oracles import (caputo_left_quadrature_oracle,
-                     ml_integral_negative_scalar, ml_series_loop,
-                     ml_series_scalar, riesz_quadrature_oracle)
+from oracles import (L1_BLOCK_SHAPES, assert_same_bits,
+                     caputo_left_quadrature_oracle, caputo_left_whole,
+                     l1_history, ml_integral_negative_scalar, ml_series_loop,
+                     ml_series_scalar, riemann_liouville_whole,
+                     riesz_quadrature_oracle)
 
 # ------------------------------------------------------------ L1 weights
 
@@ -387,6 +389,29 @@ def test_right_is_reversed_left():
     r = caputo_right_l1(u, 0.7, dt)
     l = caputo_left_l1(u[::-1], 0.7, dt)[::-1]
     assert np.array_equal(r, l)
+
+
+# ------------------------------------------------------------ streamed L1 operators
+
+@pytest.mark.parametrize("shape", L1_BLOCK_SHAPES)
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("beta", [0.3, 0.8, 1.0, 1.5, 2.0])
+def test_caputo_streamed_matches_whole_arrays_bitwise(shape, is_complex, beta):
+    # the increments formed a column block at a time give the bits of the
+    # whole-array differences, in 2-D and for a single history
+    u, v0 = l1_history(shape, is_complex)
+    dt = 0.01
+    iv, iv0 = (v0, v0[0]) if beta > 1.0 else (None, None)
+    assert_same_bits(caputo_left_l1(u, beta, dt, iv),
+                     caputo_left_whole(u, beta, dt, iv))
+    assert_same_bits(caputo_left_l1(u[:, 0], beta, dt, iv0),
+                     caputo_left_whole(u[:, 0], beta, dt, iv0))
+    if beta <= 1.0:
+        assert_same_bits(caputo_right_l1(u, beta, dt),
+                         caputo_left_whole(u[::-1], beta, dt)[::-1])
+    if beta < 1.0:
+        assert_same_bits(riemann_liouville_left(u, beta, dt),
+                         riemann_liouville_whole(u, beta, dt))
 
 
 # ------------------------------------------------------------ Riemann-Liouville
@@ -815,6 +840,26 @@ def test_ml_nan_argument_is_a_domain_error():
                                            [complex(1, np.nan), np.nan]]))
         with pytest.raises(DomainError, match="flat index 0 is NaN"):
             mittag_leffler(beta, float("nan"), derivative=True)
+
+
+def test_ml_infinite_argument_is_a_domain_error():
+    # an infinite argument that would reach the series is named before any
+    # summing (the series reported it as lost digits, with a ratio of inf)
+    for beta, z in ((0.5, np.inf), (1.5, np.inf), (2.0, np.inf),
+                    (1.5, -np.inf), (2.0, -np.inf),
+                    (0.5, complex(0, np.inf)), (1.5, complex(0, np.inf))):
+        with pytest.raises(DomainError, match="flat index 0 is infinite"):
+            mittag_leffler(beta, z, derivative=True)
+    # -inf at beta < 1 goes to the integral form, not the series
+    with pytest.raises(DomainError, match="flat index 2 is infinite: inf"):
+        mittag_leffler(0.5, [-1.0, -np.inf, np.inf, np.inf])
+    with pytest.raises(DomainError, match=r"flat index 1 is infinite: infj"):
+        mittag_leffler(1.5, np.array([[0.5j, complex(0, np.inf)],
+                                      [np.inf, -1.0]]))
+    assert mittag_leffler(0.5, -np.inf, derivative=True) == (0.0, 0.0)
+    # beta = 1 is np.exp
+    assert mittag_leffler(1.0, np.inf) == np.inf
+    assert mittag_leffler(1.0, -np.inf) == 0.0
 
 
 def test_ml_derivative_closed_forms():

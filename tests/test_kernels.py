@@ -15,8 +15,9 @@ from fracdyn.errors import DomainError
 from fracdyn.fracops import caputo_left_l1
 from fracdyn.kernels import (MemoryKernel, memory_convolution,
                              renormalized_constant)
-from oracles import (TailBoundError, cutoff_for_tolerance, lattice_symbol,
-                     lattice_symbol_increment)
+from oracles import (L1_BLOCK_SHAPES, TailBoundError, assert_same_bits,
+                     cutoff_for_tolerance, l1_history, lattice_symbol,
+                     lattice_symbol_increment, memory_convolution_whole)
 
 # ------------------------------------------------------------ memory kernel
 
@@ -53,6 +54,22 @@ def test_memory_convolution_equals_scaled_caputo_bitwise():
 def test_memory_convolution_constant_zero():
     out = memory_convolution(MemoryKernel(beta=0.3), np.zeros(50), 0.01)
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("shape", L1_BLOCK_SHAPES)
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("beta", [0.3, 0.8])
+def test_memory_convolution_streamed_matches_whole_arrays_bitwise(
+        shape, is_complex, beta):
+    # the increments du_dt * dt formed a column block at a time, and g0
+    # applied in place, give the bits of the whole-array form
+    rates, _ = l1_history(shape, is_complex)
+    kern = MemoryKernel(beta=beta, g0=-2.5)
+    dt = 0.01
+    assert_same_bits(memory_convolution(kern, rates, dt),
+                     memory_convolution_whole(kern, rates, dt))
+    assert_same_bits(memory_convolution(kern, rates[:, 0], dt),
+                     memory_convolution_whole(kern, rates[:, 0], dt))
 
 
 def test_memory_convolution_empty_history():
