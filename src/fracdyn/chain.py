@@ -31,16 +31,17 @@ and as ``k dx -> 0`` the lattice rate approaches the continuum rate
 so the relative gap to the pure ``|k|^alpha`` law closes only like
 ``(k dx)^(2-alpha)``, which is what ``continuum_limit_compare`` measures.
 Because its modes do not couple, it evolves only the compared modes'
-coefficients, through the same stepper with identity transforms; below
-``beta = 1`` their linear equations are solved there for the whole run at
-once where no mode grows, as for any linear field (see ``fields``).  The full ring, stepped,
-is the oracle of both paths in the tests.
+coefficients, held in a ``fields.LevelRing`` (which is its own transform),
+through the same stepper; below ``beta = 1`` their linear equations are
+solved there for the whole run at once where no mode grows, as for any
+linear field (see ``fields``).  The full ring, stepped, is the oracle of
+both paths in the tests.
 The ring's coupling cutoff adds a further small tail, nearly independent of
 ``k``, from the interactions beyond it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
@@ -48,7 +49,7 @@ import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError
 from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
-                     _evolve_linear_implicit, _transforms)
+                     _evolve_linear_implicit)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
 from .kernels import renormalized_constant
@@ -140,7 +141,8 @@ def evolve_chain(spec: ChainSpec, state: FieldState, observe=None):
     lagged one level; a linear chain below ``beta = 1`` is solved for the
     whole run at once, as ``evolve_field`` solves a linear field.  Orders in
     (1, 2] need an initial velocity.  ``state`` is a real
-    :class:`~fracdyn.fields.FieldState` on ``spec.grid``.  ``observe(j, u)``,
+    :class:`~fracdyn.fields.FieldState` on ``spec.grid``, stepped on its
+    ``rfft`` modes; ``spec.local`` supplies ``g0 = 1``.  ``observe(j, u)``,
     if given, sees every new level ``j >= 1``.
     """
     if state.history.shape[1] != spec.n_particles:
@@ -148,10 +150,8 @@ def evolve_chain(spec: ChainSpec, state: FieldState, observe=None):
     if state.is_complex:
         # the ring symbol lives on the n // 2 + 1 rfft modes of a real ring
         raise DomainError("chain displacements must be real")
-    _, fwd, inv = _transforms(state)
-    return _evolve_linear_implicit(state, spec.beta, 1.0, spec.local,
-                                   spec.g0 * _ring_symbol(spec), fwd, inv,
-                                   observe)
+    return _evolve_linear_implicit(state, spec.beta, spec.local,
+                                   spec.g0 * _ring_symbol(spec), observe)
 
 
 @dataclass
@@ -179,17 +179,7 @@ class ChainContinuumReport:
     fitted_exponent: float
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha, "beta": self.beta, "dx": self.dx,
-            "g_alpha": self.g_alpha, "modes": list(self.modes),
-            "k": list(self.k), "kdx": list(self.kdx),
-            "rate_measured": list(self.rate_measured),
-            "rate_lattice": list(self.rate_lattice),
-            "rate_continuum": list(self.rate_continuum),
-            "deviation_vs_continuum": list(self.deviation_vs_continuum),
-            "deviation_vs_lattice": list(self.deviation_vs_lattice),
-            "fitted_exponent": self.fitted_exponent,
-        }
+        return asdict(self)
 
 
 def _fit_mode_rate(times, amps, beta, rate_guess):
@@ -200,10 +190,6 @@ def _fit_mode_rate(times, amps, beta, rate_guess):
     if beta == 1.0:
         return float(np.log(amps[-1] / a0) / times[-1])
     return float(_ml_rate(times[1:], amps[1:] / a0, beta, rate_guess))
-
-
-def _identity(v):
-    return v
 
 
 def _check_compare(spec: ChainSpec, modes, fit_horizon):
@@ -251,14 +237,13 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     Only the requested modes are evolved: their ``rfft`` coefficients,
     started from the sum of their cosines, with multiplier
     ``g0 (J^(k) - J^(0))`` on those modes and the linear force acting per
-    mode, by the linear-implicit evolution with identity transforms: stepped
-    at ``beta = 1`` or where a mode grows, solved for the whole run at once
-    otherwise, each mode's levels then matching the stepped ones to
-    rounding of its initial coefficient (see ``fields``).  The blow-up
-    guard sees the largest
-    mode coefficient, not the field's sup-norm: a ``BlowUpError``'s
-    ``norm`` is in coefficient units, ``n_particles / 2`` times a cosine's
-    amplitude.
+    mode, by the linear-implicit evolution on a ``LevelRing`` of those
+    coefficients: stepped at ``beta = 1`` or where a mode grows, solved for
+    the whole run at once otherwise, each mode's levels then matching the
+    stepped ones to rounding of its initial coefficient (see ``fields``).
+    The blow-up guard sees the largest mode coefficient, not the field's
+    sup-norm: a ``BlowUpError``'s ``norm`` is in coefficient units,
+    ``n_particles / 2`` times a cosine's amplitude.
     """
     modes, kvals, g_alpha = _check_compare(spec, modes, fit_horizon)
     beta, loc, nn = spec.beta, spec.local, spec.n_particles
@@ -285,9 +270,8 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
         u0 += np.cos(2.0 * math.pi * m * np.arange(nn) / nn)
     time = TimeGrid(n_steps=n_steps, dt=dt)
     ring = LevelRing.start(time, np.fft.rfft(u0)[modes])
-    levels = _evolve_linear_implicit(ring, beta, 1.0, loc,
-                                     spec.g0 * ring_sym[modes], _identity,
-                                     _identity).history
+    levels = _evolve_linear_implicit(ring, beta, loc,
+                                     spec.g0 * ring_sym[modes]).history
     t = time.t
     meas, latt, cont, devc, devl = [], [], [], [], []
     for i, m in enumerate(modes):

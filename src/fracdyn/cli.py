@@ -102,23 +102,6 @@ _SCHEMA = {
                    "rate_deviation": (float, 5e-2), "selftest": (float, 1e-12)},
 }
 
-_SECTIONS_BY_KIND = {
-    "evolve_field": {"experiment", "grid", "time", "model", "initial", "output",
-                     "tolerances"},
-    "sine_gordon": {"experiment", "grid", "time", "sine_gordon", "output",
-                    "tolerances"},
-    "nls": {"experiment", "grid", "time", "nls", "initial", "output",
-            "tolerances"},
-    "stationary_fgle": {"experiment", "grid", "stationary", "initial",
-                        "tolerances"},
-    "chain": {"experiment", "chain", "time", "initial", "output", "tolerances"},
-    "continuum_compare": {"experiment", "chain", "time", "compare",
-                          "tolerances"},
-    "dispersion": {"experiment", "grid", "time", "nls", "dispersion",
-                   "tolerances"},
-    "operator_selftest": {"experiment", "tolerances"},
-}
-
 INITIAL_KINDS = ("cosine", "uniform", "random", "gaussian", "plane_wave",
                  "pulse")
 FIELD_KINDS = ("real", "complex")
@@ -300,12 +283,12 @@ def load_config(path, kind=None, seed=None):
     if "experiment" not in raw:
         raise ConfigError("missing [experiment] section")
     exp = _resolve_section("experiment", raw["experiment"])
-    if exp["kind"] not in _SECTIONS_BY_KIND:
+    if exp["kind"] not in _KINDS:
         raise ConfigError(f"unknown experiment kind '{exp['kind']}'")
     if kind is not None and exp["kind"] != kind:
         raise ConfigError(f"config kind '{exp['kind']}' does not match "
                           f"subcommand '{kind}'")
-    allowed = _SECTIONS_BY_KIND[exp["kind"]]
+    _, allowed = _KINDS[exp["kind"]]
     sections = {}
     for name, body in raw.items():
         if name not in _SCHEMA:
@@ -615,15 +598,25 @@ def _run_selftest(cfg, specs, outdir, rng):
     return {"worst": max(checks.values()), "passed": passed}
 
 
-_RUNNERS = {
-    "evolve_field": _run_evolve_field,
-    "sine_gordon": _run_sine_gordon,
-    "nls": _run_nls,
-    "stationary_fgle": _run_stationary,
-    "chain": _run_chain,
-    "continuum_compare": _run_continuum_compare,
-    "dispersion": _run_dispersion,
-    "operator_selftest": _run_selftest,
+# experiment kind -> (runner, the sections its config may hold)
+_KINDS = {
+    "evolve_field": (_run_evolve_field, {
+        "experiment", "grid", "time", "model", "initial", "output",
+        "tolerances"}),
+    "sine_gordon": (_run_sine_gordon, {
+        "experiment", "grid", "time", "sine_gordon", "output", "tolerances"}),
+    "nls": (_run_nls, {
+        "experiment", "grid", "time", "nls", "initial", "output",
+        "tolerances"}),
+    "stationary_fgle": (_run_stationary, {
+        "experiment", "grid", "stationary", "initial", "tolerances"}),
+    "chain": (_run_chain, {
+        "experiment", "chain", "time", "initial", "output", "tolerances"}),
+    "continuum_compare": (_run_continuum_compare, {
+        "experiment", "chain", "time", "compare", "tolerances"}),
+    "dispersion": (_run_dispersion, {
+        "experiment", "grid", "time", "nls", "dispersion", "tolerances"}),
+    "operator_selftest": (_run_selftest, {"experiment", "tolerances"}),
 }
 
 
@@ -635,7 +628,8 @@ def run(cfg: ExperimentConfig, outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     write_metadata(outdir, cfg)
     rng = np.random.default_rng(cfg.seed)
-    summary = _RUNNERS[cfg.kind](cfg, specs, outdir, rng)
+    runner, _ = _KINDS[cfg.kind]
+    summary = runner(cfg, specs, outdir, rng)
     write_json(outdir / "summary.json", summary)
     return summary
 
@@ -645,7 +639,7 @@ def _make_parser():
         prog="fracdyn",
         description="fractional field and chain experiment runner")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in _SECTIONS_BY_KIND:
+    for kind in _KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -677,18 +671,11 @@ def main(argv=None):
     _log_to_console()
     try:
         cfg = load_config(args.config, kind=args.kind, seed=args.seed)
-    except (ConfigError, configparser.Error) as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        log.error("i/o error: %s", exc)
-        return EXIT_IO
-    try:
         summary = run(cfg, args.out)
     except (BlowUpError, ConvergenceError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, configparser.Error) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except FracdynError as exc:

@@ -37,7 +37,10 @@ terms are of the size of ``d``, while solving for the level itself would form
 config), and cancel most of it every step.  One scheme serves this module,
 ``chain.evolve_chain`` and ``chain.continuum_limit_compare``: the chain is
 the same scheme with spatial multiplier ``g0 (J^(k) - J^(0))`` in place of
-``sum_s g_s |k|^s`` and time coefficient 1.
+``sum_s g_s |k|^s`` and time coefficient 1.  The scheme takes ``g0`` from
+the model and its transforms from the state: a :class:`FieldState` steps
+the FFT modes of its dtype (``FieldState.transforms``), and a
+:class:`LevelRing` of mode coefficients is its own transform.
 
 When the equation is linear and first order (``beta < 1``, ``f`` the
 identity, ``F`` absent or ``a u``) with real coefficients, every mode's L1
@@ -183,6 +186,10 @@ class ModelSpec:
                    potential=Potential.SINE_GORDON)
 
 
+def _identity(v):
+    return v
+
+
 @dataclass
 class LevelRing:
     """Levels of a uniform time grid, each a vector of the same length.
@@ -250,6 +257,11 @@ class LevelRing:
     def current(self):
         return self.level(self.n_completed)
 
+    def transforms(self):
+        """Forward and inverse transform between a level and the modes the
+        stepper solves for: the identity, as each column is a mode."""
+        return _identity, _identity
+
 
 @dataclass
 class FieldState(LevelRing):
@@ -264,13 +276,20 @@ class FieldState(LevelRing):
             raise DomainError("initial condition does not match the grid")
         return cls.start(time, u0, initial_velocity, rows, grid=grid)
 
+    @property
+    def wavenumbers(self):
+        """Wavenumbers of the modes of :meth:`transforms`."""
+        grid = self.grid
+        return grid.wavenumbers if self.is_complex else grid.wavenumbers_real
 
-def _transforms(state):
-    """Wavenumbers, forward and inverse FFT of the state's field type."""
-    if state.is_complex:
-        return state.grid.wavenumbers, np.fft.fft, np.fft.ifft
-    n = state.grid.n_points
-    return state.grid.wavenumbers_real, np.fft.rfft, lambda v: np.fft.irfft(v, n=n)
+    def transforms(self):
+        """Forward and inverse FFT along the last axis for the field's dtype:
+        ``fft``/``ifft`` for a complex field, ``rfft``/``irfft`` for a real
+        one."""
+        if self.is_complex:
+            return np.fft.fft, np.fft.ifft
+        n = self.grid.n_points
+        return np.fft.rfft, lambda v: np.fft.irfft(v, n=n)
 
 
 def _guard(norm, step, prev_norm):
@@ -304,9 +323,9 @@ def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     every new level ``j >= 1`` once, in order, after its blow-up guard.
     """
     beta = _check_evolve_field(model, beta)
-    k, fwd, inv = _transforms(state)
-    return _evolve_linear_implicit(state, beta, model.g0, model,
-                                   model.spatial_symbol(k), fwd, inv, observe)
+    return _evolve_linear_implicit(state, beta, model,
+                                   model.spatial_symbol(state.wavenumbers),
+                                   observe)
 
 
 def _check_evolve_field(model, beta):
@@ -320,42 +339,39 @@ def _check_evolve_field(model, beta):
     return beta
 
 
-def _evolve_linear_implicit(state, beta, g0, model, sym, fwd, inv,
-                            observe=None):
-    """Advance ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` over the time grid of
-    the :class:`LevelRing` ``state`` from level 0, where ``S`` is the spatial
-    operator with multiplier ``sym`` on the modes of ``fwd``: the levels of
-    :func:`_step_linear_implicit`, solved for the whole run at once by
-    :func:`_solve_linear_implicit` when the equation is linear and first
-    order (``beta < 1``, ``f`` the identity, ``F`` absent or ``a u``), its
-    coefficients are real and no mode grows (see the module docstring), and
-    stepped otherwise.  Logs the path taken at DEBUG."""
+def _evolve_linear_implicit(state, beta, model, sym, observe=None):
+    """Advance ``g0 D^beta_t u + S[f(u)] + F(u) = 0``, with ``g0``, ``f``
+    and ``F`` those of ``model``, over the time grid of the
+    :class:`LevelRing` ``state`` from level 0, where ``S`` is the spatial
+    operator with multiplier ``sym`` on the modes of ``state.transforms()``:
+    the levels of :func:`_step_linear_implicit`, solved for the whole run at
+    once by :func:`_solve_linear_implicit` when the equation is linear and
+    first order (``beta < 1``, ``f`` the identity, ``F`` absent or
+    ``a u``), its coefficients are real and no mode grows (see the module
+    docstring), and stepped otherwise.  Logs the path taken at DEBUG."""
     n, m = state.time.n_steps, sym.shape[0]
     gl = model.potential is Potential.GINZBURG_LANDAU
     a = model.a if gl else 0.0
     linear = (model.interaction is Interaction.IDENTITY
               and (model.potential is Potential.NONE or (gl and model.b == 0)))
-    rates = g0 * (sym + a)   # the solve is real: complex ones are stepped
+    rates = model.g0 * (sym + a)   # the solve is real: complex rates are stepped
     if beta < 1.0 and linear and np.isrealobj(rates) and np.all(rates >= 0):
-        grows = _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv,
-                                       observe)
+        grows = _solve_linear_implicit(state, beta, model, a, sym, observe)
         if grows is None:
             return state
         log.debug("evolve: solve found a growing mode at step %d; stepped",
                   grows)
     else:
         log.debug("evolve: stepped %d steps × %d modes", n, m)
-    return _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
-                                 observe)
+    return _step_linear_implicit(state, beta, model, sym, observe)
 
 
-def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
-                          observe=None):
-    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` one level at a time.
-    ``S`` is implicit when ``f`` is the identity and lags one level
-    otherwise; the on-site force ``F`` always lags.  Each new level is
-    written to its ring row, guarded by its largest magnitude, and passed
-    to ``observe``."""
+def _step_linear_implicit(state, beta, model, sym, observe=None):
+    """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` one level at a time, on
+    the modes of ``state.transforms()`` with ``model``'s ``g0``.  ``S`` is
+    implicit when ``f`` is the identity and lags one level otherwise; the
+    on-site force ``F`` always lags.  Each new level is written to its ring
+    row, guarded by its largest magnitude, and passed to ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
@@ -364,12 +380,13 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
     no_force = model.potential is Potential.NONE and implicit
     n, dt = state.time.n_steps, state.time.dt
     u, rows = state.history, state.history.shape[0]
+    fwd, inv = state.transforms()
     u0 = state.level(0)
     uhat = fwd(u0)
     prev_norm = float(np.max(np.abs(u0)))
     # L1 scheme of order q on the memory variable y (see the module docstring)
     q = beta - 1.0 if second_order else beta
-    c = g0 * dt ** (-q) / math.gamma(2.0 - q)
+    c = model.g0 * dt ** (-q) / math.gamma(2.0 - q)
     if second_order:
         first_denom, denom = c / dt + lin, c + 0.5 * dt * lin
         y = fwd(state.initial_velocity.astype(u.dtype))
@@ -420,10 +437,10 @@ def _step_linear_implicit(state, beta, g0, model, sym, fwd, inv,
     return state
 
 
-def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
+def _solve_linear_implicit(state, beta, model, a, sym, observe):
     """The levels of :func:`_step_linear_implicit` at ``beta < 1`` for
-    ``g0 D^beta_t u + S u + a u = 0`` with real ``g0``, ``a`` and ``S``,
-    solved for the whole run at once.
+    ``g0 D^beta_t u + S u + a u = 0`` with real ``g0`` (``model``'s), ``a``
+    and ``S``, solved for the whole run at once.
 
     With ``c = g0 dt^(-beta) / Gamma(2 - beta)``, L1 weights ``w`` (``w_0 =
     1``) and increments ``d_i = u_{i+1} - u_i``, the stepper solves, per
@@ -434,7 +451,11 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
     a lower-triangular Toeplitz system.  As power series it reads
     ``D(z) = -(s + a) u_0 / P(z)`` with ``P(z) = c (1 - z) W(z) + s + a z``,
     so one real series reciprocal per mode gives every increment, and
-    level ``j + 1`` is ``u_0 (1 - (s + a) sum_{i<=j} [z^i] 1/P)``.
+    level ``j + 1`` is ``u_0 (1 - (s + a) sum_{i<=j} [z^i] 1/P)``.  Every
+    mode's ``P`` has the coefficients ``lags`` of ``c (1 - z) W(z)`` from
+    ``z^2`` on, and ``lags[0] + s`` and ``lags[1] + a`` before, so the
+    reciprocal takes that one series and each mode's two leading
+    coefficients.
 
     Those factors, one real ``n x modes`` array, are all the solve holds
     beside the ring.  Every factor must be finite and at most 1 in
@@ -449,24 +470,25 @@ def _solve_linear_implicit(state, beta, g0, a, sym, fwd, inv, observe):
     """
     n, dt = state.time.n_steps, state.time.dt
     hist, rows = state.history, state.history.shape[0]
+    fwd, inv = state.transforms()
     u0 = state.level(0)
     u0_hat = fwd(u0)
-    c = g0 * dt ** (-beta) / math.gamma(2.0 - beta)
+    c = model.g0 * dt ** (-beta) / math.gamma(2.0 - beta)
     lags = c * np.diff(l1_weights(beta, n), prepend=0.0)  # c (1 - z) W(z)
-    if np.any(lags[0] + sym == 0):
-        raise DomainError("implicit system singular at the first step")
     m = sym.shape[0]
+    head = np.empty((2, m))   # each mode's leading two coefficients of P
+    head[0] = lags[0] + sym
+    head[1] = lags[1] + a if n > 1 else 0.0
+    if np.any(head[0] == 0):
+        raise DomainError("implicit system singular at the first step")
     fac = np.empty((n, m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # P of a block of modes at a time, so that the reciprocal's FFT work
+        # a block of modes at a time, so that the reciprocal's FFT work
         # arrays stay block-sized
         cols = max(1, _FFT_BLOCK_BYTES // (16 * n))
         for c0 in range(0, m, cols):
-            p = np.repeat(lags[:, None], min(cols, m - c0), axis=1)
-            p[0] += sym[c0:c0 + cols]
-            if n > 1:
-                p[1] += a
-            fac[:, c0:c0 + cols] = _series_reciprocal(p)
+            fac[:, c0:c0 + cols] = _series_reciprocal(head[:, c0:c0 + cols],
+                                                      lags)
         np.cumsum(fac, axis=0, out=fac)
         fac *= -(sym + a)
         fac += 1.0
@@ -759,13 +781,6 @@ def free_energy_gradient(u, model: ModelSpec, grid: GridSpec):
     return lap + model.a * u + model.b * u ** 3
 
 
-# Bytes per row block of ``residual``'s spatial term, and per column block
-# of its right derivative: 256 KiB keeps the work buffers small beside the
-# trajectory, so a 3000-step, 128-point relaxation holds the peak RSS of
-# the row-by-row loop.
-_RESIDUAL_BLOCK_BYTES = 1 << 18
-
-
 def residual(model: ModelSpec, state: FieldState, beta):
     """Field-equation residual on a completed trajectory.
 
@@ -775,7 +790,8 @@ def residual(model: ModelSpec, state: FieldState, beta):
     Beside its output it holds one block: the left derivative streams its
     increments over column blocks and is scaled in place, the right one is
     taken and added a column block at a time, and the spatial and force
-    terms a row block at a time (no force term where the model has none).
+    terms a row block at a time (no force term where the model has none),
+    each block ``_FFT_BLOCK_BYTES`` of spectrum.
     """
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
@@ -788,15 +804,15 @@ def residual(model: ModelSpec, state: FieldState, beta):
     out = caputo_left_l1(u, beta, dt, initial_velocity=state.initial_velocity)
     out *= model.g0
     if model.g0_prime != 0:
-        cols = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[0]))
+        cols = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[0]))
         for c in range(0, u.shape[1], cols):
             right = caputo_right_l1(u[:, c:c + cols], beta, dt)
             right *= model.g0_prime
             out[:, c:c + cols] += right
-    k, fwd, inv = _transforms(state)
-    sym = model.spatial_symbol(k)
+    fwd, inv = state.transforms()
+    sym = model.spatial_symbol(state.wavenumbers)
     # rows in blocks, one transform along the grid axis per block
-    rows = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[1]))
+    rows = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[1]))
     for r in range(0, u.shape[0], rows):
         ur = u[r:r + rows]
         term = inv(sym * fwd(model.interaction_apply(ur)))

@@ -22,7 +22,9 @@ output an operator holds one block, never a whole-history temporary.
 Where the L1 equations of a linear mode are solved for a whole run at once
 (``fields``, for linear first-order runs without a growing mode), the
 lower-triangular Toeplitz system is a power-series reciprocal, computed by
-Newton doubling on the same zero-padded FFT products in O(n log n).
+Newton doubling on the same zero-padded FFT products in O(n log n).  The
+modes' series differ only in their first two coefficients, so the shared
+rest is held and transformed once per Newton round, not once per mode.
 
 The Mittag-Leffler function sums its series over the whole argument array,
 a block of terms at a time and bit for bit as a loop over single terms,
@@ -94,44 +96,46 @@ def _fast_len(n):
     return best
 
 
-def _series_reciprocal(p):
-    """The first ``n`` coefficients ``g`` of ``1 / P(z)`` for the real power
-    series ``P`` with coefficients ``p``: ``sum_{i<=j} p[j-i] g[i]`` is 1 at
-    ``j = 0`` and 0 for ``0 < j < n``.
+def _series_reciprocal(head, lags):
+    """The first ``n`` coefficients ``g`` of ``1 / P(z)`` for real power
+    series ``P`` that share their coefficients from ``z^2`` on:
+    ``sum_{i<=j} p[j-i] g[i]`` is 1 at ``j = 0`` and 0 for ``0 < j < n``.
 
-    ``p`` is ``(n, m)``, one series per column, with ``p[0]`` nonzero.
-    Newton doubling (Kung, Numer. Math. 22, 1974): the first ``k``
-    coefficients ``g_k`` are final, and the next ``k`` are those of
-    ``-g_k (P g_k - 1)``, where ``P g_k - 1`` starts at ``z^k``.  Each round
-    forms only the coefficients ``[k, 2k)`` of both products, by real FFTs
-    of length ``_fast_len(2k)``, so the whole reciprocal costs
+    ``lags`` is the length-``n`` series all columns share; ``head`` is the
+    ``(2, m)`` pair of leading coefficients ``p[0]``, nonzero, and ``p[1]``
+    of each of the ``m`` columns, which replace ``lags[0]`` and ``lags[1]``
+    (``head[1]`` is unused at ``n = 1``).  Newton doubling (Kung, Numer.
+    Math. 22, 1974): the first ``k`` coefficients ``g_k`` are final, and
+    the next ``k`` are those of ``-g_k (P g_k - 1)``, where ``P g_k - 1``
+    starts at ``z^k``.  Each round forms only the coefficients ``[k, 2k)``
+    of both products, by real FFTs of length ``_fast_len(2k)``, the shared
+    tail of ``P`` transformed once, so the whole reciprocal costs
     O(n log n) per column in ``ceil(log2 n)`` rounds.
     """
-    p = np.asarray(p, dtype=np.float64)
-    n = p.shape[0]
-    g = np.empty_like(p)
-    g[0] = 1.0 / p[0]
+    n, m = lags.shape[0], head.shape[1]
+    g = np.empty((n, m))
+    g[0] = 1.0 / head[0]
     # lag 0 of P never reaches the coefficients [k, 2k) of P g_k, and lag 1
     # only at k: both stay out of the FFT products, whose rounding then
     # scales with the tail of P alone
-    tail = p.copy()
+    tail = lags.copy()
     tail[:2] = 0.0
     k = 1
     while k < n:
-        m = min(2 * k, n)
-        nfft = _fast_len(m)
+        top = min(2 * k, n)
+        nfft = _fast_len(top)
         g_hat = np.fft.rfft(g[:k], nfft, axis=0)
-        # coefficients [k, m) of P g_k; the product's circular wrap-around
+        # coefficients [k, top) of P g_k; the product's circular wrap-around
         # reaches only coefficients below k
-        err = np.fft.irfft(np.fft.rfft(tail[:m], nfft, axis=0) * g_hat, nfft,
-                           axis=0)[k:m]
-        err[0] += p[1] * g[k - 1]
+        err = np.fft.irfft(np.fft.rfft(tail[:top], nfft)[:, None] * g_hat,
+                           nfft, axis=0)[k:top]
+        err[0] += head[1] * g[k - 1]
         # the first k coefficients of g_k err, its leading term directly
         lead = err[0].copy()
         err[0] = 0.0
-        g[k:m] = -(np.fft.irfft(np.fft.rfft(err, nfft, axis=0) * g_hat, nfft,
-                                axis=0)[:m - k] + lead * g[:m - k])
-        k = m
+        g[k:top] = -(np.fft.irfft(np.fft.rfft(err, nfft, axis=0) * g_hat, nfft,
+                                  axis=0)[:top - k] + lead * g[:top - k])
+        k = top
     return g
 
 
@@ -175,20 +179,16 @@ def _l1_output(n, columns):
                     dtype=np.complex128 if np.iscomplexobj(columns) else np.float64)
 
 
-def l1_apply(increments, weights, scale, out=None):
-    """Weighted history sums ``out[j] = scale * sum_{i=1..j} w[j-i] inc[i-1]``.
+def l1_apply(increments, weights, scale, out):
+    """Weighted history sums ``out[j] = scale * sum_{i=1..j} w[j-i] inc[i-1]``
+    of ``m`` histories with time along axis 0.
 
-    ``increments`` may be 1-D (a single history) or 2-D ``(n, m)`` with time
-    along axis 0; the output has one more row than the input, and row 0 is
-    zero.  ``weights`` needs at least ``n`` entries.
-
-    An operator that derives its increments from samples passes instead a
-    function ``increments(cols)`` that forms the ``(n, k)`` increments of
-    the columns ``cols`` (a slice), and ``out``, the float64 or complex128
-    ``(n + 1, m)`` array that receives the sums and is returned.  Each
-    column block is formed, transformed and written before the next, so
-    the sums hold ``out`` plus one block; an array of increments is read
-    the same way, a block of its columns at a time.
+    ``out`` is the float64 or complex128 ``(n + 1, m)`` array that receives
+    the sums and is returned; row 0 is zero.  ``increments(cols)`` forms
+    the ``(n, k)`` increments of the columns ``cols`` (a slice) from the
+    caller's own samples.  Each column block is formed, transformed and
+    written before the next, so the sums hold ``out`` plus one block.
+    ``weights`` needs at least ``n`` entries.
 
     The sums are the first ``n`` terms of the linear convolution of the
     weights with each column, computed by a real FFT of length at least
@@ -199,25 +199,15 @@ def l1_apply(increments, weights, scale, out=None):
     bound it by ``1e-14 * max|out|`` against the direct row-by-row sum), so
     entries far below the maximum do not keep their own relative accuracy.
     """
-    form, squeeze = increments, False
-    if out is None:
-        inc = np.asarray(increments)
-        squeeze = inc.ndim == 1
-        if squeeze:
-            inc = inc[:, None]
-        out = _l1_output(inc.shape[0], inc)
-
-        def form(cols):
-            return inc[:, cols]
     n = out.shape[0] - 1
     out[0] = 0
     if n:
         nfft = _fast_len(2 * n - 1)
         w_hat = np.fft.rfft(scale * np.asarray(weights, dtype=np.float64)[:n], nfft)
         flat = _real_columns(out)
-        for cols, rows in _convolve_columns(form, out[1:], w_hat, nfft, 0):
+        for cols, rows in _convolve_columns(increments, out[1:], w_hat, nfft, 0):
             flat[1:, cols] = rows
-    return out[:, 0] if squeeze else out
+    return out
 
 
 class HistorySum:
@@ -361,7 +351,7 @@ def riemann_liouville_left(u, beta, dt):
     u0 = np.asarray(u[0])
     with np.errstate(invalid="ignore"):   # 0 * inf where u0 = 0
         origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
-    out[0] = origin if u.ndim > 1 else float(origin)
+    out[0] = origin
     return out
 
 

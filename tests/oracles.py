@@ -8,7 +8,8 @@ the time stepper with its memory sum formed directly at every step (also in
 extended precision, with dense DFT matrices for its transforms), the L1
 operators and the trajectory residual on whole-array increments, the
 per-mode series of a whole stored trajectory transformed at once, the L1
-mode equations by forward substitution in extended precision, the
+mode equations by forward substitution in extended precision, the power
+series reciprocal with every column's whole series held and transformed, the
 Mittag-Leffler series one term at a time over the argument array, the
 Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
 rate fit by SciPy's trust-region least squares, the preconditioned
@@ -240,24 +241,26 @@ def interaction_sum_direct(spec: ChainSpec, u):
     return out
 
 
-def evolve_linear_implicit_direct(state, beta, g0, model, sym, fwd, inv):
+def evolve_linear_implicit_direct(state, beta, model, sym):
     """The linear-implicit L1 stepper with its memory sum formed directly.
 
-    Same scheme and signature as ``fields._evolve_linear_implicit``, but at
-    step ``j`` the memory sum is the dot product ``w[j..1] @ inc[:j]``, O(j)
-    rows per step and O(n^2) over a run.  Fills ``state.history`` without
-    the blow-up guard.  At ``beta = 1`` no memory sum exists, and the
-    arithmetic is that of the library stepper operation for operation; in
-    (1, 2] it forms each level from the previous two, where the library
-    carries the increment, so the two round differently.
+    Same scheme as ``fields._evolve_linear_implicit``, and its signature
+    without ``observe``: ``g0`` from ``model``, transforms from
+    ``state.transforms()``.  At step ``j`` the memory sum is the dot
+    product ``w[j..1] @ inc[:j]``, O(j) rows per step and O(n^2) over a
+    run.  Fills ``state.history`` without the blow-up guard.  Where no
+    memory sum exists (``beta`` 1 or 2) the arithmetic is that of the
+    library stepper operation for operation; in (1, 2] it carries the
+    increment ``u_{j+1} - u_j`` as the library does.
     """
-    state.history[:] = _direct_levels(state, beta, g0, model, sym, fwd, inv,
+    fwd, inv = state.transforms()
+    state.history[:] = _direct_levels(state, beta, model, sym, fwd, inv,
                                       np.float64)
     state.n_completed = state.time.n_steps
     return state
 
 
-def _direct_levels(state, beta, g0, model, sym, fwd, inv, real):
+def _direct_levels(state, beta, model, sym, fwd, inv, real):
     """The levels of the L1 stepper with its memory sum formed directly,
     every array in the float type ``real`` (its complex type for spectra
     and complex fields): the body of :func:`evolve_linear_implicit_direct`
@@ -279,47 +282,50 @@ def _direct_levels(state, beta, g0, model, sym, fwd, inv, real):
                  dtype=cplx if state.is_complex else real)
     u[0] = state.level(0)
     uhat = fwd(u[0])
+    # L1 scheme of order q on the memory variable y, whose increments are
+    # inc_hat: u itself at beta <= 1, the difference quotient above
+    q = beta - 1.0 if beta > 1.0 else beta
+    c = real(model.g0 * dt ** (-q) / math.gamma(2.0 - q))
+    w = l1_weights(q, n)
+    inc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
+
+    def memory(j):
+        return (w[1:j + 1][::-1] @ inc_hat[:j]) if (q < 1.0 and j) else 0.0
+
     if beta <= 1.0:
-        c = real(g0 * dt ** (-beta) / math.gamma(2.0 - beta))
-        w = l1_weights(beta, n)
         denom = c + lin
-        has_memory = beta < 1.0
-        inc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
         for j in range(n):
-            hist = (w[1:j + 1][::-1] @ inc_hat[:j]) if (has_memory and j) else 0.0
-            rhs = c * (uhat - hist)
+            rhs = c * (uhat - memory(j))
             if not no_force:
                 rhs = rhs - fwd(explicit(u[j]))
             new_hat = rhs / denom
             u[j + 1] = inv(new_hat)
             inc_hat[j] = new_hat - uhat
             uhat = new_hat
-    else:
-        bp = beta - 1.0
-        cp = real(g0 * dt ** (-bp) / math.gamma(2.0 - bp))
-        w = l1_weights(bp, n)
-        first_denom = cp / dt + lin
-        denom = cp / dt + 0.5 * lin
-        has_memory = bp < 1.0
-        dq_prev = fwd(state.initial_velocity.astype(u.dtype))
-        dinc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
-        uhat_prev = None
-        for j in range(n):
-            rhs_force = 0.0
-            if not no_force:
-                rhs_force = fwd(explicit(u[j]))
-            if j == 0:
-                new_hat = (cp * (uhat / dt + dq_prev) - rhs_force) / first_denom
-            else:
-                hist = (w[1:j + 1][::-1] @ dinc_hat[:j]) if has_memory else 0.0
-                rhs = (cp * (uhat / dt + dq_prev - hist) - 0.5 * lin * uhat_prev
-                       - rhs_force)
-                new_hat = rhs / denom
-            u[j + 1] = inv(new_hat)
-            dq_new = (new_hat - uhat) / dt
-            dinc_hat[j] = dq_new - dq_prev
-            dq_prev = dq_new
-            uhat_prev, uhat = uhat, new_hat
+        return u
+    # the first level from the initial velocity, then each later one by its
+    # increment d = u_{j+1} - u_j: d <- d - pull u_j - c push h - push F_j
+    y = fwd(state.initial_velocity.astype(u.dtype))
+    rhs = c * (uhat / dt + y)
+    if not no_force:
+        rhs = rhs - fwd(explicit(u[0]))
+    new_hat = rhs / (c / dt + lin)
+    d = new_hat - uhat
+    inc_hat[0] = d / dt - y
+    uhat = new_hat
+    u[1] = inv(uhat)
+    push = dt / (c + 0.5 * dt * lin)
+    pull, mem_push = lin * push, c * push
+    for j in range(1, n):
+        step = pull * uhat
+        if not no_force:
+            step = step + push * fwd(explicit(u[j]))
+        if q < 1.0:
+            step = step + mem_push * memory(j)
+        inc_hat[j] = step / -dt
+        d = d - step
+        uhat = uhat + d
+        u[j + 1] = inv(uhat)
     return u
 
 
@@ -353,7 +359,7 @@ EXTENDED_PRECISION = pytest.mark.skipif(
            "extended-precision oracle would round as the library does")
 
 
-def evolve_linear_implicit_extended(state, beta, g0, model, sym):
+def evolve_linear_implicit_extended(state, beta, model, sym):
     """:func:`evolve_linear_implicit_direct` in ``np.longdouble``: the same
     scheme, memory sum formed directly, with every level and spectrum in
     extended precision and the transforms those of :func:`_dft_extended`
@@ -362,14 +368,14 @@ def evolve_linear_implicit_extended(state, beta, g0, model, sym):
     uses, so it solves the same discrete equations with less rounding.
     ``state`` is only read; returns its ``(n_steps + 1, points)`` levels,
     ``np.longdouble`` for a real field and ``np.clongdouble`` for a complex
-    one.  Use it under :data:`EXTENDED_PRECISION`.  In (1, 2] it forms each
-    level from the previous two, so its own rounding grows like the square
-    of the step count: 3.9e-14 of max|u| after the 2,000 kink-pair steps of
-    ``test_second_order_stepper_keeps_its_digits_over_a_long_run``, against
-    the same scheme carried by increments in extended precision.
+    one.  Use it under :data:`EXTENDED_PRECISION`.  In (1, 2] it carries
+    the increment ``u_{j+1} - u_j`` in extended precision as the library
+    carries it in float64, so its own rounding does not grow like the
+    square of the step count, as it did when it formed each level from the
+    previous two (3.9e-14 of max|u| over 2,000 kink-pair steps).
     """
     fwd, inv = _dft_extended(state.history.shape[1], state.is_complex)
-    return _direct_levels(state, beta, g0, model, sym, fwd, inv, np.longdouble)
+    return _direct_levels(state, beta, model, sym, fwd, inv, np.longdouble)
 
 
 def l1_mode_levels_extended(u0, beta, dt, g0, sym, a, n):
@@ -396,6 +402,38 @@ def l1_mode_levels_extended(u0, beta, dt, g0, sym, a, n):
         u[j + 1] = ((c - ld(a)) * u[j] - c * hist) / (c + s)
         d[j] = u[j + 1] - u[j]
     return u
+
+
+def series_reciprocal_columns(p):
+    """The first ``n`` coefficients ``g`` of ``1 / P(z)`` for the real power
+    series ``P`` with coefficients ``p``, ``(n, m)``, one series per column,
+    with ``p[0]`` nonzero.
+
+    ``fracops._series_reciprocal`` before its columns shared their series
+    from ``z^2`` on: the same Newton doubling, with the whole ``(n, m)``
+    tail of ``P`` copied and transformed column by column in every round.
+    On series that share that tail the two must agree bit for bit.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    n = p.shape[0]
+    g = np.empty_like(p)
+    g[0] = 1.0 / p[0]
+    tail = p.copy()
+    tail[:2] = 0.0
+    k = 1
+    while k < n:
+        m = min(2 * k, n)
+        nfft = fracops._fast_len(m)
+        g_hat = np.fft.rfft(g[:k], nfft, axis=0)
+        err = np.fft.irfft(np.fft.rfft(tail[:m], nfft, axis=0) * g_hat, nfft,
+                           axis=0)[k:m]
+        err[0] += p[1] * g[k - 1]
+        lead = err[0].copy()
+        err[0] = 0.0
+        g[k:m] = -(np.fft.irfft(np.fft.rfft(err, nfft, axis=0) * g_hat, nfft,
+                                axis=0)[:m - k] + lead * g[:m - k])
+        k = m
+    return g
 
 
 def ml_integral_negative_scalar(beta, x):
@@ -458,11 +496,11 @@ def assert_same_bits(got, ref):
 
 
 def l1_apply_whole(increments, weights, scale):
-    """``fracops.l1_apply`` on a whole increment array: the array is
-    converted to float64 or complex128 at once, then convolved in blocks of
-    its real columns.  The L1 operators below feed it whole arrays of
-    increments, as the library did before it formed them a column block at
-    a time; each yields the same bits as the library's operator."""
+    """``fracops.l1_apply`` on a whole increment array, 1-D or 2-D: the
+    array is converted to float64 or complex128 at once, then convolved in
+    blocks of its real columns.  The L1 operators below feed it whole
+    arrays of increments, as the library did before it formed them a column
+    block at a time; each yields the same bits as the library's operator."""
     is_complex = np.iscomplexobj(increments)
     inc = np.ascontiguousarray(increments,
                                dtype=np.complex128 if is_complex else np.float64)
@@ -513,7 +551,7 @@ def riemann_liouville_whole(u, beta, dt):
     u0 = np.asarray(u[0])
     with np.errstate(invalid="ignore"):
         origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
-    out[0] = origin if u.ndim > 1 else float(origin)
+    out[0] = origin
     return out
 
 
@@ -530,15 +568,14 @@ def residual_whole(model, state, beta):
     """``fields.residual`` from whole-array copies: ``g0`` times the left
     derivative, plus ``g0'`` times the whole right derivative, plus the
     spatial and force terms (the force added where it is zero too)."""
-    from fracdyn.fields import _RESIDUAL_BLOCK_BYTES, _transforms
     u = state.history
     dt = state.time.dt
     out = model.g0 * caputo_left_whole(u, beta, dt, state.initial_velocity)
     if model.g0_prime != 0:
         out = out + model.g0_prime * caputo_left_whole(u[::-1], beta, dt)[::-1]
-    k, fwd, inv = _transforms(state)
-    sym = model.spatial_symbol(k)
-    rows = max(1, _RESIDUAL_BLOCK_BYTES // (16 * u.shape[1]))
+    fwd, inv = state.transforms()
+    sym = model.spatial_symbol(state.wavenumbers)
+    rows = max(1, fracops._FFT_BLOCK_BYTES // (16 * u.shape[1]))
     for r in range(0, u.shape[0], rows):
         ur = u[r:r + rows]
         fu = model.interaction_apply(ur)

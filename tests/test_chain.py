@@ -173,9 +173,10 @@ def test_chain_high_order_runs():
 def test_chain_stepper_matches_direct_memory_sum(beta):
     # lagged nonlinear coupling and on-site force, over FFT products of two
     # block sizes in the memory sum, against the same scheme in extended
-    # precision.  Measured: at most 7e-16 of max|u| at beta <= 1, 1.3e-15 at
-    # 1.5 and 1.6e-14 at 2, where forming each level from the previous two
-    # reached 2.3e-14 and 2.7e-13
+    # precision, carrying the increment in (1, 2] as the library does.
+    # Measured: at most 7e-16 of max|u| at beta <= 1, 1.3e-15 at 1.5 and
+    # 1.6e-14 at 2, where forming each level from the previous two reached
+    # 2.3e-14 and 2.7e-13
     n, steps = 64, 3 * HISTORY_BLOCK + 5
     spec = _spec(n=n, beta=beta, potential=Potential.SINE_GORDON,
                  interaction=Interaction.QUADRATIC_MIX, interaction_mix=0.2)
@@ -186,15 +187,14 @@ def test_chain_stepper_matches_direct_memory_sum(beta):
     state = FieldState.from_initial(spec.grid, time, u0, initial_velocity=v0)
     evolve_chain(spec, state)
     sym = spec.g0 * chain._ring_symbol(spec)
-    ref = evolve_linear_implicit_extended(state, beta, 1.0, spec.local, sym)
+    ref = evolve_linear_implicit_extended(state, beta, spec.local, sym)
     err = np.max(np.abs(state.history - ref))
     assert err <= 1e-13 * np.max(np.abs(ref))
-    if beta == 1.0:
+    if beta in (1.0, 2.0):
         # no memory sum: the double-precision oracle's arithmetic, bit for bit
-        direct = FieldState.from_initial(spec.grid, time, u0)
-        evolve_linear_implicit_direct(direct, beta, 1.0, spec.local, sym,
-                                      np.fft.rfft,
-                                      lambda v: np.fft.irfft(v, n=n))
+        direct = FieldState.from_initial(spec.grid, time, u0,
+                                         initial_velocity=v0)
+        evolve_linear_implicit_direct(direct, beta, spec.local, sym)
         assert np.array_equal(state.history, direct.history)
 
 
@@ -373,8 +373,7 @@ def test_continuum_compare_matches_full_ring(monkeypatch, beta, a):
 
     fields._step_linear_implicit(
         FieldState.from_initial(spec.grid, TimeGrid(steps, dt), u0, rows=2),
-        beta, 1.0, spec.local, spec.g0 * chain._ring_symbol(spec),
-        np.fft.rfft, lambda v: np.fft.irfft(v, n=n), keep_modes)
+        beta, spec.local, spec.g0 * chain._ring_symbol(spec), keep_modes)
     want = np.array([full[j] for j in range(steps + 1)])
     evolve = chain._evolve_linear_implicit
     calls = []
@@ -433,8 +432,7 @@ def test_mode_solve_and_stepper_match_extended_precision(beta, a):
 
     def levels(evolve):
         ring = LevelRing.start(TimeGrid(steps, dt), coeffs)
-        return evolve(ring, beta, 1.0, spec.local, sym, chain._identity,
-                      chain._identity).history
+        return evolve(ring, beta, spec.local, sym).history
 
     solved = levels(fields._evolve_linear_implicit)
     stepped = levels(fields._step_linear_implicit)

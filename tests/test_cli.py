@@ -947,7 +947,7 @@ _CONFIG_BY_KIND = {
 
 
 def test_every_kind_has_an_import_check():
-    assert set(_CONFIG_BY_KIND) == set(cli._SECTIONS_BY_KIND)
+    assert set(_CONFIG_BY_KIND) == set(cli._KINDS)
 
 
 @pytest.mark.parametrize("kind", sorted(_CONFIG_BY_KIND))
@@ -1027,6 +1027,6 @@ def test_every_kind_runs_without_scipy(tmp_path):
                           env={"PYTHONPATH": src}, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["blocked"] and result["scipy"] == []
-    assert result["passed"] == dict.fromkeys(cli._SECTIONS_BY_KIND, True)
+    assert result["passed"] == dict.fromkeys(cli._KINDS, True)
     assert result["quadrature_calls"] > 0
     assert result["dispersion_rel_err"] < 1e-10

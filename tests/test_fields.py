@@ -199,10 +199,10 @@ def test_translation_equivariance():
 @pytest.mark.parametrize("beta", [0.6, 0.9, 1.0, 1.5, 2.0])
 def test_stepper_matches_direct_memory_sum(beta, field_kind):
     # long enough for FFT products of two block sizes in the memory sum;
-    # the oracle is the same scheme in extended precision.  Measured: at
-    # most 3.2e-15 of max|u| at beta <= 1, 1.2e-15 at 1.5 and 1.0e-14 at 2,
-    # where forming each level from the previous two reached 3.8e-14 and
-    # 4.2e-13
+    # the oracle is the same scheme in extended precision, carrying the
+    # increment in (1, 2] as the library does.  Measured: at most 3.2e-15
+    # of max|u| at beta <= 1, 1.2e-15 at 1.5 and 1.0e-14 at 2, where
+    # forming each level from the previous two reached 3.8e-14 and 4.2e-13
     n, steps = 32, 3 * HISTORY_BLOCK + 5
     grid = GridSpec(n, TWO_PI)
     tg = TimeGrid(steps, 0.01)
@@ -217,27 +217,26 @@ def test_stepper_matches_direct_memory_sum(beta, field_kind):
     v0 = v0 if beta > 1.0 else None
     state = FieldState.from_initial(grid, tg, u0, initial_velocity=v0)
     evolve_field(model, state, beta)
-    k, fwd, inv = fields._transforms(state)
-    sym = model.spatial_symbol(k)
-    ref = evolve_linear_implicit_extended(state, beta, model.g0, model, sym)
+    sym = model.spatial_symbol(state.wavenumbers)
+    ref = evolve_linear_implicit_extended(state, beta, model, sym)
     err = np.max(np.abs(state.history - ref))
     assert err <= 1e-13 * np.max(np.abs(ref))
-    if beta == 1.0:
+    if beta in (1.0, 2.0):
         # no memory sum: the double-precision oracle's arithmetic, bit for bit
-        direct = FieldState.from_initial(grid, tg, u0)
-        evolve_linear_implicit_direct(direct, beta, model.g0, model, sym,
-                                      fwd, inv)
+        direct = FieldState.from_initial(grid, tg, u0, initial_velocity=v0)
+        evolve_linear_implicit_direct(direct, beta, model, sym)
         assert np.array_equal(state.history, direct.history)
 
 
 @EXTENDED_PRECISION
 def test_second_order_stepper_keeps_its_digits_over_a_long_run():
     # a kink pair of the classical sine-Gordon equation over 2,000 steps,
-    # against the same scheme in extended precision.  Each step adds to the
-    # increment u_{j+1} - u_j, so no step cancels terms of size
-    # c/dt |u| = 1e4 |u|.  Measured: 4.2e-14 of max|u|, the size of the
-    # oracle's own rounding (3.9e-14, see its docstring); forming each level
-    # from the previous two reached 7.3e-11
+    # against the same scheme in extended precision, which carries the
+    # increment as the library does.  Each step adds to the increment
+    # u_{j+1} - u_j, so no step cancels terms of size c/dt |u| = 1e4 |u|.
+    # Measured: 7.7e-14 of max|u| (4.2e-14 against the oracle that formed
+    # each level from the previous two, itself 3.9e-14 off); the library
+    # forming each level that way reached 7.3e-11
     n, length, v, dt, steps = 128, 40.0, 0.2, 0.01, 2000
     grid = GridSpec(n, length)
     gam = 1.0 / math.sqrt(1.0 - v * v)
@@ -250,7 +249,7 @@ def test_second_order_stepper_keeps_its_digits_over_a_long_run():
                                     initial_velocity=v0)
     evolve_sine_gordon(state, 2.0, 2.0)
     model = ModelSpec.sine_gordon_model(2.0)
-    ref = evolve_linear_implicit_extended(state, 2.0, model.g0, model,
+    ref = evolve_linear_implicit_extended(state, 2.0, model,
                                           model.spatial_symbol(kr))
     assert np.max(np.abs(state.history - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -324,12 +323,11 @@ def test_linear_solve_matches_stepper(field_kind, beta, g0, force, caplog):
         f"evolve: {path} {steps} steps × {modes} modes"
         + (" at once" if path == "solved" else "")]
 
-    k, fwd, inv = fields._transforms(solved)
-    sym = model.spatial_symbol(k)
+    sym = model.spatial_symbol(solved.wavenumbers)
     stepped = FieldState.from_initial(grid, tg, u0)
-    fields._step_linear_implicit(stepped, beta, g0, model, sym, fwd, inv)
+    fields._step_linear_implicit(stepped, beta, model, sym)
     direct = FieldState.from_initial(grid, tg, u0)
-    evolve_linear_implicit_direct(direct, beta, g0, model, sym, fwd, inv)
+    evolve_linear_implicit_direct(direct, beta, model, sym)
     scale = np.max(np.abs(stepped.history))
     for ref in (stepped, direct):
         assert np.max(np.abs(solved.history - ref.history)) <= 2e-14 * scale
@@ -367,11 +365,10 @@ def test_linear_solve_error_is_absolute_in_initial_coefficients():
     phases[[0, -1]] = 1.0
     u0 = np.fft.irfft(phases * (n / 2), n=n)
     state = FieldState.from_initial(grid, TimeGrid(steps, dt), u0)
-    k, fwd, inv = fields._transforms(state)
-    sym = model.spatial_symbol(k)
-    assert fields._solve_linear_implicit(state, beta, model.g0, a, sym, fwd,
-                                         inv, None) is None
-    ref = evolve_linear_implicit_extended(state, beta, model.g0, model, sym)
+    sym = model.spatial_symbol(state.wavenumbers)
+    assert fields._solve_linear_implicit(state, beta, model, a, sym,
+                                         None) is None
+    ref = evolve_linear_implicit_extended(state, beta, model, sym)
     err = np.abs(np.fft.rfft((state.history - ref).astype(float), axis=1))
     assert np.max(err) <= 2 * 1.4e-14 * (n / 2)
 
@@ -391,10 +388,9 @@ def test_linear_solve_blow_up_is_the_steppers(caplog):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the stepper's overflow
         ref = FieldState.from_initial(grid, tg, u0)
-        k, fwd, inv = fields._transforms(ref)
         with pytest.raises(BlowUpError) as stepped:
-            fields._step_linear_implicit(ref, beta, 1.0, model,
-                                         model.spatial_symbol(k), fwd, inv)
+            fields._step_linear_implicit(
+                ref, beta, model, model.spatial_symbol(ref.wavenumbers))
         state = FieldState.from_initial(grid, tg, u0, rows=2)
         with pytest.raises(BlowUpError) as solved:
             evolve_field(model, state, beta, lambda j, u: seen.append(j))
@@ -428,9 +424,8 @@ def test_growing_linear_run_is_stepped(g0, a, message, caplog):
     evolve_field(model, state, beta)
     assert caplog.messages == [message]
     ref = FieldState.from_initial(grid, tg, u0)
-    k, fwd, inv = fields._transforms(ref)
-    fields._step_linear_implicit(ref, beta, g0, model,
-                                 model.spatial_symbol(k), fwd, inv)
+    fields._step_linear_implicit(ref, beta, model,
+                                 model.spatial_symbol(ref.wavenumbers))
     level_max = np.abs(ref.history).max(axis=1)
     assert level_max[-1] > 1e10 * level_max[0]
     err = np.abs(state.history - ref.history).max(axis=1)
@@ -449,10 +444,9 @@ def _guard_violation(monkeypatch, caplog, rows):
                       potential=Potential.GINZBURG_LANDAU)
     u0 = 0.3 * np.cos(grid.x) + 0.1 * np.cos(5 * grid.x)
     ref = FieldState.from_initial(grid, tg, u0)
-    k, fwd, inv = fields._transforms(ref)
     with pytest.raises(BlowUpError) as stepped:
-        fields._step_linear_implicit(ref, beta, 1.0, model,
-                                     model.spatial_symbol(k), fwd, inv)
+        fields._step_linear_implicit(ref, beta, model,
+                                     model.spatial_symbol(ref.wavenumbers))
     caplog.set_level(logging.DEBUG, logger="fracdyn")
     seen = []
     state = FieldState.from_initial(grid, tg, u0, rows=rows)
@@ -496,16 +490,17 @@ def test_solve_forms_each_row_block_once(caplog):
     state = FieldState.from_initial(grid, TimeGrid(steps, 0.01),
                                     np.cos(grid.x), rows=2)
     model = ModelSpec(spatial_terms=((1.5, 0.5),))
-    k, fwd, inv = fields._transforms(state)
+    fwd, inv = state.transforms()
     calls = []
 
     def counted(v):
         calls.append(v.shape[0])
         return inv(v)
 
+    state.transforms = lambda: (fwd, counted)
     seen = []
     assert fields._solve_linear_implicit(
-        state, beta, 1.0, 0.0, model.spatial_symbol(k), fwd, counted,
+        state, beta, model, 0.0, model.spatial_symbol(state.wavenumbers),
         lambda j, u: seen.append(j)) is None
     block = fields._FFT_BLOCK_BYTES // (16 * (n // 2 + 1))
     assert len(calls) == math.ceil(steps / block) and sum(calls) == steps
@@ -527,9 +522,8 @@ def test_complex_g0_is_stepped(caplog):
         evolve_field(model, state, 0.9)
     assert caplog.messages == ["evolve: stepped 500 steps × 16 modes"]
     ref = FieldState.from_initial(grid, tg, u0)
-    k, fwd, inv = fields._transforms(ref)
-    fields._step_linear_implicit(ref, 0.9, 1j, model,
-                                 model.spatial_symbol(k), fwd, inv)
+    fields._step_linear_implicit(ref, 0.9, model,
+                                 model.spatial_symbol(ref.wavenumbers))
     assert np.array_equal(state.history, ref.history)
 
 
@@ -538,8 +532,8 @@ def test_non_finite_factors_are_stepped(monkeypatch, caplog):
     # any level is placed, from the first step whose factor is NaN
     reciprocal = fields._series_reciprocal
 
-    def nan_in_column_0(p):
-        out = reciprocal(p)
+    def nan_in_column_0(head, lags):
+        out = reciprocal(head, lags)
         out[10, 0] = np.nan
         return out
 
@@ -555,9 +549,8 @@ def test_non_finite_factors_are_stepped(monkeypatch, caplog):
     assert caplog.messages == [
         "evolve: solve found a growing mode at step 11; stepped"]
     ref = FieldState.from_initial(grid, tg, u0)
-    k, fwd, inv = fields._transforms(ref)
-    fields._step_linear_implicit(ref, 0.9, 1.0, model,
-                                 model.spatial_symbol(k), fwd, inv)
+    fields._step_linear_implicit(ref, 0.9, model,
+                                 model.spatial_symbol(ref.wavenumbers))
     assert np.array_equal(state.history, ref.history)
 
 
@@ -1172,8 +1165,8 @@ def _residual_row_loop(model, state, beta):
     u = state.history
     out = model.g0 * fields.caputo_left_l1(u, beta, state.time.dt,
                                            initial_velocity=state.initial_velocity)
-    k, fwd, inv = fields._transforms(state)
-    sym = model.spatial_symbol(k)
+    fwd, inv = state.transforms()
+    sym = model.spatial_symbol(state.wavenumbers)
     for j in range(u.shape[0]):
         out[j] += inv(sym * fwd(model.interaction_apply(u[j]))) + model.force(u[j])
     return out

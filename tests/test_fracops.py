@@ -20,19 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdyn
+from fracdyn import fields
 from fracdyn.errors import ConvergenceError, DomainError
-from fracdyn.fracops import (HISTORY_BLOCK, HistorySum, _fast_len,
-                             _ml_integral_negative, _ml_series,
-                             _series_ratios, _series_reciprocal,
+from fracdyn.fields import LevelRing, ModelSpec, Potential
+from fracdyn.fracops import (_FFT_BLOCK_BYTES, HISTORY_BLOCK, HistorySum,
+                             _fast_len, _l1_output, _ml_integral_negative,
+                             _ml_series, _series_ratios, _series_reciprocal,
                              caputo_left_l1, caputo_right_l1, l1_apply,
                              l1_weights, mittag_leffler,
                              riemann_liouville_left, riesz_derivative_spectral)
-from fracdyn.grids import GridSpec
+from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (L1_BLOCK_SHAPES, assert_same_bits,
                      caputo_left_quadrature_oracle, caputo_left_whole,
                      l1_history, ml_integral_negative_scalar, ml_series_loop,
                      ml_series_scalar, riemann_liouville_whole,
-                     riesz_quadrature_oracle)
+                     riesz_quadrature_oracle, series_reciprocal_columns)
 
 # ------------------------------------------------------------ L1 weights
 
@@ -66,13 +68,19 @@ def _increments(rng, shape, is_complex):
     return inc
 
 
+def _l1_columns(inc, w, scale):
+    """``l1_apply`` over the columns of ``inc``, a single history taken as
+    one column."""
+    inc = inc.reshape(inc.shape[0], -1)
+    return l1_apply(lambda cols: inc[:, cols], w, scale,
+                    _l1_output(inc.shape[0], inc))
+
+
 def _assert_matches_rows(inc, w, scale):
-    ref = _l1_rows(inc if inc.ndim == 2 else inc[:, None], w, scale)
-    out = l1_apply(inc, w, scale)
-    assert out.shape == (inc.shape[0] + 1,) + inc.shape[1:]
+    ref = _l1_rows(inc.reshape(inc.shape[0], -1), w, scale)
+    out = _l1_columns(inc, w, scale)
+    assert out.shape == ref.shape
     assert out.dtype == ref.dtype
-    if inc.ndim == 1:
-        ref = ref[:, 0]
     # FFT rounding is global: bound the error by the largest output entry
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -97,10 +105,11 @@ def test_l1_apply_long_decaying_history(is_complex):
 
 
 def test_l1_apply_1d_roundtrip():
+    # a single history, as one column
     rng = np.random.default_rng(9)
     inc = rng.standard_normal(50)
     w = l1_weights(0.5, 50)
-    out = l1_apply(inc, w, 2.0)
+    out = _l1_columns(inc, w, 2.0)[:, 0]
     assert out.shape == (51,)
     assert out[0] == 0.0
     # row 1 is just scale * w0 * inc0
@@ -154,24 +163,54 @@ def test_fast_len_matches_scipy():
 def test_series_reciprocal_inverts_the_series(n):
     # P g = 1 to rounding, coefficient by coefficient against the direct
     # convolution, for the L1 mode series P(z) = c (1 - z) W(z) + s + a z
-    # of several orders, multipliers and linear forces
-    cols = []
-    for beta, s, a in [(0.3, 0.01, 0.0), (0.6, 0.5, 0.3), (0.9, 0.08, -0.01),
-                       (0.9, 2.0, -0.5)]:
+    # of several orders, multipliers and linear forces, one call per order
+    for beta, pairs in [(0.3, [(0.01, 0.0)]), (0.6, [(0.5, 0.3)]),
+                        (0.9, [(0.08, -0.01), (2.0, -0.5)])]:
         c = 0.1 ** (-beta) / math.gamma(2.0 - beta)
-        p = c * np.diff(l1_weights(beta, n), prepend=0.0)
-        p[0] += s
+        lags = c * np.diff(l1_weights(beta, n), prepend=0.0)
+        s, a = np.array(pairs).T
+        head = np.stack([lags[0] + s, (lags[1] if n > 1 else 0.0) + a])
+        g = _series_reciprocal(head, lags)
+        assert g.shape == (n, len(pairs))
+        for col in range(len(pairs)):
+            p = lags.copy()
+            p[0] = head[0, col]
+            if n > 1:
+                p[1] = head[1, col]
+            residual = np.convolve(p, g[:, col])[:n]
+            residual[0] -= 1.0
+            scale = np.convolve(np.abs(p), np.abs(g[:, col]))[:n].max()
+            assert np.max(np.abs(residual)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+@pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
+def test_series_reciprocal_matches_whole_columns_bitwise(beta, n, monkeypatch):
+    # the series the whole-run solve builds, one more mode than a column
+    # block holds: each call's reciprocal from the shared lags has the bits
+    # of the one from every column's whole series
+    a, dt = 0.3, 0.1
+    m = max(1, _FFT_BLOCK_BYTES // (16 * n)) + 1
+    sym = np.linspace(0.0, 5.0, m)
+    calls = []
+
+    def recorded(head, lags):
+        out = _series_reciprocal(head, lags)
+        calls.append((head.copy(), lags.copy(), out))
+        return out
+
+    monkeypatch.setattr(fields, "_series_reciprocal", recorded)
+    ring = LevelRing.start(TimeGrid(n, dt), np.ones(m))
+    model = ModelSpec(g0=1.5, a=a, potential=Potential.GINZBURG_LANDAU)
+    assert fields._solve_linear_implicit(ring, beta, model, a, sym,
+                                         None) is None
+    assert [head.shape[1] for head, _, _ in calls] == [m - 1, 1]
+    for head, lags, out in calls:
+        p = np.repeat(lags[:, None], head.shape[1], axis=1)
+        p[0] = head[0]
         if n > 1:
-            p[1] += a
-        cols.append(p)
-    p = np.stack(cols, axis=1)
-    g = _series_reciprocal(p)
-    assert g.shape == (n, 4)
-    for col in range(4):
-        residual = np.convolve(p[:, col], g[:, col])[:n]
-        residual[0] -= 1.0
-        scale = np.convolve(np.abs(p[:, col]), np.abs(g[:, col]))[:n].max()
-        assert np.max(np.abs(residual)) <= 1e-15 * scale
+            p[1] = head[1]
+        assert_same_bits(out, series_reciprocal_columns(p))
 
 
 def test_ml_quadrature_matches_one_argument_at_a_time():
@@ -415,6 +454,18 @@ def test_caputo_streamed_matches_whole_arrays_bitwise(shape, is_complex, beta):
 
 
 # ------------------------------------------------------------ Riemann-Liouville
+
+
+@pytest.mark.parametrize("u0", [1.0, 1.0 + 0.5j, 0.0, -2.0j])
+def test_rl_single_history_matches_one_column(u0):
+    # a 1-D history, real or complex, gives the column of the same history
+    # passed as (n, 1); node 0 holds the singular limit, whose complex value
+    # depends on NumPy's complex sign, so it is compared, not spelled out
+    t = np.arange(101) * 0.01
+    u = (1.0 + t) * u0 + t ** 2
+    np.testing.assert_array_equal(riemann_liouville_left(u, 0.5, 0.01),
+                                  riemann_liouville_left(u[:, None], 0.5,
+                                                         0.01)[:, 0])
 
 
 def test_rl_equals_caputo_when_zero_start():
