@@ -44,14 +44,6 @@ class DispersionReport:
     rel_err: list
     fitted_exponent: float
 
-    def to_dict(self):
-        def _ser(v):
-            return [[z.real, z.imag] if isinstance(z, complex) else float(z) for z in v]
-        return {"beta": self.beta, "k": list(map(float, self.k)),
-                "measured": _ser(self.measured), "predicted": _ser(self.predicted),
-                "rel_err": list(map(float, self.rel_err)),
-                "fitted_exponent": self.fitted_exponent}
-
 
 def _fit_exponent(kvals, dispersive):
     kvals = np.asarray(kvals, dtype=float)

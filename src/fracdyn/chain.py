@@ -41,7 +41,7 @@ The ring's coupling cutoff adds a further small tail, nearly independent of
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
@@ -178,9 +178,6 @@ class ChainContinuumReport:
     deviation_vs_lattice: list
     fitted_exponent: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _fit_mode_rate(times, amps, beta, rate_guess):
     """Rate ``lam`` of ``A(t) = A(0) E_beta(lam t^beta)`` from an amplitude
@@ -253,16 +250,6 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     # per-mode linear rate -g0 (J^(k) - J^(0)) - a on rfft modes
     rates_lattice_all = -spec.g0 * ring_sym - a_lin
 
-    # fit on a few time levels per mode
-    sels = {}
-    for m in modes:
-        lam_latt = float(rates_lattice_all[m])
-        horizon = fit_horizon / max(abs(lam_latt), 1e-300)
-        jmax = min(n_steps, max(2, int(round(horizon / dt))))
-        # sorted(set()) rather than np.unique, which loads numpy.ma on first use
-        sels[m] = sorted(set(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1))
-                             .astype(int).tolist()))
-
     # the modes do not couple: evolve only their coefficients, with the
     # linear force acting per mode
     u0 = np.zeros(nn)
@@ -277,7 +264,11 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     for i, m in enumerate(modes):
         lam_latt = float(rates_lattice_all[m])
         lam_cont = -g_alpha * abs(kvals[i]) ** spec.alpha - a_lin
-        sel = sels[m]
+        horizon = fit_horizon / max(abs(lam_latt), 1e-300)
+        jmax = min(n_steps, max(2, int(round(horizon / dt))))
+        # sorted(set()) rather than np.unique, which loads numpy.ma on first use
+        sel = sorted(set(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1))
+                         .astype(int).tolist()))
         amps = np.abs(levels[sel, i])
         if np.any(amps == 0):
             raise DomainError(f"mode {m} amplitude vanished; cannot fit a rate")

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -332,15 +332,21 @@ def write_csv(path, header, blocks):
 
 
 def _jsonable(o):
-    """``o`` with NumPy scalars and arrays as Python values and every
-    non-finite float (an undefined fit exponent, say) as ``None``: JSON has
-    no NaN or infinity, so these are written as ``null``."""
+    """``o`` with a dataclass (a report) as the dict of its fields, NumPy
+    scalars and arrays as Python values, a complex number as ``[re, im]``
+    and every non-finite float (an undefined fit exponent, say) as
+    ``None``: JSON has no complex numbers, NaN or infinity, so these are
+    written as pairs and ``null``."""
+    if is_dataclass(o):
+        return _jsonable(asdict(o))
     if isinstance(o, dict):
         return {k: _jsonable(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
         return [_jsonable(v) for v in o]
     if isinstance(o, (np.generic, np.ndarray)):
         return _jsonable(o.tolist())
+    if isinstance(o, complex):
+        return _jsonable([o.real, o.imag])
     if isinstance(o, float) and not math.isfinite(o):
         return None
     return o
@@ -517,7 +523,7 @@ def _run_continuum_compare(cfg, specs, outdir, rng):
     report = continuum_limit_compare(specs["chain"], comp["modes"], time.dt,
                                      time.n_steps,
                                      fit_horizon=comp["fit_horizon"])
-    write_json(outdir / "report.json", report.to_dict())
+    write_json(outdir / "report.json", report)
     worst = max(report.deviation_vs_continuum)
     return {"worst_deviation_vs_continuum": worst,
             "fitted_exponent": report.fitted_exponent,
@@ -543,7 +549,7 @@ def _run_dispersion(cfg, specs, outdir, rng):
     source = (state.times, dict(zip(grid.wavenumbers[modes], series.T)))
     report = dispersion_check(source, alpha=p["alpha"], beta=1.0, g=p["g"],
                               a=p["a"], b=p["b"])
-    write_json(outdir / "report.json", report.to_dict())
+    write_json(outdir / "report.json", report)
     # the exponent is NaN, and not checked, below two dispersive modes
     slope = report.fitted_exponent
     return {"max_rel_err": max(report.rel_err),

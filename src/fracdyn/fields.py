@@ -76,9 +76,12 @@ it holds all ``n_steps + 1`` levels, which only ``residual`` still needs.
 The steppers themselves read only the newest level (the memory sum and the
 spectrum live in the stepper, the solve's factors in the solve), so a
 caller that does not need the trajectory asks for 2 rows and collects what
-it keeps through the steppers' ``observe(j, u)`` callback, called with every
-new level after its blow-up guard.  Reading a level the ring no longer holds
-raises ``DomainError``.
+it keeps through the steppers' ``observe(j, u)`` callback.  Reading a level
+the ring no longer holds raises ``DomainError``.  ``LevelRing.place`` is the
+one place a level is made: the L1 stepper, the whole-run solve and the NLS
+splitting only compute levels, and ``place`` writes each to its ring row,
+passes its sup-norm through the blow-up guard against the newest level's,
+counts it in ``n_completed`` and then calls ``observe`` with it.
 """
 
 import enum
@@ -90,7 +93,7 @@ import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import BlowUpError, ConvergenceError, DomainError
-from .fracops import (_FFT_BLOCK_BYTES, HistorySum, _series_reciprocal,
+from .fracops import (HistorySum, _blocks, _series_reciprocal,
                       caputo_left_l1, caputo_right_l1, l1_weights,
                       mittag_leffler, riesz_derivative_spectral)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
@@ -196,17 +199,18 @@ class LevelRing:
 
     ``history`` is a ring: the level at ``t_j`` lives in row
     ``j % len(history)``, and only the newest ``len(history)`` levels up to
-    ``n_completed`` are held.  Read levels through :meth:`level`.
-    ``initial_velocity`` is required by temporal orders in (1, 2].  This is
-    all the linear-implicit stepper reads and writes, so a level may hold
-    grid values (:class:`FieldState`) or the coefficients of modes that do
-    not couple.
+    ``n_completed`` are held.  Read levels through :meth:`level`; make
+    them through :meth:`place`.  ``initial_velocity`` is required by
+    temporal orders in (1, 2].  This is all the linear-implicit stepper
+    reads and writes, so a level may hold grid values (:class:`FieldState`)
+    or the coefficients of modes that do not couple.
     """
 
     time: TimeGrid
     history: np.ndarray = field(repr=False)
     initial_velocity: np.ndarray = None
     n_completed: int = 0
+    _newest_norm: float = field(default=0.0, init=False, repr=False)
 
     @classmethod
     def start(cls, time, u0, initial_velocity=None, rows=None, **extra):
@@ -230,7 +234,9 @@ class LevelRing:
             if v0.shape != u0.shape:
                 raise DomainError("initial velocity does not match the "
                                   "initial level")
-        return cls(time=time, history=hist, initial_velocity=v0, **extra)
+        ring = cls(time=time, history=hist, initial_velocity=v0, **extra)
+        ring._newest_norm = float(np.abs(hist[0]).max())
+        return ring
 
     @property
     def is_complex(self):
@@ -256,6 +262,26 @@ class LevelRing:
 
     def current(self):
         return self.level(self.n_completed)
+
+    def place(self, levels, observe=None):
+        """Make levels ``n_completed + 1, ...`` from the rows of ``levels``,
+        the one place levels are made: each in turn is written to its ring
+        row, passes the blow-up guard with its sup-norm against the newest
+        level's, is counted and is passed to ``observe(j, row)``.  Rows no
+        level holds yet take the levels in one slice, as a NumPy write per
+        level costs the whole-run solve more than its guards."""
+        first, rows = self.n_completed + 1, self.history
+        at_once = first + len(levels) <= len(rows)   # the ring has not wrapped
+        if at_once:
+            rows[first:first + len(levels)] = levels
+        for j, norm in enumerate(np.abs(levels).max(axis=1).tolist(), first):
+            i = j % len(rows)
+            if not at_once:
+                rows[i] = levels[j - first]
+            self._newest_norm = _guard(norm, j, self._newest_norm)
+            self.n_completed = j
+            if observe is not None:
+                observe(j, rows[i])
 
     def transforms(self):
         """Forward and inverse transform between a level and the modes the
@@ -348,7 +374,11 @@ def _evolve_linear_implicit(state, beta, model, sym, observe=None):
     once by :func:`_solve_linear_implicit` when the equation is linear and
     first order (``beta < 1``, ``f`` the identity, ``F`` absent or
     ``a u``), its coefficients are real and no mode grows (see the module
-    docstring), and stepped otherwise.  Logs the path taken at DEBUG."""
+    docstring), and stepped otherwise.  Logs the path taken at DEBUG.
+    ``state`` must be at level 0: every level depends on all before it (a
+    ring that no longer holds level 0 fails on reading it)."""
+    if state.n_completed and state.holds_trajectory:
+        raise DomainError(f"evolution starts at level 0, not {state.n_completed}")
     n, m = state.time.n_steps, sym.shape[0]
     gl = model.potential is Potential.GINZBURG_LANDAU
     a = model.a if gl else 0.0
@@ -370,8 +400,8 @@ def _step_linear_implicit(state, beta, model, sym, observe=None):
     """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` one level at a time, on
     the modes of ``state.transforms()`` with ``model``'s ``g0``.  ``S`` is
     implicit when ``f`` is the identity and lags one level otherwise; the
-    on-site force ``F`` always lags.  Each new level is written to its ring
-    row, guarded by its largest magnitude, and passed to ``observe``."""
+    on-site force ``F`` always lags.  Each new level is made by
+    :meth:`LevelRing.place`, with ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
@@ -381,9 +411,7 @@ def _step_linear_implicit(state, beta, model, sym, observe=None):
     n, dt = state.time.n_steps, state.time.dt
     u, rows = state.history, state.history.shape[0]
     fwd, inv = state.transforms()
-    u0 = state.level(0)
-    uhat = fwd(u0)
-    prev_norm = float(np.max(np.abs(u0)))
+    uhat = fwd(state.level(0))
     # L1 scheme of order q on the memory variable y (see the module docstring)
     q = beta - 1.0 if second_order else beta
     c = model.g0 * dt ** (-q) / math.gamma(2.0 - q)
@@ -428,12 +456,7 @@ def _step_linear_implicit(state, beta, model, sym, observe=None):
                 mem.push(j, step / -dt)
             d -= step
             uhat += d
-        row = u[(j + 1) % rows]
-        row[:] = inv(uhat)
-        prev_norm = _guard(float(np.abs(row).max()), j + 1, prev_norm)
-        state.n_completed = j + 1
-        if observe is not None:
-            observe(j + 1, row)
+        state.place(inv(uhat)[None], observe)
     return state
 
 
@@ -463,16 +486,14 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     is placed and the first step with such a factor is returned, for the
     stepper to run the whole run.  Else the solve logs that it solved the
     run and places each level once: levels are formed and
-    inverse-transformed in row blocks of ``_FFT_BLOCK_BYTES`` of spectrum,
-    written to the ring, then guarded, counted and passed to ``observe`` in
-    step order as the stepper does, so a ``BlowUpError`` leaves the state
-    and ``observe`` where the stepper's would.  Returns None.
+    inverse-transformed in the row blocks of ``fracops._blocks``, and each
+    block is made by :meth:`LevelRing.place` level by level, as the stepper
+    makes its levels, so a ``BlowUpError`` leaves the state and ``observe``
+    where the stepper's would.  Returns None.
     """
     n, dt = state.time.n_steps, state.time.dt
-    hist, rows = state.history, state.history.shape[0]
     fwd, inv = state.transforms()
-    u0 = state.level(0)
-    u0_hat = fwd(u0)
+    u0_hat = fwd(state.level(0))
     c = model.g0 * dt ** (-beta) / math.gamma(2.0 - beta)
     lags = c * np.diff(l1_weights(beta, n), prepend=0.0)  # c (1 - z) W(z)
     m = sym.shape[0]
@@ -485,10 +506,8 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a block of modes at a time, so that the reciprocal's FFT work
         # arrays stay block-sized
-        cols = max(1, _FFT_BLOCK_BYTES // (16 * n))
-        for c0 in range(0, m, cols):
-            fac[:, c0:c0 + cols] = _series_reciprocal(head[:, c0:c0 + cols],
-                                                      lags)
+        for cols in _blocks(m, 16 * n):
+            fac[:, cols] = _series_reciprocal(head[:, cols], lags)
         np.cumsum(fac, axis=0, out=fac)
         fac *= -(sym + a)
         fac += 1.0
@@ -496,20 +515,8 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
         bounded = (np.abs(fac) <= 1.0).all(axis=1)
         return int(np.argmin(bounded)) + 1
     log.debug("evolve: solved %d steps × %d modes at once", n, m)
-    full = rows == n + 1
-    prev_norm = float(np.abs(u0).max())
-    block = max(1, _FFT_BLOCK_BYTES // (16 * m))
-    for r in range(0, n, block):
-        lev = inv(u0_hat * fac[r:r + block])
-        if full:
-            hist[r + 1:r + 1 + block] = lev
-        for j, norm in enumerate(np.abs(lev).max(axis=1).tolist(), r + 1):
-            if not full:
-                hist[j % rows] = lev[j - r - 1]
-            prev_norm = _guard(norm, j, prev_norm)
-            state.n_completed = j
-            if observe is not None:
-                observe(j, hist[j % rows])
+    for rows in _blocks(n, 16 * m):
+        state.place(inv(u0_hat * fac[rows]), observe)
     return None
 
 
@@ -540,9 +547,9 @@ def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     Each step is a half-step pointwise phase rotation, a full linear step
     with multiplier ``exp(i g |k|^alpha dt)`` and a second half rotation.
     Every substep preserves ``|u|`` pointwise or ``sum |u_k|^2``, so the
-    discrete mass is conserved to rounding.  Each new level passes the
-    blow-up guard of the L1 stepper; ``observe(j, u)``, if given, then sees
-    it.
+    discrete mass is conserved to rounding.  Each new level is made by
+    :meth:`LevelRing.place`, guarded as the L1 stepper's are (the first
+    against the level it resumes from), then passed to ``observe(j, u)``.
     """
     if not state.is_complex:
         raise DomainError("NLS stepping needs a complex field")
@@ -553,15 +560,10 @@ def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     def rotate(v):
         return v * np.exp(-1j * (a + b * np.abs(v) ** 2) * (0.5 * dt))
 
-    rows = state.history.shape[0]
-    prev_norm = float(np.max(np.abs(state.current())))
-    for j in range(state.n_completed, state.time.n_steps):
-        row = state.history[(j + 1) % rows]
-        row[:] = rotate(np.fft.ifft(linear * np.fft.fft(rotate(state.level(j)))))
-        prev_norm = _guard(float(np.abs(row).max()), j + 1, prev_norm)
-        state.n_completed = j + 1
-        if observe is not None:
-            observe(j + 1, row)
+    state._newest_norm = float(np.abs(state.current()).max())
+    for _ in range(state.n_completed, state.time.n_steps):
+        u = np.fft.ifft(linear * np.fft.fft(rotate(state.current())))
+        state.place(rotate(u)[None], observe)
     return state
 
 
@@ -791,7 +793,7 @@ def residual(model: ModelSpec, state: FieldState, beta):
     increments over column blocks and is scaled in place, the right one is
     taken and added a column block at a time, and the spatial and force
     terms a row block at a time (no force term where the model has none),
-    each block ``_FFT_BLOCK_BYTES`` of spectrum.
+    each block one of ``fracops._blocks``.
     """
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
@@ -804,21 +806,19 @@ def residual(model: ModelSpec, state: FieldState, beta):
     out = caputo_left_l1(u, beta, dt, initial_velocity=state.initial_velocity)
     out *= model.g0
     if model.g0_prime != 0:
-        cols = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[0]))
-        for c in range(0, u.shape[1], cols):
-            right = caputo_right_l1(u[:, c:c + cols], beta, dt)
+        for cols in _blocks(u.shape[1], 16 * u.shape[0]):
+            right = caputo_right_l1(u[:, cols], beta, dt)
             right *= model.g0_prime
-            out[:, c:c + cols] += right
+            out[:, cols] += right
     fwd, inv = state.transforms()
     sym = model.spatial_symbol(state.wavenumbers)
     # rows in blocks, one transform along the grid axis per block
-    rows = max(1, _FFT_BLOCK_BYTES // (16 * u.shape[1]))
-    for r in range(0, u.shape[0], rows):
-        ur = u[r:r + rows]
+    for rows in _blocks(u.shape[0], 16 * u.shape[1]):
+        ur = u[rows]
         term = inv(sym * fwd(model.interaction_apply(ur)))
         if model.potential is not Potential.NONE:
             term += model.force(ur)
-        out[r:r + rows] += term
+        out[rows] += term
     return out
 
 

@@ -18,6 +18,8 @@ It takes the columns in blocks, and each operator forms the increments of
 a block from its own samples inside that block (differences, difference
 quotients led by the initial velocity, or scaled rates), so beside its
 output an operator holds one block, never a whole-history temporary.
+``_blocks`` is the one rule that sizes a block of FFT work, here and in
+``fields``: ``_FFT_BLOCK_BYTES`` of spectrum per block.
 
 Where the L1 equations of a linear mode are solved for a whole run at once
 (``fields``, for linear first-order runs without a growing mode), the
@@ -69,11 +71,20 @@ def l1_weights(beta, n):
     return np.diff(pows)
 
 
-# Bytes of spectrum transformed at once: the columns of a time convolution
-# are taken in blocks this size so that the FFT work buffers stay small beside
-# the arrays they fill.  256 KiB kept the peak RSS of a 3000-step, 128-point
+# Bytes of spectrum transformed at once: columns or rows are taken in blocks
+# this size (see _blocks) so that the FFT work buffers stay small beside the
+# arrays they fill.  256 KiB kept the peak RSS of a 3000-step, 128-point
 # relaxation below that of 1 MiB blocks, at the same speed.
 _FFT_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(n, item_bytes):
+    """Slices that cover ``range(n)`` in blocks of ``_FFT_BLOCK_BYTES``, an
+    item (a row or column) taking ``item_bytes`` of spectrum; at least one
+    item per block.  The one rule that sizes every block of FFT work."""
+    size = max(1, _FFT_BLOCK_BYTES // item_bytes)
+    return (slice(i, i + size) for i in range(0, n, size))
+
 
 # Rows summed directly by HistorySum before its FFT products take over.
 HISTORY_BLOCK = 64
@@ -153,22 +164,21 @@ def _convolve_columns(increments, target, weights, nfft, start):
 
     ``weights`` is the real FFT of the zero-padded weight sequence.  The
     history is never held whole: ``increments(cols)`` returns its columns
-    ``cols``, formed by the caller from its own samples, one block at a
-    time, with ``_FFT_BLOCK_BYTES`` of spectrum per block.  Complex columns
-    are convolved as their real and imaginary parts.  Yields ``(cols,
+    ``cols``, formed by the caller from its own samples, one block of
+    :func:`_blocks` at a time.  Complex columns are convolved as their real
+    and imaginary parts.  Yields ``(cols,
     rows)`` pairs, one per block: ``rows`` are the float64 columns ``cols``
     of ``_real_columns(target)``, which the caller writes before the next
     block is formed.
     """
     width = 2 if target.dtype.kind == "c" else 1
-    block = max(1, _FFT_BLOCK_BYTES // (16 * nfft * width))
     stop = start + target.shape[0]
-    for c in range(0, target.shape[1], block):
-        x = _real_columns(np.ascontiguousarray(increments(slice(c, c + block)),
+    for cols in _blocks(target.shape[1], 16 * nfft * width):
+        x = _real_columns(np.ascontiguousarray(increments(cols),
                                                dtype=target.dtype))
         spec = np.fft.rfft(x, nfft, axis=0)
         spec *= weights[:, None]
-        yield (slice(width * c, width * (c + block)),
+        yield (slice(width * cols.start, width * cols.stop),
                np.fft.irfft(spec, nfft, axis=0)[start:stop])
 
 

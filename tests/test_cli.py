@@ -14,7 +14,7 @@ import pytest
 import fracdyn
 
 from fracdyn import cli
-from fracdyn.analysis import dispersion_check
+from fracdyn.analysis import DispersionReport, dispersion_check
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                          main, read_metadata, run, write_csv, write_json,
                          write_metadata)
@@ -764,7 +764,7 @@ def test_dispersion_cli_matches_full_trajectory(tmp_path, modes, b):
     nls_evolve(state, p["alpha"], p["g"], p["a"], p["b"])
     expected = dispersion_check(mode_series(state, ms), alpha=p["alpha"],
                                 beta=1.0, g=p["g"], a=p["a"], b=p["b"])
-    write_json(tmp_path / "expected.json", expected.to_dict())
+    write_json(tmp_path / "expected.json", expected)
     assert ((out / "report.json").read_bytes()
             == (tmp_path / "expected.json").read_bytes())
 
@@ -810,6 +810,19 @@ def test_write_json_writes_non_finite_as_null(tmp_path):
     assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
     assert json.loads(path.read_text()) == {"nan": None, "inf": None,
                                             "row": [1.5, None], "ok": 3}
+
+
+def test_write_json_writes_a_report_by_its_fields(tmp_path):
+    # a report is written as its fields, a complex entry as [re, im]
+    path = tmp_path / "report.json"
+    write_json(path, DispersionReport(
+        beta=0.5, k=[np.float64(1.0)],
+        measured=[np.complex128(0.25 - 1.5j)], predicted=[complex(0, np.nan)],
+        rel_err=[np.float64(0.125)], fitted_exponent=float("nan")))
+    assert json.loads(path.read_text()) == {
+        "beta": 0.5, "k": [1.0], "measured": [[0.25, -1.5]],
+        "predicted": [[0.0, None]], "rel_err": [0.125],
+        "fitted_exponent": None}
 
 
 def test_chain_cli(tmp_path):
