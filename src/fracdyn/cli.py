@@ -1,12 +1,19 @@
 """Experiment runner.
 
 Configs are INI files (``configparser`` syntax): named sections of
-``key = value`` pairs.  Unknown sections or keys are rejected.  Every run
-writes ``metadata.json`` (the fully resolved configuration plus the library
-version; it re-parses into an equal configuration), one or more data files
-(CSV for time series and snapshots, JSON for reports), and ``summary.json``
-with pass/fail results against the configured tolerances.  Floats are
-written with 17 significant digits so repeated runs are byte-identical.
+``key = value`` pairs.  Unknown sections or keys are rejected.  A rule on
+one key is that key's ``_SCHEMA`` entry, checked as its section is
+resolved; sections are resolved in schema order, so a missing section is
+reported by its first required key.  A rule that joins keys is in
+``_build``, and a library rule is the library's own, reached through
+``_checked``.
+
+Every run writes ``metadata.json`` (the fully resolved configuration plus
+the library version; it re-parses into an equal configuration), one or
+more data files (CSV for time series and snapshots, JSON for reports), and
+``summary.json`` with pass/fail results against the configured tolerances.
+Floats are written with 17 significant digits so repeated runs are
+byte-identical.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (blow-up or non-convergence), 3 I/O error.
@@ -67,44 +74,57 @@ def _parse_int_list(text):
         raise ConfigError(f"bad integer list '{text}'") from exc
 
 
-# (section, key) -> (converter, default); REQUIRED means no default
+def _one_of(*choices):
+    return (lambda v: v in choices), f"not one of {', '.join(choices)}"
+
+
+# (section, key) -> (converter, default[, rule]); REQUIRED means no default.
+# A rule, (test, reason), is the key's own: it is checked on the converted
+# value alone.  Rules that join keys are checked in ``_build``.
 REQUIRED = object()
+_MODES = (lambda m: len(m) > 0 and len(set(m)) == len(m),
+          "needs at least one mode and no mode twice")
+
+# the on-site force and interaction keys of [model] and [chain]
+_ON_SITE = {"a": (float, 0.0), "b": (float, 0.0),
+            "potential": (str, "none",
+                          _one_of(*(e.value for e in Potential))),
+            "interaction": (str, "identity",
+                            _one_of(*(e.value for e in Interaction))),
+            "interaction_mix": (float, 0.0)}
 
 _SCHEMA = {
     "experiment": {"kind": (str, REQUIRED), "seed": (int, 0)},
     "grid": {"n_points": (int, REQUIRED), "length": (float, REQUIRED)},
     "time": {"dt": (float, REQUIRED), "n_steps": (int, REQUIRED)},
     "model": {"g0": (float, 1.0), "beta": (float, 1.0),
-              "spatial_terms": (_parse_terms, []), "potential": (str, "none"),
-              "a": (float, 0.0), "b": (float, 0.0),
-              "interaction": (str, "identity"), "interaction_mix": (float, 0.0),
-              "field_kind": (str, "real")},
-    "initial": {"kind": (str, "cosine"), "amplitude": (float, 1.0),
-                "mode": (int, 1), "value": (float, 0.0), "width": (float, 1.0),
+              "spatial_terms": (_parse_terms, []), **_ON_SITE,
+              "field_kind": (str, "real", _one_of("real", "complex"))},
+    "initial": {"kind": (str, "cosine", _one_of(
+                    "cosine", "uniform", "random", "gaussian", "plane_wave",
+                    "pulse")),
+                "amplitude": (float, 1.0), "mode": (int, 1),
+                "value": (float, 0.0), "width": (float, 1.0),
                 "phase": (float, 0.0)},
     "nls": {"alpha": (float, REQUIRED), "g": (float, 1.0), "a": (float, 0.0),
             "b": (float, 0.0)},
     "sine_gordon": {"alpha": (float, 2.0), "beta_plus_one": (float, 2.0),
-                    "velocity": (float, 0.2)},
+                    "velocity": (float, 0.2, (
+                        lambda v: abs(v) < 1.0,
+                        "kink velocity must satisfy |v| < 1"))},
     "stationary": {"alpha": (float, REQUIRED), "g": (float, 1.0),
                    "a": (float, REQUIRED), "b": (float, REQUIRED),
                    "tol": (float, 1e-10), "max_iter": (int, 100)},
     "chain": {"n_particles": (int, REQUIRED), "dx": (float, 1.0),
               "alpha": (float, REQUIRED), "g0": (float, 1.0),
-              "beta": (float, 1.0), "cutoff": (int, 0),
-              "a": (float, 0.0), "b": (float, 0.0),
-              "potential": (str, "none"), "interaction": (str, "identity"),
-              "interaction_mix": (float, 0.0)},
-    "compare": {"modes": (_parse_int_list, REQUIRED), "fit_horizon": (float, 2.0)},
-    "dispersion": {"modes": (_parse_int_list, REQUIRED)},
-    "output": {"snapshot_every": (int, 0)},
+              "beta": (float, 1.0), "cutoff": (int, 0), **_ON_SITE},
+    "compare": {"modes": (_parse_int_list, REQUIRED, _MODES),
+                "fit_horizon": (float, 2.0)},
+    "dispersion": {"modes": (_parse_int_list, REQUIRED, _MODES)},
+    "output": {"snapshot_every": (int, 0, (lambda v: v >= 0, "need >= 0"))},
     "tolerances": {"mass_drift": (float, 1e-10), "energy_drift": (float, 1e-2),
                    "rate_deviation": (float, 5e-2), "selftest": (float, 1e-12)},
 }
-
-INITIAL_KINDS = ("cosine", "uniform", "random", "gaussian", "plane_wave",
-                 "pulse")
-FIELD_KINDS = ("real", "complex")
 
 
 @dataclass
@@ -118,13 +138,6 @@ class ExperimentConfig:
     def section(self, name):
         return self.sections.get(name, {})
 
-    def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed, "sections": self.sections}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(kind=data["kind"], seed=data["seed"], sections=data["sections"])
-
 
 def _finite(value):
     """False if ``value`` is, or a list in it holds, a NaN or infinite float."""
@@ -133,13 +146,17 @@ def _finite(value):
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _invalid(section, key, value, reason):
+    return ConfigError(f"invalid '{key}': '{value}' in [{section}]: {reason}")
+
+
 def _resolve_section(name, raw):
     schema = _SCHEMA[name]
     out = {}
     for key in raw:
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in section [{name}]")
-    for key, (conv, default) in schema.items():
+    for key, (conv, default, *rule) in schema.items():
         if key in raw:
             try:
                 out[key] = conv(raw[key])
@@ -154,48 +171,41 @@ def _resolve_section(name, raw):
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
         else:
             out[key] = default
+        for test, reason in rule:
+            if not test(out[key]):
+                raise _invalid(name, key, out[key], reason)
     return out
-
-
-def _invalid(section, key, value, reason):
-    return ConfigError(f"invalid '{key}': '{value}' in [{section}]: {reason}")
 
 
 def _checked(cfg, section, key, make, *args, **kwargs):
     """``make(*args, **kwargs)``, a ``DomainError`` turned into a
-    ``ConfigError`` for the config key the error names or, when no section
-    of ``cfg`` has that key, for ``key`` of ``section``, the value the call
-    was made from."""
+    ``ConfigError`` for the config key the error names (the first section,
+    in schema order, of ``cfg`` that has it) or, when no section has that
+    key, for ``key`` of ``section``, the value the call was made from."""
     try:
         return make(*args, **kwargs)
     except DomainError as exc:
-        for name, sec in cfg.sections.items():
-            if exc.key in sec:
+        for name in _SCHEMA:
+            if exc.key in cfg.section(name):
                 section, key = name, exc.key
                 break
         raise _invalid(section, key, cfg.sections[section][key], exc) from exc
 
 
-def _choice(section, sec, key, enum_type):
-    try:
-        return enum_type(sec[key])
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_type)
-        raise _invalid(section, key, sec[key], f"not one of {allowed}") from None
-
-
-def _local_model(section, sec, **kw):
+def _local_model(sec, **kw):
     """The on-site force and interaction of ``[model]`` or ``[chain]``."""
     return ModelSpec(a=sec["a"], b=sec["b"],
-                     potential=_choice(section, sec, "potential", Potential),
-                     interaction=_choice(section, sec, "interaction", Interaction),
+                     potential=Potential(sec["potential"]),
+                     interaction=Interaction(sec["interaction"]),
                      interaction_mix=sec["interaction_mix"], **kw)
 
 
 def _build(cfg: ExperimentConfig):
     """Build what ``cfg``'s run uses through the library's own checks, and
-    check the rules only the runner states.  Returns the ``GridSpec``,
-    ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run has, by section."""
+    check the runner's rules that join several keys (a rule on one key is
+    its ``_SCHEMA`` entry's, checked as the section is resolved).  Returns
+    the ``GridSpec``, ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run
+    has, by section."""
     s = cfg.sections
     specs = {}
     if "grid" in s:
@@ -207,19 +217,16 @@ def _build(cfg: ExperimentConfig):
     if "model" in s:
         m = s["model"]
         specs["model"] = _checked(
-            cfg, "model", "spatial_terms", _local_model, "model", m, g0=m["g0"],
+            cfg, "model", "spatial_terms", _local_model, m, g0=m["g0"],
             spatial_terms=tuple(map(tuple, m["spatial_terms"])))
         _checked(cfg, "model", "beta", _check_evolve_field, specs["model"],
                  m["beta"])
-        if m["field_kind"] not in FIELD_KINDS:
-            raise _invalid("model", "field_kind", m["field_kind"],
-                           f"not one of {', '.join(FIELD_KINDS)}")
     if "chain" in s:
         c = s["chain"]
         specs["chain"] = _checked(
             cfg, "chain", "alpha", ChainSpec, c["n_particles"], c["dx"],
             c["alpha"], c["g0"], c["beta"], c["cutoff"],
-            _local_model("chain", c))
+            _local_model(c))
     if "compare" in s:
         _checked(cfg, "compare", "modes", _check_compare, specs["chain"],
                  s["compare"]["modes"], s["compare"]["fit_horizon"])
@@ -233,35 +240,20 @@ def _build(cfg: ExperimentConfig):
         if name in s:
             _checked(cfg, name, "alpha", validate_spatial_order, s[name]["alpha"])
     if "sine_gordon" in s:
-        sg = s["sine_gordon"]
         _checked(cfg, "sine_gordon", "beta_plus_one", _check_sine_gordon,
-                 sg["beta_plus_one"])
-        if not abs(sg["velocity"]) < 1.0:
-            raise _invalid("sine_gordon", "velocity", sg["velocity"],
-                           "kink velocity must satisfy |v| < 1")
+                 s["sine_gordon"]["beta_plus_one"])
     if "stationary" in s:
         st = s["stationary"]
         _checked(cfg, "stationary", "alpha", _check_stationary, st["alpha"],
                  st["a"], st["b"], st["tol"], st["max_iter"])
     if "initial" in s:
         kind = s["initial"]["kind"]
-        if kind not in INITIAL_KINDS:
-            raise _invalid("initial", "kind", kind,
-                           f"not one of {', '.join(INITIAL_KINDS)}")
         if kind == "plane_wave" and cfg.kind != "nls" \
                 and s.get("model", {}).get("field_kind") != "complex":
             raise _invalid("initial", "kind", kind, "needs a complex field")
         if kind in ("gaussian", "pulse") and not s["initial"]["width"] > 0:
             raise _invalid("initial", "width", s["initial"]["width"],
                            f"a {kind} needs width > 0")
-    if "output" in s and s["output"]["snapshot_every"] < 0:
-        raise ConfigError(f"invalid 'snapshot_every': need >= 0, got "
-                          f"{s['output']['snapshot_every']}")
-    for name in ("compare", "dispersion"):
-        modes = s.get(name, {}).get("modes")
-        if modes is not None and (not modes or len(set(modes)) < len(modes)):
-            raise _invalid(name, "modes", modes,
-                           "needs at least one mode and no mode twice")
     if "dispersion" in s:
         n = s["grid"]["n_points"]
         if not all(abs(m) < n / 2 for m in s["dispersion"]["modes"]):
@@ -280,32 +272,23 @@ def load_config(path, kind=None, seed=None):
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    if "experiment" not in raw:
-        raise ConfigError("missing [experiment] section")
-    exp = _resolve_section("experiment", raw["experiment"])
+    exp = _resolve_section("experiment", raw.get("experiment", {}))
     if exp["kind"] not in _KINDS:
         raise ConfigError(f"unknown experiment kind '{exp['kind']}'")
     if kind is not None and exp["kind"] != kind:
         raise ConfigError(f"config kind '{exp['kind']}' does not match "
                           f"subcommand '{kind}'")
     _, allowed = _KINDS[exp["kind"]]
-    sections = {}
-    for name, body in raw.items():
+    for name in raw:
         if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
-        if name not in allowed:
+        if name not in allowed and name != "experiment":
             raise ConfigError(f"section [{name}] does not apply to "
                               f"experiment kind '{exp['kind']}'")
-        if name != "experiment":
-            sections[name] = _resolve_section(name, body)
-    for name in allowed - {"experiment"}:
-        if name not in sections:
-            # sections with only defaulted keys may be omitted entirely
-            schema = _SCHEMA[name]
-            if any(d is REQUIRED for _, d in schema.values()):
-                raise ConfigError(f"missing required section [{name}] for "
-                                  f"kind '{exp['kind']}'")
-            sections[name] = _resolve_section(name, {})
+    # an absent section is resolved as empty: its defaults, or an error
+    # naming its first required key
+    sections = {name: _resolve_section(name, raw.get(name, {}))
+                for name in _SCHEMA if name in allowed}
     cfg = ExperimentConfig(kind=exp["kind"],
                            seed=exp["seed"] if seed is None else int(seed),
                            sections=sections)
@@ -361,13 +344,13 @@ def write_json(path, data):
 
 def write_metadata(outdir, cfg):
     write_json(outdir / "metadata.json",
-               {"version": __version__, "config": cfg.to_dict()})
+               {"version": __version__, "config": cfg})
 
 
 def read_metadata(path):
     with open(path) as fh:
         data = json.load(fh)
-    return ExperimentConfig.from_dict(data["config"])
+    return ExperimentConfig(**data["config"])
 
 
 # ---------------------------------------------------------------- builders
@@ -604,31 +587,32 @@ def _run_selftest(cfg, specs, outdir, rng):
     return {"worst": max(checks.values()), "passed": passed}
 
 
-# experiment kind -> (runner, the sections its config may hold)
+# experiment kind -> (runner, the sections its config may hold beside
+# [experiment])
 _KINDS = {
     "evolve_field": (_run_evolve_field, {
-        "experiment", "grid", "time", "model", "initial", "output",
-        "tolerances"}),
+        "grid", "time", "model", "initial", "output", "tolerances"}),
     "sine_gordon": (_run_sine_gordon, {
-        "experiment", "grid", "time", "sine_gordon", "output", "tolerances"}),
+        "grid", "time", "sine_gordon", "output", "tolerances"}),
     "nls": (_run_nls, {
-        "experiment", "grid", "time", "nls", "initial", "output",
-        "tolerances"}),
+        "grid", "time", "nls", "initial", "output", "tolerances"}),
     "stationary_fgle": (_run_stationary, {
-        "experiment", "grid", "stationary", "initial", "tolerances"}),
+        "grid", "stationary", "initial", "tolerances"}),
     "chain": (_run_chain, {
-        "experiment", "chain", "time", "initial", "output", "tolerances"}),
+        "chain", "time", "initial", "output", "tolerances"}),
     "continuum_compare": (_run_continuum_compare, {
-        "experiment", "chain", "time", "compare", "tolerances"}),
+        "chain", "time", "compare", "tolerances"}),
     "dispersion": (_run_dispersion, {
-        "experiment", "grid", "time", "nls", "dispersion", "tolerances"}),
-    "operator_selftest": (_run_selftest, {"experiment", "tolerances"}),
+        "grid", "time", "nls", "dispersion", "tolerances"}),
+    "operator_selftest": (_run_selftest, {"tolerances"}),
 }
 
 
 def run(cfg: ExperimentConfig, outdir):
-    """Execute an experiment; returns the summary dict.  ``cfg`` is checked
-    again, as ``load_config`` checks it, before any file is written."""
+    """Execute an experiment; returns the summary dict.  ``cfg``'s library
+    rules and the rules that join its keys are checked again, as
+    ``load_config`` checks them, before any file is written; the rules on
+    single keys were checked as ``load_config`` resolved each section."""
     specs = _build(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

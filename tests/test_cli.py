@@ -458,19 +458,41 @@ def test_bad_field_kind_rejected(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind, text", [
+@pytest.mark.parametrize("kind, text, value", [
     ("evolve_field", EVOLVE_CONFIG.replace("snapshot_every = 50",
-                                           "snapshot_every = -2")),
-    ("nls", NLS_CONFIG + "\n[output]\nsnapshot_every = -1\n"),
-    ("chain", CHAIN_CONFIG + "\n[output]\nsnapshot_every = -5\n"),
+                                           "snapshot_every = -2"), -2),
+    ("nls", NLS_CONFIG + "\n[output]\nsnapshot_every = -1\n", -1),
+    ("chain", CHAIN_CONFIG + "\n[output]\nsnapshot_every = -5\n", -5),
 ], ids=["evolve_field", "nls", "chain"])
-def test_negative_snapshot_every_rejected(tmp_path, kind, text):
+def test_negative_snapshot_every_rejected(tmp_path, kind, text, value):
     cfgp = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match="invalid 'snapshot_every': need >= 0"):
+    with pytest.raises(ConfigError, match=rf"^invalid 'snapshot_every': "
+                       rf"'{value}' in \[output\]: need >= 0$"):
         load_config(cfgp)
     out = tmp_path / "out"
     assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_missing_section_message_independent_of_hash_seed(tmp_path):
+    # absent sections are resolved in schema order, so the first one named
+    # is the same under every string hash seed
+    text = DISPERSION_CONFIG.format(modes="1,2")
+    text = text[:text.index("[nls]")]
+    cfgp = _write(tmp_path, text)
+    src = str(Path(fracdyn.__file__).resolve().parent.parent)
+    messages = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracdyn.cli", "dispersion", "--config",
+             str(cfgp), "--out", str(out)], capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert proc.returncode == EXIT_CONFIG
+        assert not (out / "metadata.json").exists()
+        messages.append(proc.stderr)
+    assert messages[0] == messages[1] == (
+        "config error: missing required key 'alpha' in section [nls]\n")
 
 
 def test_kind_mismatch(tmp_path):
