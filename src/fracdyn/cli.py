@@ -15,6 +15,13 @@ more data files (CSV for time series and snapshots, JSON for reports), and
 Floats are written with 17 significant digits so repeated runs are
 byte-identical.
 
+Only ``[initial] kind = random`` and ``operator_selftest`` draw random
+numbers, from one generator seeded with ``[experiment] seed``; a config
+that does not draw never loads ``numpy.random``.  ``run`` imports nothing
+that ``load_config`` has not: ``load_config`` loads ``numpy.random`` for a
+config that draws, and this module loads every other NumPy submodule a run
+uses.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (blow-up or non-convergence), 3 I/O error.
 """
@@ -30,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
-import numpy.random  # eager: NumPy 2 loads it on first use, inside a run
 
 from . import __version__
 from .analysis import dispersion_check
@@ -74,6 +80,9 @@ def _parse_int_list(text):
         raise ConfigError(f"bad integer list '{text}'") from exc
 
 
+_NON_NEGATIVE = (lambda v: v >= 0, "need >= 0")
+
+
 def _one_of(*choices):
     return (lambda v: v in choices), f"not one of {', '.join(choices)}"
 
@@ -94,7 +103,7 @@ _ON_SITE = {"a": (float, 0.0), "b": (float, 0.0),
             "interaction_mix": (float, 0.0)}
 
 _SCHEMA = {
-    "experiment": {"kind": (str, REQUIRED), "seed": (int, 0)},
+    "experiment": {"kind": (str, REQUIRED), "seed": (int, 0, _NON_NEGATIVE)},
     "grid": {"n_points": (int, REQUIRED), "length": (float, REQUIRED)},
     "time": {"dt": (float, REQUIRED), "n_steps": (int, REQUIRED)},
     "model": {"g0": (float, 1.0), "beta": (float, 1.0),
@@ -121,7 +130,7 @@ _SCHEMA = {
     "compare": {"modes": (_parse_int_list, REQUIRED, _MODES),
                 "fit_horizon": (float, 2.0)},
     "dispersion": {"modes": (_parse_int_list, REQUIRED, _MODES)},
-    "output": {"snapshot_every": (int, 0, (lambda v: v >= 0, "need >= 0"))},
+    "output": {"snapshot_every": (int, 0, _NON_NEGATIVE)},
     "tolerances": {"mass_drift": (float, 1e-10), "energy_drift": (float, 1e-2),
                    "rate_deviation": (float, 5e-2), "selftest": (float, 1e-12)},
 }
@@ -262,8 +271,17 @@ def _build(cfg: ExperimentConfig):
     return specs
 
 
+def _draws(cfg):
+    """Whether ``cfg``'s run draws from the generator seeded with
+    ``cfg.seed``: the operator self-test, and a random initial field."""
+    return (cfg.kind == "operator_selftest"
+            or cfg.section("initial").get("kind") == "random")
+
+
 def load_config(path, kind=None, seed=None):
-    """Parse and validate an INI experiment config into an ExperimentConfig."""
+    """Parse and validate an INI experiment config into an ExperimentConfig.
+    ``seed``, when given, stands for ``[experiment] seed`` and is checked
+    as that key is."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
@@ -272,6 +290,8 @@ def load_config(path, kind=None, seed=None):
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     raw = {s: dict(parser.items(s)) for s in parser.sections()}
+    if seed is not None:
+        raw.setdefault("experiment", {})["seed"] = seed
     exp = _resolve_section("experiment", raw.get("experiment", {}))
     if exp["kind"] not in _KINDS:
         raise ConfigError(f"unknown experiment kind '{exp['kind']}'")
@@ -289,10 +309,11 @@ def load_config(path, kind=None, seed=None):
     # naming its first required key
     sections = {name: _resolve_section(name, raw.get(name, {}))
                 for name in _SCHEMA if name in allowed}
-    cfg = ExperimentConfig(kind=exp["kind"],
-                           seed=exp["seed"] if seed is None else int(seed),
+    cfg = ExperimentConfig(kind=exp["kind"], seed=exp["seed"],
                            sections=sections)
     _build(cfg)
+    if _draws(cfg):
+        import numpy.random  # noqa: F401  (NumPy 2 would load it in run)
     return cfg
 
 
@@ -617,7 +638,7 @@ def run(cfg: ExperimentConfig, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_metadata(outdir, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if _draws(cfg) else None
     runner, _ = _KINDS[cfg.kind]
     summary = runner(cfg, specs, outdir, rng)
     write_json(outdir / "summary.json", summary)

@@ -474,6 +474,21 @@ def test_negative_snapshot_every_rejected(tmp_path, kind, text, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, flags", [
+    (NLS_CONFIG.replace("seed = 3", "seed = -1"), []),
+    (NLS_CONFIG, ["--seed", "-1"]),
+], ids=["file", "flag"])
+def test_negative_seed_rejected(tmp_path, capsys, text, flags):
+    # rejected before any file is written, whether or not the kind draws
+    cfgp = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["nls", "--config", str(cfgp), "--out", str(out),
+                 *flags]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+    assert capsys.readouterr().err == ("config error: invalid 'seed': '-1' in "
+                                       "[experiment]: need >= 0\n")
+
+
 def test_missing_section_message_independent_of_hash_seed(tmp_path):
     # absent sections are resolved in schema order, so the first one named
     # is the same under every string hash seed
@@ -847,8 +862,7 @@ def test_write_json_writes_a_report_by_its_fields(tmp_path):
         "fitted_exponent": None}
 
 
-def test_chain_cli(tmp_path):
-    text = """
+CHAIN_RANDOM_CONFIG = """
 [experiment]
 kind = chain
 seed = 5
@@ -871,12 +885,22 @@ amplitude = 0.1
 [output]
 snapshot_every = 20
 """
-    cfgp = _write(tmp_path, text, name="ch.ini")
+
+
+def test_chain_cli(tmp_path):
+    # --seed overrides the file's seed, and the random initial field is
+    # the first draw of the generator it seeds
+    cfgp = _write(tmp_path, CHAIN_RANDOM_CONFIG, name="ch.ini")
     out = tmp_path / "ch"
-    assert main(["chain", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+    assert main(["chain", "--config", str(cfgp), "--out", str(out),
+                 "--seed", "11"]) == EXIT_OK
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 6 * 64  # header + six snapshots
+    level0 = [[float(v) for v in line.split(",")] for line in lines[1:65]]
+    assert [t for t, _, _ in level0] == [0.0] * 64
+    assert [u for _, _, u in level0] \
+        == (0.1 * np.random.default_rng(11).standard_normal(64)).tolist()
 
 
 _RSS_CHILD = """
@@ -935,13 +959,18 @@ def test_run_memory_stays_bounded(tmp_path, text, itemsize):
 
 
 _IMPORTS_CHILD = """
-import sys
+import json, sys
+import numpy
+numpy_loads_random = "numpy.random" in sys.modules
 from fracdyn import cli
 cfg = cli.load_config(sys.argv[1])
 before = set(sys.modules)
 cli.run(cfg, sys.argv[2])
-print(sorted(m for m in set(sys.modules) - before
-             if m.split(".")[0] in ("numpy", "scipy")))
+print(json.dumps({
+    "run_imports": sorted(m for m in set(sys.modules) - before
+                          if m.split(".")[0] in ("numpy", "scipy")),
+    "numpy_random": "numpy.random" in sys.modules,
+    "numpy_loads_random": numpy_loads_random}))
 """
 
 # beta < 1 takes the least-squares rate fit, and a fit horizon of 20 rate
@@ -985,16 +1014,25 @@ def test_every_kind_has_an_import_check():
     assert set(_CONFIG_BY_KIND) == set(cli._KINDS)
 
 
-@pytest.mark.parametrize("kind", sorted(_CONFIG_BY_KIND))
-def test_run_imports_nothing_after_load_config(tmp_path, kind):
-    # cli imports what NumPy 2 would load on first use, so no import lands
-    # in run()
-    cfgp = _write(tmp_path, _CONFIG_BY_KIND[kind], name="run.ini")
+_IMPORT_CASES = {**_CONFIG_BY_KIND,
+                 "chain_random_initial": CHAIN_RANDOM_CONFIG}
+_DRAWING = {"operator_selftest", "chain_random_initial"}
+
+
+@pytest.mark.parametrize("case", sorted(_IMPORT_CASES))
+def test_run_imports_nothing_after_load_config(tmp_path, case):
+    # cli and load_config import what NumPy 2 would load on first use, so
+    # no import lands in run(); numpy.random is loaded only for a config
+    # that draws, unless importing NumPy already loads it (NumPy 1.x)
+    cfgp = _write(tmp_path, _IMPORT_CASES[case], name="run.ini")
     src = str(Path(fracdyn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, str(cfgp),
                            str(tmp_path / "out")], capture_output=True,
                           text=True, env={"PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[]"
+    result = json.loads(proc.stdout)
+    assert result["run_imports"] == []
+    if not result["numpy_loads_random"]:
+        assert result["numpy_random"] == (case in _DRAWING)
 
 
 _NO_SCIPY_CHILD = """
