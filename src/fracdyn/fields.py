@@ -65,8 +65,8 @@ The stepper's memory sum over all earlier increment spectra is kept by
 ``fracops.HistorySum``: exact, direct within base blocks of
 ``HISTORY_BLOCK = 64`` steps and by FFT products between blocks, so a run of
 ``n`` steps over ``m`` modes costs O(n log^2 n * m) instead of the
-O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer.  It
-serves only the stepped runs that have a memory sum: nonlinear ones and
+O(n^2 * m) of a direct sum per step, and holds one ``n x m`` buffer, real
+for the real rows of a real ring of mode coefficients.  It serves only the stepped runs that have a memory sum: nonlinear ones and
 linear ones with a growing mode below ``beta = 1``, and every run at orders
 in (1, 2).
 
@@ -478,10 +478,10 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     mode's ``P`` has the coefficients ``lags`` of ``c (1 - z) W(z)`` from
     ``z^2`` on, and ``lags[0] + s`` and ``lags[1] + a`` before, so the
     reciprocal takes that one series and each mode's two leading
-    coefficients.
+    coefficients, for every mode in one call that blocks its own FFT work.
 
-    Those factors, one real ``n x modes`` array, are all the solve holds
-    beside the ring.  Every factor must be finite and at most 1 in
+    Those factors, one real ``n x modes`` array (held contiguous in time),
+    are all the solve holds beside the ring.  Every factor must be finite and at most 1 in
     magnitude (no mode grows; see the module docstring); otherwise no level
     is placed and the first step with such a factor is returned, for the
     stepper to run the whole run.  Else the solve logs that it solved the
@@ -502,12 +502,10 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     head[1] = lags[1] + a if n > 1 else 0.0
     if np.any(head[0] == 0):
         raise DomainError("implicit system singular at the first step")
-    fac = np.empty((n, m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # a block of modes at a time, so that the reciprocal's FFT work
-        # arrays stay block-sized
-        for cols in _blocks(m, 16 * n):
-            fac[:, cols] = _series_reciprocal(head[:, cols], lags)
+        # every mode at once: each Newton round transforms the shared lags
+        # once and sizes its own column blocks
+        fac = _series_reciprocal(head, lags)
         np.cumsum(fac, axis=0, out=fac)
         fac *= -(sym + a)
         fac += 1.0

@@ -17,19 +17,24 @@ like ``log n``) times the largest entry of the output, not of each entry.
 It takes the columns in blocks, and each operator forms the increments of
 a block from its own samples inside that block (differences, difference
 quotients led by the initial velocity, or scaled rates), so beside its
-output an operator holds one block, never a whole-history temporary.
-``_blocks`` is the one rule that sizes a block of FFT work, here and in
-``fields``: ``_FFT_BLOCK_BYTES`` of spectrum per block.
+output an operator holds one block, never a whole-history temporary.  The
+FFTs take a block as lanes contiguous in time, one per real column: the
+differences are formed in that layout, and other increments are transposed
+once.  ``_blocks`` is the one rule that sizes a block of FFT work, here and
+in ``fields``: ``_FFT_BLOCK_BYTES`` of spectrum per block.
 
 Where the L1 equations of a linear mode are solved for a whole run at once
 (``fields``, for linear first-order runs without a growing mode), the
 lower-triangular Toeplitz system is a power-series reciprocal, computed by
 Newton doubling on the same zero-padded FFT products in O(n log n).  The
 modes' series differ only in their first two coefficients, so the shared
-rest is held and transformed once per Newton round, not once per mode.
+rest is held and transformed once per Newton round, not once per mode.  The
+rounds are the outer loop, and each round takes the modes in blocks sized
+by its own FFT length, its coefficients held contiguous in time.
 
 The Mittag-Leffler function sums its series over the whole argument array,
-a block of terms at a time and bit for bit as a loop over single terms,
+a block of terms at a time and bit for bit as a loop over single terms (the
+first block long enough for the largest argument's sums to stop in it),
 under one cancellation guard, with an integral form as fallback, itself
 evaluated for all fallback arguments at once.
 
@@ -119,13 +124,18 @@ def _series_reciprocal(head, lags):
     Math. 22, 1974): the first ``k`` coefficients ``g_k`` are final, and
     the next ``k`` are those of ``-g_k (P g_k - 1)``, where ``P g_k - 1``
     starts at ``z^k``.  Each round forms only the coefficients ``[k, 2k)``
-    of both products, by real FFTs of length ``_fast_len(2k)``, the shared
-    tail of ``P`` transformed once, so the whole reciprocal costs
-    O(n log n) per column in ``ceil(log2 n)`` rounds.
+    of both products, by real FFTs of length ``_fast_len(2k)``, so the
+    whole reciprocal costs O(n log n) per column in ``ceil(log2 n)``
+    rounds.  The rounds are the outer loop: each transforms the shared tail
+    of ``P`` once, then takes the columns in the blocks of :func:`_blocks`
+    sized by its own FFT length, so the short early rounds take every
+    column at once and the work arrays of a late round stay block-sized.
+    Each column's coefficients are held contiguous in time, as the lanes
+    the FFTs take; the ``(n, m)`` result is a transposed view of them.
     """
     n, m = lags.shape[0], head.shape[1]
-    g = np.empty((n, m))
-    g[0] = 1.0 / head[0]
+    g = np.empty((m, n))
+    g[:, 0] = 1.0 / head[0]
     # lag 0 of P never reaches the coefficients [k, 2k) of P g_k, and lag 1
     # only at k: both stay out of the FFT products, whose rounding then
     # scales with the tail of P alone
@@ -135,19 +145,22 @@ def _series_reciprocal(head, lags):
     while k < n:
         top = min(2 * k, n)
         nfft = _fast_len(top)
-        g_hat = np.fft.rfft(g[:k], nfft, axis=0)
-        # coefficients [k, top) of P g_k; the product's circular wrap-around
-        # reaches only coefficients below k
-        err = np.fft.irfft(np.fft.rfft(tail[:top], nfft)[:, None] * g_hat,
-                           nfft, axis=0)[k:top]
-        err[0] += head[1] * g[k - 1]
-        # the first k coefficients of g_k err, its leading term directly
-        lead = err[0].copy()
-        err[0] = 0.0
-        g[k:top] = -(np.fft.irfft(np.fft.rfft(err, nfft, axis=0) * g_hat, nfft,
-                                  axis=0)[:top - k] + lead * g[:top - k])
+        tail_hat = np.fft.rfft(tail[:top], nfft)
+        for cols in _blocks(m, 16 * nfft):
+            g_k = g[cols]
+            g_hat = np.fft.rfft(g_k[:, :k], nfft)
+            # coefficients [k, top) of P g_k; the product's circular
+            # wrap-around reaches only coefficients below k
+            err = np.fft.irfft(tail_hat * g_hat, nfft)[:, k:top]
+            err[:, 0] += head[1, cols] * g_k[:, k - 1]
+            # the first k coefficients of g_k err, its leading term directly
+            lead = err[:, :1].copy()
+            err[:, 0] = 0.0
+            g_k[:, k:top] = -(np.fft.irfft(np.fft.rfft(err, nfft) * g_hat,
+                                           nfft)[:, :top - k]
+                              + lead * g_k[:, :top - k])
         k = top
-    return g
+    return g.T
 
 
 def _real_columns(x):
@@ -165,21 +178,30 @@ def _convolve_columns(increments, target, weights, nfft, start):
     ``weights`` is the real FFT of the zero-padded weight sequence.  The
     history is never held whole: ``increments(cols)`` returns its columns
     ``cols``, formed by the caller from its own samples, one block of
-    :func:`_blocks` at a time.  Complex columns are convolved as their real
-    and imaginary parts.  Yields ``(cols,
-    rows)`` pairs, one per block: ``rows`` are the float64 columns ``cols``
-    of ``_real_columns(target)``, which the caller writes before the next
-    block is formed.
+    :func:`_blocks` at a time.  Each block is copied once into lanes, one
+    per real column with time along the last axis (complex columns as their
+    real and imaginary parts), which the FFTs take whole; a real block the
+    caller forms in Fortran order is already laid out so and is not copied.
+    Yields ``(cols, rows)`` pairs, one per block: ``rows`` are the float64
+    columns ``cols`` of ``_real_columns(target)``, a transposed view of the
+    lanes, which the caller writes before the next block is formed.
     """
     width = 2 if target.dtype.kind == "c" else 1
     stop = start + target.shape[0]
     for cols in _blocks(target.shape[1], 16 * nfft * width):
-        x = _real_columns(np.ascontiguousarray(increments(cols),
-                                               dtype=target.dtype))
-        spec = np.fft.rfft(x, nfft, axis=0)
-        spec *= weights[:, None]
+        x = np.asarray(increments(cols), dtype=target.dtype).T
+        if width == 2:   # each column as its real, then its imaginary lane
+            x = np.stack((x.real, x.imag), axis=1).reshape(-1, x.shape[1])
+        spec = np.fft.rfft(np.ascontiguousarray(x), nfft)
+        spec *= weights
         yield (slice(width * cols.start, width * cols.stop),
-               np.fft.irfft(spec, nfft, axis=0)[start:stop])
+               np.fft.irfft(spec, nfft)[:, start:stop].T)
+
+
+def _time_diff(x):
+    """``np.diff(x, axis=0)`` of the 2-D ``x``, in Fortran order: time runs
+    along memory, as in the lanes of :func:`_convolve_columns`."""
+    return np.subtract(x[1:], x[:-1], order="F")
 
 
 def _l1_output(n, columns):
@@ -240,26 +262,34 @@ class HistorySum:
 
     The sums still pending for steps ``>= j`` accumulate in rows ``>= j`` of
     the row buffer itself, which no pushed row occupies yet, so the object
-    holds one ``(n, m)`` array.  ``weights`` needs at least ``n`` entries;
-    ``w[0]`` is not used.  Rounding of the FFT products is a small multiple
-    of machine epsilon times the largest sum, as for :func:`l1_apply`.
+    holds one ``(n, m)`` array.  The first :meth:`push` allocates it in its
+    row's dtype, float64 for a real row and complex128 for a complex one,
+    and the sums keep that dtype; every later row must be real if the first
+    was.  ``weights`` needs at least ``n`` entries; ``w[0]`` is not used.
+    Rounding of the FFT products is a small multiple of machine epsilon
+    times the largest sum, as for :func:`l1_apply`.
     """
 
     def __init__(self, weights, n, m):
         self._w = np.asarray(weights, dtype=np.float64)
-        self._n = n
-        self._rows = np.zeros((n, m), dtype=np.complex128)
-        self._flat = self._rows.view(np.float64)
+        self._n, self._m = n, m
+        self._rows = self._flat = None
         self._w_rev = self._w[1:HISTORY_BLOCK][::-1].copy()
 
     def history(self, j):
         """The sum ``h[j]``; pushed rows ``0..j-1`` must be in place."""
+        if self._rows is None:   # step 0: nothing pushed, nothing to sum
+            return np.zeros(self._m)
         start = j - j % HISTORY_BLOCK
         direct = self._w_rev[self._w_rev.size - (j - start):] @ self._flat[start:j]
-        return (self._flat[j] + direct).view(np.complex128)
+        return (self._flat[j] + direct).view(self._rows.dtype)
 
     def push(self, j, x):
         """Store row ``x[j]`` once ``history(j)`` has been read."""
+        if self._rows is None:
+            self._rows = np.zeros((self._n, self._m),
+                                  np.result_type(x, np.float64))
+            self._flat = _real_columns(self._rows)
         self._rows[j] = x
         p = j + 1
         if p % HISTORY_BLOCK or p >= self._n:
@@ -317,12 +347,11 @@ def caputo_left_l1(u, beta, dt, initial_velocity=None):
         q = beta - 1.0
 
         def increments(cols):
-            quotients = np.diff(hist[:, cols], axis=0) / dt
-            return np.diff(np.concatenate([v0[:, cols], quotients], axis=0),
-                           axis=0)
+            quotients = _time_diff(hist[:, cols]) / dt
+            return _time_diff(np.concatenate([v0[:, cols], quotients]))
     else:
         def increments(cols):
-            return np.diff(hist[:, cols], axis=0)
+            return _time_diff(hist[:, cols])
     scale = dt ** (-q) / math.gamma(2.0 - q)
     out = l1_apply(increments, l1_weights(q, n), scale, _l1_output(n, hist))
     return out.reshape(u.shape)
@@ -394,9 +423,10 @@ _MAX_TERMS = 600
 # The largest series term may exceed max(1, |sum|) at most this much: with
 # each term rounded to eps relative, the sum then keeps about 1e-10.
 _CANCELLATION_LIMIT = 1e6
-# Series terms formed per block, before the block's sums, stop tests and
-# peaks are taken at once.  Wide argument arrays take fewer, so that each
-# work array of a block (both series, complex) stays near _FFT_BLOCK_BYTES.
+# Series terms formed per block after the first, before the block's sums,
+# stop tests and peaks are taken at once.  Wide argument arrays take fewer,
+# so that each work array of a block (both series, complex) stays near
+# _FFT_BLOCK_BYTES.
 _TERM_BLOCK = 32
 
 
@@ -417,6 +447,23 @@ def _derivative_coefficients(beta):
     return coef
 
 
+def _terms_to_stop(beta, z):
+    """Terms a series pass over the 1-D ``z`` forms before both sums stop,
+    found from the largest ``|z|``, up to ``_MAX_TERMS + 2``: ``|z|^k /
+    Gamma(beta k + 1)`` bounds term ``k`` of ``E``, and ``k + 1`` times the
+    next coefficient ratio of it that of ``E'``.  Their logs are concave in
+    ``k``, so once both bounds are at most ``1e-17`` (at most ``1e-17
+    max(1, |sum|)``) they stay so, and both sums have stopped.  Two terms
+    more cover that bound and the rounding of the terms."""
+    r = float(np.max(np.abs(z), initial=0.0))
+    ratios = _series_ratios(beta)
+    term, k = 1.0, 0
+    while k < _MAX_TERMS and max(term, (k + 1) * ratios[k] * term) > 1e-17:
+        term *= r * ratios[k]
+        k += 1
+    return k + 2
+
+
 def _ml_series(beta, z):
     """``(E, E', loss)``: the series of ``E_beta(z)`` and ``E_beta'(z) =
     sum_k (k + 1) z^k / Gamma(beta (k + 1) + 1)`` over the 1-D array ``z``.
@@ -427,7 +474,11 @@ def _ml_series(beta, z):
     where a sum is not finite or has not stopped within ``_MAX_TERMS``.
 
     The terms ``term_{k+1} = term_k z r_k`` are formed one row at a time,
-    up to ``_TERM_BLOCK`` rows per block.  Each block then takes, for both
+    up to ``_TERM_BLOCK`` rows per block, except that the first block holds
+    every term :func:`_terms_to_stop` finds the largest ``|z|`` needs, so a
+    pass whose sums stop just past ``_TERM_BLOCK`` terms forms no second
+    block for them.  Wide argument arrays cap every block so that its work
+    arrays stay near ``_FFT_BLOCK_BYTES``.  Each block then takes, for both
     series at once, the running sums (``np.cumsum``, adding in term order),
     the stop tests, their running ``and`` and the running peaks, and each
     element keeps its sums and peaks at its own stops.  Every operation on
@@ -439,11 +490,14 @@ def _ml_series(beta, z):
     m = z.size
     ratios = _series_ratios(beta)
     dcoef = _derivative_coefficients(beta)
-    block = max(1, min(_TERM_BLOCK, _FFT_BLOCK_BYTES // (32 * max(1, m))))
+    widest = max(1, _FFT_BLOCK_BYTES // (32 * max(1, m)))
+    block = min(_TERM_BLOCK, widest)
+    first = min(widest, _MAX_TERMS, max(block, _terms_to_stop(beta, z)))
+    ends = [0, *range(first, _MAX_TERMS, block), _MAX_TERMS]
     cols, pair = np.arange(m), np.arange(2)[:, None]
     # per block, row 0 holds the sums so far of E and E', rows 1..n their
     # terms k0..k0 + n - 1, E's row 1 carried over from the block before
-    work = np.empty((2, block + 1, m), z.dtype)
+    work = np.empty((2, first + 1, m), z.dtype)
     rows = list(work[0])
     rows[1][:] = 1
     sums = np.zeros((2, m), z.dtype)
@@ -451,8 +505,8 @@ def _ml_series(beta, z):
     on = np.ones((2, m), bool)
     # a diverging element may overflow to inf or nan; its loss is then inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, _MAX_TERMS, block):
-            n = min(block, _MAX_TERMS - k0)
+        for k0, k1 in zip(ends, ends[1:]):
+            n = k1 - k0
             for i in range(1, n):
                 np.multiply(rows[i], z, out=rows[i + 1])
                 np.multiply(rows[i + 1], ratios[k0 + i - 1], out=rows[i + 1])
@@ -592,11 +646,11 @@ def mittag_leffler(beta, z, derivative=False):
     sum only if it converged within ``_MAX_TERMS`` terms, none of them above
     ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  The pass forms
     the terms one at a time and takes sums, stop tests and peaks a block of
-    ``_TERM_BLOCK`` terms at a time, bit for bit as a loop over single terms
-    would.  Real negative arguments at ``beta < 1`` that fail this guard,
-    or lie beyond ``|z| = 5``, use tanh-sinh quadrature of the completely
-    monotone integral form (a Laplace transform of an explicit spectral
-    density) with its own error estimate; any other failure raises
+    terms at a time, bit for bit as a loop over single terms would.  Real
+    negative arguments at ``beta < 1`` that fail this guard, or lie beyond
+    ``|z| = 5``, use tanh-sinh quadrature of the completely monotone
+    integral form (a Laplace transform of an explicit spectral density)
+    with its own error estimate; any other failure raises
     ``ConvergenceError``.  A NaN argument, real or complex, raises
     ``DomainError`` naming the first one, and so does an infinite argument
     that would reach the series: any but a real ``-inf`` at ``beta < 1``,

@@ -287,7 +287,8 @@ def _direct_levels(state, beta, model, sym, fwd, inv, real):
     q = beta - 1.0 if beta > 1.0 else beta
     c = real(model.g0 * dt ** (-q) / math.gamma(2.0 - q))
     w = l1_weights(q, n)
-    inc_hat = np.zeros((n, sym.shape[0]), dtype=cplx)
+    # real where the modes are: a real ring of mode coefficients
+    inc_hat = np.zeros((n, sym.shape[0]), dtype=np.result_type(uhat, real))
 
     def memory(j):
         return (w[1:j + 1][::-1] @ inc_hat[:j]) if (q < 1.0 and j) else 0.0

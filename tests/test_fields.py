@@ -228,6 +228,34 @@ def test_stepper_matches_direct_memory_sum(beta, field_kind):
         assert np.array_equal(state.history, direct.history)
 
 
+@pytest.mark.parametrize("beta, model", [
+    (1.5, ModelSpec()),
+    (0.8, ModelSpec(a=-2.0, potential=Potential.GINZBURG_LANDAU))])
+def test_real_mode_ring_steps_its_memory_sum_in_real_rows(beta, model, caplog):
+    # a real ring of mode coefficients is its own transform, so the memory
+    # sum gets real rows and must sum them as real: complex sums made every
+    # level complex and its write to a real ring row raised ComplexWarning
+    # (a = -2 grows the first mode, so beta = 0.8 is stepped too).  The
+    # direct memory sum is the oracle, in units of max|u|, as for the solve
+    steps, sym = 3 * HISTORY_BLOCK + 5, np.array([1.0, 2.0, 3.0])
+    u0, v0 = [1.0, 0.5, 0.2], np.zeros(3) if beta > 1.0 else None
+
+    def start():
+        return fields.LevelRing.start(TimeGrid(steps, 0.01), u0,
+                                      initial_velocity=v0)
+
+    ring = start()
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fields._evolve_linear_implicit(ring, beta, model, sym)
+    assert caplog.messages == [f"evolve: stepped {steps} steps × 3 modes"]
+    direct = evolve_linear_implicit_direct(start(), beta, model, sym)
+    assert ring.history.dtype == np.float64
+    scale = np.max(np.abs(direct.history))
+    assert np.max(np.abs(ring.history - direct.history)) <= 2e-14 * scale
+
+
 @EXTENDED_PRECISION
 def test_second_order_stepper_keeps_its_digits_over_a_long_run():
     # a kink pair of the classical sine-Gordon equation over 2,000 steps,

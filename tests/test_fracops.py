@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdyn
-from fracdyn import fields
+from fracdyn import fields, fracops
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fields import LevelRing, ModelSpec, Potential
 from fracdyn.fracops import (_FFT_BLOCK_BYTES, HISTORY_BLOCK, HistorySum,
@@ -128,15 +128,15 @@ def test_history_sum_matches_direct_sum(n, is_complex):
     x = _increments(rng, (n, 3), is_complex)
     w = l1_weights(0.6, n)
     mem = HistorySum(w, n, 3)
-    out = np.empty((n, 3), dtype=complex)
+    out = np.empty_like(x)
     ref = np.zeros_like(x)
     for j in range(n):
-        out[j] = mem.history(j)
+        h = mem.history(j)
+        # the sums of real rows are real, not complex with a zero part
+        assert h.dtype == x.dtype or j == 0
+        out[j] = h
         mem.push(j, x[j])
         ref[j] = w[j:0:-1] @ x[:j]
-    if not is_complex:
-        # real rows keep an imaginary part of exactly zero
-        assert np.all(out.imag == 0)
     # FFT rounding is global: bound the error by the largest sum
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -187,16 +187,18 @@ def test_series_reciprocal_inverts_the_series(n):
 @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
 def test_series_reciprocal_matches_whole_columns_bitwise(beta, n, monkeypatch):
     # the series the whole-run solve builds, one more mode than a column
-    # block holds: each call's reciprocal from the shared lags has the bits
-    # of the one from every column's whole series
+    # block of the last Newton round holds: the solve takes every mode in
+    # one call, whose reciprocal from the shared lags has the bits of the
+    # one from every column's whole series, also where the late rounds take
+    # one mode per block
     a, dt = 0.3, 0.1
-    m = max(1, _FFT_BLOCK_BYTES // (16 * n)) + 1
+    m = max(1, _FFT_BLOCK_BYTES // (16 * _fast_len(n))) + 1
     sym = np.linspace(0.0, 5.0, m)
     calls = []
 
     def recorded(head, lags):
         out = _series_reciprocal(head, lags)
-        calls.append((head.copy(), lags.copy(), out))
+        calls.append((head.copy(), lags.copy(), out.copy()))
         return out
 
     monkeypatch.setattr(fields, "_series_reciprocal", recorded)
@@ -204,13 +206,38 @@ def test_series_reciprocal_matches_whole_columns_bitwise(beta, n, monkeypatch):
     model = ModelSpec(g0=1.5, a=a, potential=Potential.GINZBURG_LANDAU)
     assert fields._solve_linear_implicit(ring, beta, model, a, sym,
                                          None) is None
-    assert [head.shape[1] for head, _, _ in calls] == [m - 1, 1]
-    for head, lags, out in calls:
-        p = np.repeat(lags[:, None], head.shape[1], axis=1)
-        p[0] = head[0]
-        if n > 1:
-            p[1] = head[1]
-        assert_same_bits(out, series_reciprocal_columns(p))
+    [(head, lags, out)] = calls
+    assert head.shape == (2, m)
+    p = np.repeat(lags[:, None], m, axis=1)
+    p[0] = head[0]
+    if n > 1:
+        p[1] = head[1]
+    assert_same_bits(out, series_reciprocal_columns(p))
+    monkeypatch.setattr(fracops, "_FFT_BLOCK_BYTES", 16 * _fast_len(n))
+    assert len(list(fracops._blocks(m, 16 * _fast_len(n)))) == m
+    assert_same_bits(_series_reciprocal(head, lags), out)
+
+
+def test_series_reciprocal_transforms_the_shared_tail_once_per_round(
+        monkeypatch):
+    # frac_relax's solve: 3,000 steps, 65 modes in 13 column blocks of the
+    # last round.  The shared tail is the only 1-D series transformed (a
+    # ring of mode coefficients is its own transform), once per Newton
+    # round, not once per round and column block
+    n, m = 3000, 65
+    assert len(list(fracops._blocks(m, 16 * _fast_len(n)))) > 1
+    rfft, tails = np.fft.rfft, []
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            tails.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    ring = LevelRing.start(TimeGrid(n, 1e-3), np.ones(m))
+    assert fields._solve_linear_implicit(
+        ring, 0.8, ModelSpec(), 0.0, np.linspace(0.0, 50.0, m), None) is None
+    assert len(tails) == math.ceil(math.log2(n))
 
 
 def test_ml_quadrature_matches_one_argument_at_a_time():
@@ -811,10 +838,10 @@ def _terms_summed(beta, x):
     return n, dn
 
 
-def test_ml_series_blocks_match_term_loop():
+def test_ml_series_blocks_match_term_loop(monkeypatch):
     # the block series against the loop over single terms it replaced:
     # E, E' and loss bit for bit, also where a sum stops at either side of
-    # the first block's end, never stops, overflows or is NaN
+    # a block's end, never stops, overflows or is NaN
     def same(beta, z):
         got, want = _ml_series(beta, z), ml_series_loop(beta, z)
         for g, w in zip(got, want):
@@ -836,7 +863,9 @@ def test_ml_series_blocks_match_term_loop():
          + 1j * rng.uniform(-3.0, 3.0, 3000))
     for dtype in (float, complex):
         same(0.5, np.array([], dtype))
-    # sums of 31 to 34 terms: the first block holds terms 0-31
+    # sums of 31 to 34 terms, about a block of _TERM_BLOCK = 32: the first
+    # block, sized from the largest |z|, holds them all; 3,000 arguments
+    # take blocks of 2 terms, which end on either side of every stop
     edge = {}
     for beta in (0.5, 0.9):
         for x in np.linspace(-5.0, 0.0, 1001):
@@ -850,6 +879,25 @@ def test_ml_series_blocks_match_term_loop():
                        if b == beta and 31 <= n <= 34])
         same(beta, xs)
         same(beta, xs * np.exp(0.1j))
+        same(beta, np.resize(xs, 3000))
+    # a largest argument whose sum stops just past 32 terms, as chain_fit's
+    # do: its pass forms one block of terms (one cumsum per block), not a
+    # second one for a term or two
+    cumsum, blocks = np.cumsum, []
+
+    def counted(*args, **kwargs):
+        blocks.append(args[0].shape[1] - 1)
+        return cumsum(*args, **kwargs)
+
+    for beta in (0.5, 0.9):
+        for series in "ED":
+            z = np.linspace(0.0, edge[beta, series, 33], 24)
+            blocks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "cumsum", counted)
+                _ml_series(beta, z)
+            assert len(blocks) == 1 and blocks[0] > 32
+            same(beta, z)
     # still summing after the last term: at beta = 0.3 the term of 5^k
     # reaches 1e90 at k = 600, finite but not small, so its loss is infinite
     s, ds, loss = same(0.3, np.array([-0.5, 5.0, 5.0j, -4.0]))
