@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .analysis import _fit_exponent, _ml_rate
 from .errors import DomainError

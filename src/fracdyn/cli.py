@@ -19,8 +19,8 @@ Only ``[initial] kind = random`` and ``operator_selftest`` draw random
 numbers, from one generator seeded with ``[experiment] seed``; a config
 that does not draw never loads ``numpy.random``.  ``run`` imports nothing
 that ``load_config`` has not: ``load_config`` loads ``numpy.random`` for a
-config that draws, and this module loads every other NumPy submodule a run
-uses.
+config that draws, and importing the package loads every other NumPy
+submodule a run uses (``numpy.fft``, in ``grids``).
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (blow-up or non-convergence), 3 I/O error.
@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from . import __version__
 from .analysis import dispersion_check
@@ -101,6 +100,10 @@ _ON_SITE = {"a": (float, 0.0), "b": (float, 0.0),
             "interaction": (str, "identity",
                             _one_of(*(e.value for e in Interaction))),
             "interaction_mix": (float, 0.0)}
+# on-site keys that act only with one choice of another key, and that choice
+_ON_SITE_NEEDS = {"a": ("potential", "ginzburg_landau"),
+                  "b": ("potential", "ginzburg_landau"),
+                  "interaction_mix": ("interaction", "quadratic_mix")}
 
 _SCHEMA = {
     "experiment": {"kind": (str, REQUIRED), "seed": (int, 0, _NON_NEGATIVE)},
@@ -239,6 +242,11 @@ def _build(cfg: ExperimentConfig):
     if "compare" in s:
         _checked(cfg, "compare", "modes", _check_compare, specs["chain"],
                  s["compare"]["modes"], s["compare"]["fit_horizon"])
+    for name in ("model", "chain"):
+        for key, (other, choice) in _ON_SITE_NEEDS.items():
+            if name in s and s[name][key] != 0 and s[name][other] != choice:
+                raise _invalid(name, key, s[name][key],
+                               f"needs {other} = {choice}")
     if cfg.kind in ("evolve_field", "chain"):
         name = "model" if cfg.kind == "evolve_field" else "chain"
         if s[name]["beta"] > 1.0:

@@ -25,22 +25,24 @@ except its newest-level weight, linear spatial terms are solved implicitly in
 Fourier space, and nonlinear parts lag one level.  Every order runs the same
 L1 loop over a memory variable ``y``: the field itself for ``beta <= 1``,
 and for ``beta`` in (1, 2] the difference quotient ``(u_{j+1} - u_j) / dt``
-at order ``beta - 1``, led by the required initial velocity.  There the
-linear term after the first step is the symmetric average over levels
-``j + 1`` and ``j - 1``, which reduces to a standard second-order implicit
-wave scheme at ``beta = 2``; each such step updates the spectrum's increment
-``d = u_{j+1} - u_j`` as ``d <- d - pull u_j - c push h - push F_j`` (memory
-sum ``h``, lagged terms ``F_j``, factors ``push = dt / (c + dt lin / 2)`` and
-``pull = lin push`` formed once per run), then ``u_{j+1} = u_j + d``.  These
-terms are of the size of ``d``, while solving for the level itself would form
-``c (u_j / dt + y_j)``, ``c / dt`` times ``|u|`` (1e4 on the sine-Gordon
-config), and cancel most of it every step.  One scheme serves this module,
-``chain.evolve_chain`` and ``chain.continuum_limit_compare``: the chain is
-the same scheme with spatial multiplier ``g0 (J^(k) - J^(0))`` in place of
-``sum_s g_s |k|^s`` and time coefficient 1.  The scheme takes ``g0`` from
-the model and its transforms from the state: a :class:`FieldState` steps
-the FFT modes of its dtype (``FieldState.transforms``), and a
-:class:`LevelRing` of mode coefficients is its own transform.
+at order ``beta - 1``, led by the required initial velocity.  The level
+form solves for ``u_{j+1}``: every step at ``beta <= 1``, and the first one
+above.  The increment form makes every later step above ``beta = 1``, where
+the linear term is the symmetric average over levels ``j + 1`` and
+``j - 1`` (a standard second-order implicit wave scheme at ``beta = 2``): it
+updates the spectrum's increment ``d = u_{j+1} - u_j`` as ``d <- d - pull
+u_j - c push h - push F_j`` (memory sum ``h``, lagged terms ``F_j``, factors
+``push = dt / (c + dt lin / 2)`` and ``pull = lin push`` formed once per
+run), then ``u_{j+1} = u_j + d``.  These terms are of the size of ``d``,
+while solving for the level itself would form ``c (u_j / dt + y_j)``,
+``c / dt`` times ``|u|`` (1e4 on the sine-Gordon config), and cancel most of
+it every step.  One scheme serves this module, ``chain.evolve_chain`` and
+``chain.continuum_limit_compare``: the chain is the same scheme with spatial
+multiplier ``g0 (J^(k) - J^(0))`` in place of ``sum_s g_s |k|^s`` and time
+coefficient 1.  The scheme takes ``g0`` from the model and its transforms
+from the state: a :class:`FieldState` steps the FFT modes of its dtype
+(``FieldState.transforms``), and a :class:`LevelRing` of mode coefficients
+is its own transform.
 
 When the equation is linear and first order (``beta < 1``, ``f`` the
 identity, ``F`` absent or ``a u``) with real coefficients, every mode's L1
@@ -79,9 +81,9 @@ caller that does not need the trajectory asks for 2 rows and collects what
 it keeps through the steppers' ``observe(j, u)`` callback.  Reading a level
 the ring no longer holds raises ``DomainError``.  ``LevelRing.place`` is the
 one place a level is made: the L1 stepper, the whole-run solve and the NLS
-splitting only compute levels, and ``place`` writes each to its ring row,
-passes its sup-norm through the blow-up guard against the newest level's,
-counts it in ``n_completed`` and then calls ``observe`` with it.
+splitting only compute levels, and ``place`` passes each one's sup-norm
+through the blow-up guard against the newest level's, and only then writes
+it to its ring row, counts it in ``n_completed`` and calls ``observe``.
 """
 
 import enum
@@ -90,7 +92,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fracops import (HistorySum, _blocks, _series_reciprocal,
@@ -265,20 +266,20 @@ class LevelRing:
 
     def place(self, levels, observe=None):
         """Make levels ``n_completed + 1, ...`` from the rows of ``levels``,
-        the one place levels are made: each in turn is written to its ring
-        row, passes the blow-up guard with its sup-norm against the newest
-        level's, is counted and is passed to ``observe(j, row)``.  Rows no
-        level holds yet take the levels in one slice, as a NumPy write per
-        level costs the whole-run solve more than its guards."""
+        the one place levels are made: each in turn passes the blow-up guard
+        with its sup-norm against the newest level's, and only then is
+        written to its ring row, counted and passed to ``observe(j, row)``.
+        Rows no level holds yet take the levels in one slice, as a NumPy
+        write per level costs the whole-run solve more than its guards."""
         first, rows = self.n_completed + 1, self.history
         at_once = first + len(levels) <= len(rows)   # the ring has not wrapped
         if at_once:
             rows[first:first + len(levels)] = levels
         for j, norm in enumerate(np.abs(levels).max(axis=1).tolist(), first):
+            self._newest_norm = _guard(norm, j, self._newest_norm)
             i = j % len(rows)
             if not at_once:
                 rows[i] = levels[j - first]
-            self._newest_norm = _guard(norm, j, self._newest_norm)
             self.n_completed = j
             if observe is not None:
                 observe(j, rows[i])
@@ -400,8 +401,12 @@ def _step_linear_implicit(state, beta, model, sym, observe=None):
     """Step ``g0 D^beta_t u + S[f(u)] + F(u) = 0`` one level at a time, on
     the modes of ``state.transforms()`` with ``model``'s ``g0``.  ``S`` is
     implicit when ``f`` is the identity and lags one level otherwise; the
-    on-site force ``F`` always lags.  Each new level is made by
-    :meth:`LevelRing.place`, with ``observe``."""
+    on-site force ``F`` always lags.  A step takes the level form (every
+    step at ``q = beta``, and the first at ``q = beta - 1``, led by the
+    initial velocity's modes ``v0``) or the increment form (every later
+    step at ``q = beta - 1``).  Each new level is made by
+    :meth:`LevelRing.place`, which guards it before writing it, with
+    ``observe``."""
     second_order = beta > 1.0
     if second_order and state.initial_velocity is None:
         raise DomainError("orders in (1, 2] require an initial velocity")
@@ -415,47 +420,42 @@ def _step_linear_implicit(state, beta, model, sym, observe=None):
     # L1 scheme of order q on the memory variable y (see the module docstring)
     q = beta - 1.0 if second_order else beta
     c = model.g0 * dt ** (-q) / math.gamma(2.0 - q)
-    if second_order:
-        first_denom, denom = c / dt + lin, c + 0.5 * dt * lin
-        y = fwd(state.initial_velocity.astype(u.dtype))
-    else:
-        first_denom = denom = c + lin
-        y = uhat
-    if np.any(first_denom == 0):
+    level_denom = c / dt + lin if second_order else c + lin
+    if np.any(level_denom == 0):
         raise DomainError("implicit system singular at the first step")
-    if np.any(denom == 0):
-        raise DomainError("implicit system singular after the first step")
     if second_order:   # per-mode factors of the increment form
+        v0 = fwd(state.initial_velocity.astype(u.dtype))
+        denom = c + 0.5 * dt * lin
+        if np.any(denom == 0):
+            raise DomainError("implicit system singular after the first step")
         push = dt / denom
         pull, mem_push = lin * push, c * push
     # at q = 1 every weight beyond the newest vanishes: no memory sum
     mem = HistorySum(l1_weights(q, n), n, sym.shape[0]) if q < 1.0 else None
-    d = None   # u_{j+1} - u_j in Fourier space, carried after the first step
     for j in range(n):
         force = (None if no_force else
                  fwd(_explicit_terms(model, u[j % rows], sym, fwd, inv)))
-        if d is None:
-            rhs = uhat / dt + y if second_order else y
-            if mem is not None:
-                rhs = rhs - mem.history(j)
-            rhs = c * rhs
-            if force is not None:
-                rhs = rhs - force
-            new_hat = rhs / first_denom
-            d = new_hat - uhat if second_order else None
-            y_new = d / dt if second_order else new_hat
-            if mem is not None:
-                mem.push(j, y_new - y)
-            y, uhat = y_new, new_hat
-        else:
+        h = None if mem is None else mem.history(j)
+        if second_order and j:   # increment form: d = u_{j+1} - u_j
             step = pull * uhat
             if force is not None:
                 step += push * force
-            if mem is not None:
-                step += mem_push * mem.history(j)
+            if h is not None:
+                step += mem_push * h
                 mem.push(j, step / -dt)
             d -= step
             uhat += d
+        else:   # level form: solve for u_{j+1}
+            v = uhat / dt + v0 if second_order else uhat
+            rhs = c * (v if h is None else v - h)
+            if force is not None:
+                rhs = rhs - force
+            new_hat = rhs / level_denom
+            if second_order:
+                d = new_hat - uhat
+            if mem is not None:   # the memory variable's increment
+                mem.push(j, d / dt - v0 if second_order else new_hat - uhat)
+            uhat = new_hat
         state.place(inv(uhat)[None], observe)
     return state
 
@@ -558,7 +558,6 @@ def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     def rotate(v):
         return v * np.exp(-1j * (a + b * np.abs(v) ** 2) * (0.5 * dt))
 
-    state._newest_norm = float(np.abs(state.current()).max())
     for _ in range(state.n_completed, state.time.n_steps):
         u = np.fft.ifft(linear * np.fft.fft(rotate(state.current())))
         state.place(rotate(u)[None], observe)

@@ -33,10 +33,11 @@ rounds are the outer loop, and each round takes the modes in blocks sized
 by its own FFT length, its coefficients held contiguous in time.
 
 The Mittag-Leffler function sums its series over the whole argument array,
-a block of terms at a time and bit for bit as a loop over single terms (the
-first block long enough for the largest argument's sums to stop in it),
-under one cancellation guard, with an integral form as fallback, itself
-evaluated for all fallback arguments at once.
+a block of terms at a time and bit for bit as a loop over single terms
+(every block as long as the largest argument's sums need to stop in the
+first, unless the array is too wide for that), under one cancellation
+guard, with an integral form as fallback, itself evaluated for all fallback
+arguments at once.
 
 Space-fractional derivatives use the symmetric (Riesz) form.  On a periodic
 grid the operator is defined by its Fourier multiplier ``-|k|^alpha``.
@@ -49,7 +50,6 @@ import functools
 import math
 
 import numpy as np
-import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
 
 from .errors import ConvergenceError, DomainError
 from .grids import GridSpec, validate_temporal_order
@@ -423,11 +423,6 @@ _MAX_TERMS = 600
 # The largest series term may exceed max(1, |sum|) at most this much: with
 # each term rounded to eps relative, the sum then keeps about 1e-10.
 _CANCELLATION_LIMIT = 1e6
-# Series terms formed per block after the first, before the block's sums,
-# stop tests and peaks are taken at once.  Wide argument arrays take fewer,
-# so that each work array of a block (both series, complex) stays near
-# _FFT_BLOCK_BYTES.
-_TERM_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=16)
@@ -474,30 +469,27 @@ def _ml_series(beta, z):
     where a sum is not finite or has not stopped within ``_MAX_TERMS``.
 
     The terms ``term_{k+1} = term_k z r_k`` are formed one row at a time,
-    up to ``_TERM_BLOCK`` rows per block, except that the first block holds
-    every term :func:`_terms_to_stop` finds the largest ``|z|`` needs, so a
-    pass whose sums stop just past ``_TERM_BLOCK`` terms forms no second
-    block for them.  Wide argument arrays cap every block so that its work
-    arrays stay near ``_FFT_BLOCK_BYTES``.  Each block then takes, for both
-    series at once, the running sums (``np.cumsum``, adding in term order),
-    the stop tests, their running ``and`` and the running peaks, and each
-    element keeps its sums and peaks at its own stops.  Every operation on
-    an element is the one a loop over single terms makes, in the same
-    order, so the results are bit for bit those of that loop
-    (``tests/oracles.ml_series_loop``), which made about 25 NumPy calls per
-    term where a block makes 2 per term and about 20 per block.
+    in blocks of one length: every term :func:`_terms_to_stop` finds the
+    largest ``|z|`` needs, so that the sums stop in the first block, capped
+    so that a block's work arrays (both series, complex) stay near
+    ``_FFT_BLOCK_BYTES``.  Only a capped pass forms later blocks.  Each
+    block then takes, for both series at once, the running sums
+    (``np.cumsum``, adding in term order), the stop tests, their running
+    ``and`` and the running peaks, and each element keeps its sums and
+    peaks at its own stops.  Every operation on an element is the one a
+    loop over single terms makes, in the same order, so the results are
+    bit for bit those of that loop (``tests/oracles.ml_series_loop``).
     """
     m = z.size
     ratios = _series_ratios(beta)
     dcoef = _derivative_coefficients(beta)
     widest = max(1, _FFT_BLOCK_BYTES // (32 * max(1, m)))
-    block = min(_TERM_BLOCK, widest)
-    first = min(widest, _MAX_TERMS, max(block, _terms_to_stop(beta, z)))
-    ends = [0, *range(first, _MAX_TERMS, block), _MAX_TERMS]
+    block = min(widest, _MAX_TERMS, _terms_to_stop(beta, z))
+    ends = [0, *range(block, _MAX_TERMS, block), _MAX_TERMS]
     cols, pair = np.arange(m), np.arange(2)[:, None]
     # per block, row 0 holds the sums so far of E and E', rows 1..n their
     # terms k0..k0 + n - 1, E's row 1 carried over from the block before
-    work = np.empty((2, first + 1, m), z.dtype)
+    work = np.empty((2, block + 1, m), z.dtype)
     rows = list(work[0])
     rows[1][:] = 1
     sums = np.zeros((2, m), z.dtype)

@@ -8,7 +8,7 @@ the standard FFT wavenumber set, and on uniform time grids ``t_j = j dt``.
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft  # eager: NumPy 2 loads it on first use, inside a run
+import numpy.fft  # the package's one eager load; NumPy 2 would load it in a run
 
 from .errors import DomainError
 

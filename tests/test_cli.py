@@ -489,6 +489,41 @@ def test_negative_seed_rejected(tmp_path, capsys, text, flags):
                                        "[experiment]: need >= 0\n")
 
 
+_GL = "needs potential = ginzburg_landau"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("evolve_field", EVOLVE_CONFIG.replace("potential = ginzburg_landau",
+                                           "potential = none"),
+     f"invalid 'a': '-1.0' in [model]: {_GL}"),
+    ("evolve_field", EVOLVE_CONFIG.replace(
+        "potential = ginzburg_landau\na = -1.0", "potential = sine_gordon"),
+     f"invalid 'b': '1.0' in [model]: {_GL}"),
+    ("evolve_field", EVOLVE_CONFIG.replace(
+        "b = 1.0", "b = 1.0\ninteraction = square\ninteraction_mix = 0.5"),
+     "invalid 'interaction_mix': '0.5' in [model]: needs interaction = "
+     "quadratic_mix"),
+    ("chain", CHAIN_CONFIG + "a = 0.5\n",
+     f"invalid 'a': '0.5' in [chain]: {_GL}"),
+    ("chain", CHAIN_CONFIG + "interaction_mix = 0.2\n",
+     "invalid 'interaction_mix': '0.2' in [chain]: needs interaction = "
+     "quadratic_mix"),
+    ("continuum_compare",
+     COMPARE_CONFIG.format(modes="3,5").replace("beta = 1.0", "beta = 1.0\na = 0.5"),
+     f"invalid 'a': '0.5' in [chain]: {_GL}"),
+], ids=["model-a-no-potential", "model-b-sine-gordon", "model-mix-square",
+        "chain-a-no-potential", "chain-mix-identity", "compare-a-no-potential"])
+def test_on_site_keys_the_run_ignores_rejected(tmp_path, capsys, kind, text,
+                                               message):
+    # a nonzero a or b acts only on the Ginzburg-Landau force, and a
+    # nonzero interaction_mix only on the quadratic_mix interaction
+    cfgp = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "metadata.json").exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_missing_section_message_independent_of_hash_seed(tmp_path):
     # absent sections are resolved in schema order, so the first one named
     # is the same under every string hash seed

@@ -460,10 +460,19 @@ def test_growing_linear_run_is_stepped(g0, a, message, caplog):
     assert np.all(err <= 1e-14 * level_max)
 
 
+def _assert_ring_holds_observed(state, observed):
+    # a level the guard rejected overwrote no level the ring holds: each
+    # held level after level 0 is still the one observe saw
+    first = max(1, state.n_completed - state.history.shape[0] + 1)
+    for j in range(first, state.n_completed + 1):
+        assert np.array_equal(state.level(j), observed[j])
+
+
 def _guard_violation(monkeypatch, caplog, rows):
     """A growth limit below 1 trips the guard on a decaying, solved run.
     Returns the stepper's error, then the solve's with the levels observe
-    saw and the solved state."""
+    saw and the solved state.  Both runs take a ring of ``rows`` rows, and
+    each still holds the levels observe saw."""
     monkeypatch.setattr(fields, "GROWTH_LIMIT", 0.9)
     n, steps, beta = 32, 50, 0.9
     grid = GridSpec(n, TWO_PI)
@@ -471,16 +480,25 @@ def _guard_violation(monkeypatch, caplog, rows):
     model = ModelSpec(spatial_terms=((1.5, 0.5),), a=5.0,
                       potential=Potential.GINZBURG_LANDAU)
     u0 = 0.3 * np.cos(grid.x) + 0.1 * np.cos(5 * grid.x)
-    ref = FieldState.from_initial(grid, tg, u0)
+    ref = FieldState.from_initial(grid, tg, u0, rows=rows)
+    record, ref_levels = _recorder()
     with pytest.raises(BlowUpError) as stepped:
         fields._step_linear_implicit(ref, beta, model,
-                                     model.spatial_symbol(ref.wavenumbers))
+                                     model.spatial_symbol(ref.wavenumbers),
+                                     record)
+    _assert_ring_holds_observed(ref, ref_levels)
     caplog.set_level(logging.DEBUG, logger="fracdyn")
-    seen = []
+    seen, (record, levels) = [], _recorder()
+
+    def observe(j, u):
+        seen.append(j)
+        record(j, u)
+
     state = FieldState.from_initial(grid, tg, u0, rows=rows)
     with pytest.raises(BlowUpError) as solved:
-        evolve_field(model, state, beta, lambda j, u: seen.append(j))
+        evolve_field(model, state, beta, observe)
     assert caplog.messages == [f"evolve: solved {steps} steps × 17 modes at once"]
+    _assert_ring_holds_observed(state, levels)
     return stepped.value, solved.value, seen, state
 
 
@@ -625,6 +643,19 @@ def test_levels_outside_the_ring_raise():
         evolve_field(model, state, 1.0)
     with pytest.raises(DomainError, match="starts at level 0, not 10"):
         evolve_field(model, full, 1.0)
+
+
+def test_rejected_level_leaves_a_wrapped_ring_as_it_was():
+    # on a wrapped 2-row ring the new level's row holds level n_completed
+    # - 1: the guard must reject the level before it is written there
+    ring = fields.LevelRing.start(TimeGrid(10, 0.1), np.ones(3), rows=2)
+    ring.place(np.full((1, 3), 2.0))
+    ring.place(np.full((1, 3), 3.0))
+    with pytest.raises(BlowUpError, match="at step 3"):
+        ring.place(np.full((1, 3), 1e9))
+    assert ring.n_completed == 2
+    assert np.array_equal(ring.level(1), np.full(3, 2.0))
+    assert np.array_equal(ring.level(2), np.full(3, 3.0))
 
 
 def test_right_weight_rejected_in_stepping():

@@ -863,9 +863,9 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
          + 1j * rng.uniform(-3.0, 3.0, 3000))
     for dtype in (float, complex):
         same(0.5, np.array([], dtype))
-    # sums of 31 to 34 terms, about a block of _TERM_BLOCK = 32: the first
-    # block, sized from the largest |z|, holds them all; 3,000 arguments
-    # take blocks of 2 terms, which end on either side of every stop
+    # sums of 31 to 34 terms: the first block, sized from the largest |z|,
+    # holds them all; 3,000 arguments take blocks of 2 terms, which end on
+    # either side of every stop
     edge = {}
     for beta in (0.5, 0.9):
         for x in np.linspace(-5.0, 0.0, 1001):
@@ -898,6 +898,19 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
                 _ml_series(beta, z)
             assert len(blocks) == 1 and blocks[0] > 32
             same(beta, z)
+    # a first block capped by the width of the argument array: at beta =
+    # 0.3 the sum of 5^k never stops, so blocks run to _MAX_TERMS, every
+    # one but the last (which ends there) as long as the first
+    for size in (24, 200):
+        z = np.linspace(-5.0, 5.0, size)
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "cumsum", counted)
+            _ml_series(0.3, z)
+        assert (blocks[0] == fracops._FFT_BLOCK_BYTES // (32 * size)
+                < fracops._MAX_TERMS == sum(blocks))
+        assert set(blocks[:-1]) == {blocks[0]}
+        same(0.3, z)
     # still summing after the last term: at beta = 0.3 the term of 5^k
     # reaches 1e90 at k = 600, finite but not small, so its loss is infinite
     s, ds, loss = same(0.3, np.array([-0.5, 5.0, 5.0j, -4.0]))
