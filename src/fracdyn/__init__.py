@@ -1,13 +1,12 @@
-"""Fractional operators, power-law kernels, fractional field equations, and
-long-range oscillator chains on periodic grids."""
+"""Fractional operators, fractional field equations, and long-range
+oscillator chains on periodic grids."""
 
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError)
 from .grids import GridSpec, TimeGrid
-from .fracops import (caputo_left_l1, caputo_right_l1, l1_weights,
-                      mittag_leffler, riemann_liouville_left,
+from .fracops import (caputo_left_l1, l1_weights, mittag_leffler,
                       riesz_derivative_spectral)
-from .kernels import MemoryKernel, memory_convolution, renormalized_constant
+from .kernels import renormalized_constant
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      StationaryResult, evolve_field, evolve_sine_gordon,
                      field_mass, free_energy, free_energy_gradient,
@@ -15,7 +14,7 @@ from .fields import (FieldState, Interaction, ModelSpec, Potential,
                      sine_gordon_energy, stationary_fgle_solve,
                      stationary_residual)
 from .chain import (ChainContinuumReport, ChainSpec, continuum_limit_compare,
-                    evolve_chain, interaction_sum_fft)
+                    evolve_chain)
 from .analysis import DispersionReport, dispersion_check
 
 __version__ = "0.1.0"

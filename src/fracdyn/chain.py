@@ -56,7 +56,6 @@ from .kernels import renormalized_constant
 __all__ = [
     "ChainSpec",
     "evolve_chain",
-    "interaction_sum_fft",
     "continuum_limit_compare",
     "ChainContinuumReport",
 ]
@@ -72,8 +71,8 @@ class ChainSpec:
 
     ``local`` supplies the on-site force ``F`` and the interaction
     composition ``f``, and nothing else: its spatial terms must be empty
-    (the chain's only spatial coupling is ``J``), its ``g0`` 1 and its
-    ``g0_prime`` 0 (the chain's time coefficient is 1).
+    (the chain's only spatial coupling is ``J``) and its ``g0`` 1 (the
+    chain's time coefficient is 1).
     """
 
     n_particles: int
@@ -96,9 +95,9 @@ class ChainSpec:
                               key="cutoff")
         if self.local.spatial_terms:
             raise DomainError("chain local model must not carry spatial terms")
-        if self.local.g0 != 1.0 or self.local.g0_prime != 0.0:
-            raise DomainError("chain local model must keep g0 = 1 and "
-                              "g0_prime = 0: the chain's time coefficient is 1")
+        if self.local.g0 != 1.0:
+            raise DomainError("chain local model must keep g0 = 1: "
+                              "the chain's time coefficient is 1")
 
     @property
     def cutoff(self):
@@ -122,12 +121,6 @@ def _ring_symbol(spec: ChainSpec):
     near = (d > 0) & (d <= spec.cutoff)
     kern[near] = 1.0 / d[near].astype(float) ** (spec.alpha + 1.0)
     return np.fft.rfft(kern).real - kern.sum()
-
-
-def interaction_sum_fft(spec: ChainSpec, u):
-    """Coupling sums ``S_n = sum_m J[f(u_m) - f(u_n)]`` by circular convolution."""
-    fu = spec.local.interaction_apply(np.asarray(u, dtype=float))
-    return np.fft.irfft(_ring_symbol(spec) * np.fft.rfft(fu), n=spec.n_particles)
 
 
 def evolve_chain(spec: ChainSpec, state: FieldState, observe=None):

@@ -51,7 +51,6 @@ from .fields import (FieldState, Interaction, ModelSpec, Potential,
 from .fracops import (caputo_left_l1, mittag_leffler,
                       riesz_derivative_spectral)
 from .grids import GridSpec, TimeGrid, validate_spatial_order
-from .kernels import MemoryKernel, memory_convolution
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
@@ -592,13 +591,6 @@ def _run_selftest(cfg, specs, outdir, rng):
 
     checks["ml_exp"] = abs(mittag_leffler(1.0, 1.0) - math.e)
     checks["ml_at_zero"] = abs(mittag_leffler(0.7, 0.0) - 1.0)
-
-    hist = rng.standard_normal(257)
-    kern = MemoryKernel(beta=0.4, g0=1.7)
-    dt = 1.0 / 256
-    mc = memory_convolution(kern, np.diff(hist) / dt, dt)
-    ca = 1.7 * caputo_left_l1(hist, 0.4, dt)
-    checks["memory_identity"] = float(np.max(np.abs(mc - ca)))
 
     u1 = rng.standard_normal(128)
     u2 = rng.standard_normal(128)

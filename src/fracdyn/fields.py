@@ -95,7 +95,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fracops import (HistorySum, _blocks, _series_reciprocal,
-                      caputo_left_l1, caputo_right_l1, l1_weights,
+                      caputo_left_l1, l1_weights,
                       mittag_leffler, riesz_derivative_spectral)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
                     validate_temporal_order)
@@ -147,7 +147,6 @@ class ModelSpec:
     """
 
     g0: float = 1.0
-    g0_prime: float = 0.0
     spatial_terms: tuple = ()
     a: float = 0.0
     b: float = 0.0
@@ -344,10 +343,8 @@ def evolve_field(model: ModelSpec, state: FieldState, beta, observe=None):
     """Advance the field over the whole time grid with the semi-implicit L1
     pseudo-spectral scheme, solved for the whole run at once where it is
     linear, first order and without a growing mode (see the module
-    docstring).  Only the left (causal) memory term may drive the
-    evolution: ``g0_prime`` must be zero here and is honored by
-    ``residual``.  ``observe(j, u)``, if given, sees
-    every new level ``j >= 1`` once, in order, after its blow-up guard.
+    docstring).  ``observe(j, u)``, if given, sees every new level
+    ``j >= 1`` once, in order, after its blow-up guard.
     """
     beta = _check_evolve_field(model, beta)
     return _evolve_linear_implicit(state, beta, model,
@@ -360,9 +357,6 @@ def _check_evolve_field(model, beta):
     beta = validate_temporal_order(beta)
     if model.g0 == 0:
         raise DomainError("g0 must be nonzero for time stepping", key="g0")
-    if model.g0_prime != 0:
-        raise DomainError("right-derivative weight g0_prime is acausal in forward "
-                          "stepping; evaluate it with residual() instead")
     return beta
 
 
@@ -783,14 +777,12 @@ def free_energy_gradient(u, model: ModelSpec, grid: GridSpec):
 def residual(model: ModelSpec, state: FieldState, beta):
     """Field-equation residual on a completed trajectory.
 
-    Evaluates ``g0 D^beta_left u + g0' D^beta_right u + sum_s g_s
-    (-Lap)^(s/2) f(u) + F(u)`` at every node; this is the only place the
-    right-derivative weight ``g0_prime`` is honored, for ``beta <= 1``.
-    Beside its output it holds one block: the left derivative streams its
-    increments over column blocks and is scaled in place, the right one is
-    taken and added a column block at a time, and the spatial and force
-    terms a row block at a time (no force term where the model has none),
-    each block one of ``fracops._blocks``.
+    Evaluates ``g0 D^beta u + sum_s g_s (-Lap)^(s/2) f(u) + F(u)`` at
+    every node.  Beside its output it holds one block: the Caputo
+    derivative streams its increments over column blocks and is scaled in
+    place, and the spatial and force terms are added a row block at a time
+    (no force term where the model has none), each block one of
+    ``fracops._blocks``.
     """
     beta = validate_temporal_order(beta)
     if state.n_completed != state.time.n_steps:
@@ -799,14 +791,9 @@ def residual(model: ModelSpec, state: FieldState, beta):
         raise DomainError("residual needs every level; this state holds "
                           f"only the last {state.history.shape[0]}")
     u = state.history
-    dt = state.time.dt
-    out = caputo_left_l1(u, beta, dt, initial_velocity=state.initial_velocity)
+    out = caputo_left_l1(u, beta, state.time.dt,
+                         initial_velocity=state.initial_velocity)
     out *= model.g0
-    if model.g0_prime != 0:
-        for cols in _blocks(u.shape[1], 16 * u.shape[0]):
-            right = caputo_right_l1(u[:, cols], beta, dt)
-            right *= model.g0_prime
-            out[:, cols] += right
     fwd, inv = state.transforms()
     sym = model.spatial_symbol(state.wavenumbers)
     # rows in blocks, one transform along the grid axis per block

@@ -15,8 +15,8 @@ zero-padded FFT product, O(n log n) per history instead of O(n^2).  Its
 rounding error is absolute: a small multiple of machine epsilon (growing
 like ``log n``) times the largest entry of the output, not of each entry.
 It takes the columns in blocks, and each operator forms the increments of
-a block from its own samples inside that block (differences, difference
-quotients led by the initial velocity, or scaled rates), so beside its
+a block from its own samples inside that block (differences, or
+difference quotients led by the initial velocity), so beside its
 output an operator holds one block, never a whole-history temporary.  The
 FFTs take a block as lanes contiguous in time, one per real column: the
 differences are formed in that layout, and other increments are transposed
@@ -58,8 +58,6 @@ __all__ = [
     "l1_weights",
     "HistorySum",
     "caputo_left_l1",
-    "caputo_right_l1",
-    "riemann_liouville_left",
     "riesz_derivative_spectral",
     "mittag_leffler",
 ]
@@ -310,7 +308,14 @@ class HistorySum:
 
 
 def _check_history(u):
+    """``u`` as an array of numeric samples along axis 0, checked before
+    any arithmetic: a scalar, a boolean or a non-numeric history is
+    rejected, as are fewer than 2 samples and non-finite ones."""
     u = np.asarray(u)
+    if u.ndim == 0:
+        raise DomainError("time samples must lie along axis 0, got a scalar")
+    if not np.issubdtype(u.dtype, np.number):   # bool is not a number
+        raise DomainError(f"time samples must be numeric, got dtype {u.dtype}")
     if u.shape[0] < 2:
         raise DomainError("need at least 2 time samples")
     if not np.all(np.isfinite(u)):
@@ -355,43 +360,6 @@ def caputo_left_l1(u, beta, dt, initial_velocity=None):
     scale = dt ** (-q) / math.gamma(2.0 - q)
     out = l1_apply(increments, l1_weights(q, n), scale, _l1_output(n, hist))
     return out.reshape(u.shape)
-
-
-def caputo_right_l1(u, beta, dt):
-    """Right Caputo derivative on ``[0, T]`` via time reversal.
-
-    A change of variables turns the right derivative of ``u`` into the left
-    derivative of the reversed samples, read back in reversed order.  Used
-    for residual evaluation of completed trajectories only; a right (future-
-    looking) derivative cannot drive causal stepping.  Orders are in (0, 1].
-    """
-    beta = validate_temporal_order(beta, allow_high=False)
-    u = _check_history(u)
-    return caputo_left_l1(u[::-1], beta, dt)[::-1]
-
-
-def riemann_liouville_left(u, beta, dt):
-    """Left Riemann-Liouville derivative for ``beta`` in (0, 1).
-
-    Computed as the Caputo value plus the initial-value correction
-    ``u(0) t^(-beta) / Gamma(1-beta)``.  The correction is singular at
-    ``t_0 = 0`` unless ``u(0) = 0``; the returned node-0 entry is the signed
-    infinite limit in that case.
-    """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"Riemann-Liouville path requires beta in (0, 1), got {beta}")
-    u = _check_history(u)
-    out = caputo_left_l1(u, beta, dt).astype(np.result_type(u, float), copy=False)
-    n = u.shape[0] - 1
-    t = np.arange(1, n + 1) * dt
-    corr = t ** (-beta) / math.gamma(1.0 - beta)
-    out[1:] += corr.reshape((-1,) + (1,) * (u.ndim - 1)) * u[0]
-    u0 = np.asarray(u[0])
-    with np.errstate(invalid="ignore"):   # 0 * inf where u0 = 0
-        origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
-    out[0] = origin
-    return out
 
 
 def riesz_derivative_spectral(u, alpha, grid: GridSpec):

@@ -2,10 +2,11 @@
 
 Each function here evaluates a quantity the library computes by a faster or
 transform-based route, directly from its definition: adaptive quadrature of
-the Caputo and Riesz integrals, the Laplace-transform identity of the Caputo
-derivative, brute-force pair sums on the chain, truncated lattice cosine sums,
-the time stepper with its memory sum formed directly at every step (also in
-extended precision, with dense DFT matrices for its transforms), the L1
+the Caputo and Riesz integrals and of the power-law memory integral, the
+Laplace-transform identity of the Caputo derivative, brute-force pair sums
+on the chain, truncated lattice cosine sums, the time stepper with its
+memory sum formed directly at every step (also in extended precision, with
+dense DFT matrices for its transforms), the L1
 operators and the trajectory residual on whole-array increments, the
 per-mode series of a whole stored trajectory transformed at once, the L1
 mode equations by forward substitution in extended precision, the power
@@ -16,7 +17,10 @@ rate fit by SciPy's trust-region least squares, the preconditioned
 stationary Jacobian with its two terms transformed apart, and the CSV
 writer that formats one value at a time.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
-checked against a path written separately from the one under test.
+checked against a path written separately from the one under test.  One
+helper is the path under test instead: ``ring_coupling_sum`` forms the
+chain's coupling sums from its ring symbol, as the stepper does, for the
+pair sums to check.
 """
 
 import math
@@ -27,7 +31,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from fracdyn import fracops
+from fracdyn import chain, fracops
 from fracdyn.chain import ChainSpec
 from fracdyn.errors import ConvergenceError, DomainError, FracdynError
 from fracdyn.fields import Interaction, Potential
@@ -82,6 +86,25 @@ def caputo_left_quadrature_oracle(u_fn, beta, t, du=None, d2u=None,
             f"Caputo quadrature did not converge (error estimate {err:.2e})",
             estimate=err)
     return val
+
+
+def power_law_memory_integral(du, beta, g0, t):
+    """The memory integral ``int_0^t M(t - s) u'(s) ds`` at time ``t`` for
+    the power-law memory function ``M(t) = g0 t^(-beta) / Gamma(1-beta)``,
+    ``beta`` in (0, 1), by SciPy's QUADPACK quadrature with the algebraic
+    weight ``(t - s)^(-beta)`` (``weight='alg'``), which integrates the
+    kernel's endpoint singularity exactly.  ``du`` is the callable ``u'``.
+    Raises ``ConvergenceError`` if the error estimate exceeds ``1e-12``
+    relative."""
+    if t == 0:
+        return 0.0
+    val, err = scipy.integrate.quad(du, 0.0, t, weight="alg",
+                                    wvar=(0.0, -beta))
+    if err > 1e-12 * max(1.0, abs(val)):
+        raise ConvergenceError(
+            f"memory quadrature did not converge (error estimate {err:.2e})",
+            estimate=err)
+    return g0 * val / math.gamma(1.0 - beta)
 
 
 def riesz_quadrature_oracle(u_fn, alpha, x, d2u=None, support_radius=None,
@@ -239,6 +262,15 @@ def interaction_sum_direct(spec: ChainSpec, u):
             acc += (fu[m] - fu[i]) / float(d) ** expo
         out[i] = acc
     return out
+
+
+def ring_coupling_sum(spec: ChainSpec, u):
+    """The chain's coupling sums ``S_n = sum_m J[f(u_m) - f(u_n)]`` as its
+    stepper forms them, ``irfft(_ring_symbol(spec) * rfft(f(u)))``: the
+    product that ``interaction_sum_direct`` checks."""
+    fu = spec.local.interaction_apply(np.asarray(u, dtype=float))
+    return np.fft.irfft(chain._ring_symbol(spec) * np.fft.rfft(fu),
+                        n=spec.n_particles)
 
 
 def evolve_linear_implicit_direct(state, beta, model, sym):
@@ -540,40 +572,13 @@ def caputo_left_whole(u, beta, dt, initial_velocity=None):
                           scale)
 
 
-def riemann_liouville_whole(u, beta, dt):
-    """``riemann_liouville_left`` on a copy of the whole Caputo value."""
-    u = np.asarray(u)
-    out = caputo_left_whole(u, beta, dt).astype(np.result_type(u, float),
-                                                copy=True)
-    n = u.shape[0] - 1
-    t = np.arange(1, n + 1) * dt
-    corr = t ** (-beta) / math.gamma(1.0 - beta)
-    out[1:] += corr.reshape((-1,) + (1,) * (u.ndim - 1)) * u[0]
-    u0 = np.asarray(u[0])
-    with np.errstate(invalid="ignore"):
-        origin = np.where(u0 == 0, 0.0, np.sign(u0) * np.inf)
-    out[0] = origin
-    return out
-
-
-def memory_convolution_whole(kernel, du_dt, dt):
-    """``memory_convolution`` with the whole increment array ``du_dt * dt``
-    formed first and ``g0`` applied to a copy of the sums."""
-    du_dt = np.asarray(du_dt)
-    scale = dt ** (-kernel.beta) / math.gamma(2.0 - kernel.beta)
-    return kernel.g0 * l1_apply_whole(
-        du_dt * dt, l1_weights(kernel.beta, du_dt.shape[0]), scale)
-
-
 def residual_whole(model, state, beta):
-    """``fields.residual`` from whole-array copies: ``g0`` times the left
-    derivative, plus ``g0'`` times the whole right derivative, plus the
-    spatial and force terms (the force added where it is zero too)."""
+    """``fields.residual`` from whole-array copies: ``g0`` times the Caputo
+    derivative, plus the spatial and force terms (the force added where it
+    is zero too)."""
     u = state.history
-    dt = state.time.dt
-    out = model.g0 * caputo_left_whole(u, beta, dt, state.initial_velocity)
-    if model.g0_prime != 0:
-        out = out + model.g0_prime * caputo_left_whole(u[::-1], beta, dt)[::-1]
+    out = model.g0 * caputo_left_whole(u, beta, state.time.dt,
+                                       state.initial_velocity)
     fwd, inv = state.transforms()
     sym = model.spatial_symbol(state.wavenumbers)
     rows = max(1, fracops._FFT_BLOCK_BYTES // (16 * u.shape[1]))

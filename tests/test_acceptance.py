@@ -14,7 +14,7 @@ import pytest
 from scipy.special import gamma, zeta
 
 from fracdyn.analysis import dispersion_check
-from fracdyn.chain import ChainSpec, continuum_limit_compare, interaction_sum_fft
+from fracdyn.chain import ChainSpec, continuum_limit_compare
 from fracdyn.cli import main as cli_main
 from fracdyn.fields import (FieldState, ModelSpec, Potential, evolve_field,
                             evolve_sine_gordon, field_mass, free_energy,
@@ -23,11 +23,11 @@ from fracdyn.fields import (FieldState, ModelSpec, Potential, evolve_field,
 from fracdyn.fracops import (caputo_left_l1, l1_weights, mittag_leffler,
                              riesz_derivative_spectral)
 from fracdyn.grids import GridSpec, TimeGrid
-from fracdyn.kernels import MemoryKernel, memory_convolution
 from oracles import (caputo_left_quadrature_oracle, convergence_order,
                      cutoff_for_tolerance, interaction_sum_direct,
                      laplace_symbol_check, lattice_symbol_increment,
-                     mode_series)
+                     mode_series, power_law_memory_integral,
+                     ring_coupling_sum)
 
 TWO_PI = 2 * np.pi
 
@@ -131,20 +131,37 @@ def test_04_mittag_leffler_values():
 
 
 def test_05_memory_power_law_is_scaled_caputo():
+    # the memory integral int_0^t M(t - s) u'(s) ds with the power-law
+    # kernel M(t) = g0 t^(-beta) / Gamma(1 - beta), by quadrature, is g0
+    # times the Caputo derivative: to rounding on u = t, where L1 is exact,
+    # and at L1's order 2 - beta on u = t^2 (relative error at t = 1/8,
+    # 1/4, 1/2, 3/4 and 1, nodes of every grid)
     t0 = time.time()
-    dt = 1.0 / 1024  # power of two: rate -> increment round trip is exact
-    worst_equal = True
-    for seed in range(10):
-        u = np.random.default_rng(seed).standard_normal(1001)
-        kern = MemoryKernel(beta=0.6, g0=1.7)
-        mc = memory_convolution(kern, np.diff(u) / dt, dt)
-        ca = 1.7 * caputo_left_l1(u, 0.6, dt)
-        worst_equal = worst_equal and np.array_equal(mc, ca)
+    beta, g0 = 0.6, 1.7
+    exact_err, errors = 0.0, []
+    probe = np.array([0.125, 0.25, 0.5, 0.75, 1.0])
+    ref = np.array([power_law_memory_integral(lambda s: 2.0 * s, beta, g0, tj)
+                    for tj in probe])
+    for n in (256, 512, 1024):
+        dt = 1.0 / n
+        t = np.arange(n + 1) * dt
+        linear = g0 * caputo_left_l1(t, beta, dt)[1:]
+        quad = np.array([power_law_memory_integral(lambda s: 1.0, beta, g0, tj)
+                         for tj in t[1:]])
+        exact_err = max(exact_err, float(np.max(np.abs(linear - quad) / quad)))
+        square = g0 * caputo_left_l1(t ** 2, beta, dt)
+        got = square[np.rint(probe * n).astype(int)]
+        errors.append((dt, float(np.max(np.abs(got - ref) / ref))))
+    order = convergence_order(errors)
     elapsed = time.time() - t0
-    ok = worst_equal and elapsed < 1.0
+    ok = exact_err < 1e-14 and abs(order - (2.0 - beta)) < 0.05 and elapsed < 1.0
     _report("05 memory-kernel-identity", ok,
-            f"bitwise equality on 10 seeds: {worst_equal}, {elapsed:.2f}s < 1s")
-    assert worst_equal
+            f"u = t: max rel err {exact_err:.1e} < 1e-14; u = t^2: rel err "
+            + ", ".join(f"{e:.1e}" for _, e in errors)
+            + f" at dt = 1/256..1/1024, order {order:.3f} = {2.0 - beta:.1f} "
+            f"+- 0.05; {elapsed:.2f}s < 1s")
+    assert exact_err < 1e-14
+    assert abs(order - (2.0 - beta)) < 0.05
     assert elapsed < 1.0
 
 
@@ -236,7 +253,7 @@ def test_09_interaction_sum_brute_force():
     t0 = time.time()
     spec = ChainSpec(n_particles=256, dx=1.0, alpha=1.5, g0=1.0, beta=1.0)
     u = np.random.default_rng(0).standard_normal(256)
-    diff = float(np.max(np.abs(interaction_sum_fft(spec, u)
+    diff = float(np.max(np.abs(ring_coupling_sum(spec, u)
                                - interaction_sum_direct(spec, u))))
     elapsed = time.time() - t0
     ok = diff < 1e-12 and elapsed < 1.0

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,33 @@ def test_shipped_configs_resolve_to_golden_metadata(tmp_path, name):
         == (_GOLDEN / f"{name}.metadata.json").read_bytes()
 
 
+_CI_CONFIGS = Path(__file__).resolve().parent / "configs"
+# the file and the flag that CI checks in the output of each config in
+# tests/configs; a config not named here must only run
+_CI_FLAGS = {
+    "pulse": ("summary.json", "converged"),
+    "selftest": ("selftest.json", "passed"),
+    "nls": ("summary.json", "passed"),
+    "dispersion": ("summary.json", "passed"),
+    "sine_gordon_memory": ("summary.json", "passed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in _CI_CONFIGS.glob("*.ini")))
+def test_ci_configs_run_and_pass(tmp_path, name):
+    # the configs CI runs beside the shipped ones, with warnings as errors
+    # as there: each exits 0, and sets the flag CI checks
+    cfgp = _CI_CONFIGS / f"{name}.ini"
+    out = tmp_path / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([load_config(cfgp).kind, "--config", str(cfgp),
+                     "--out", str(out)]) == EXIT_OK
+    if name in _CI_FLAGS:
+        fname, flag = _CI_FLAGS[name]
+        assert json.loads((out / fname).read_text())[flag] is True
+
+
 def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,
                                                     caplog):
     # the status line on stdout and the error line on stderr keep their
@@ -434,8 +462,8 @@ def test_plane_wave_accepted_for_complex_field(tmp_path):
     (EVOLVE_CONFIG + "\n[tolerances]\nresidual = 5\n", "tolerances", "residual"),
 ], ids=["g0_prime", "residual"])
 def test_removed_keys_rejected(tmp_path, text, section, key):
-    # g0_prime only ever had the value 0 in stepping, and no runner read the
-    # residual tolerance
+    # g0_prime only ever had the value 0 in stepping and is no field of
+    # ModelSpec, and no runner read the residual tolerance
     cfgp = _write(tmp_path, text)
     with pytest.raises(ConfigError,
                        match=rf"unknown key '{key}' in section \[{section}\]"):
@@ -636,6 +664,10 @@ def test_selftest_runs_green(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "selftest.json").read_text())
     assert report["passed"] is True
+    assert set(report["checks"]) == {
+        "riesz_mode_exactness", "caputo_constant", "caputo_linear", "ml_exp",
+        "ml_at_zero", "riesz_linearity"}
+    assert all(v <= report["tolerance"] for v in report["checks"].values())
 
 
 def test_csv_float_format_roundtrips(tmp_path):

@@ -658,13 +658,6 @@ def test_rejected_level_leaves_a_wrapped_ring_as_it_was():
     assert np.array_equal(ring.level(2), np.full(3, 3.0))
 
 
-def test_right_weight_rejected_in_stepping():
-    grid, tg, state = _single_mode_state(16, 10, 0.01)
-    model = ModelSpec(g0=1.0, g0_prime=0.5)
-    with pytest.raises(DomainError):
-        evolve_field(model, state, 0.5)
-
-
 @pytest.mark.parametrize("beta,coeff,match", [
     (1.0, -2.0, "at the first step"),     # c + g |k|^2 = 2 - 2
     (2.0, -4.0, "at the first step"),     # c/dt + g |k|^2 = 4 - 4
@@ -1238,9 +1231,9 @@ def test_residual_manufactured_solution():
     assert np.max(np.abs(r[1:] - analytic[1:])) / scale < 5e-3
 
 
-def test_residual_honors_right_weight():
-    # space-uniform u(t) = t: left part t^(1-b)/Gamma(2-b), right part
-    # -(T-t)^(1-b)/Gamma(2-b); both exact for linear data
+def test_residual_of_linear_trajectory_is_exact():
+    # space-uniform u(t) = t: the residual is g0 t^(1-b)/Gamma(2-b), exact
+    # for linear data
     n, steps, dt, beta = 8, 100, 0.01, 0.5
     grid = GridSpec(n, TWO_PI)
     tg = TimeGrid(steps, dt)
@@ -1248,10 +1241,10 @@ def test_residual_honors_right_weight():
     state = FieldState.from_initial(grid, tg, np.zeros(n))
     state.history[:] = np.outer(t, np.ones(n))
     state.n_completed = steps
-    model = ModelSpec(g0=1.0, g0_prime=0.5)
+    model = ModelSpec(g0=1.7)
     r = residual(model, state, beta)
-    expected = (t ** 0.5 - 0.5 * (1.0 - t) ** 0.5) / math.gamma(1.5)
-    assert np.allclose(r, np.outer(expected, np.ones(n)), atol=1e-12)
+    expected = 1.7 * t ** 0.5 / math.gamma(1.5)
+    assert np.allclose(r, np.outer(expected, np.ones(n)), rtol=0, atol=1e-12)
 
 
 def _residual_row_loop(model, state, beta):
@@ -1297,23 +1290,20 @@ def _completed_state(u, v0):
     return state
 
 
-# (levels, points): the left derivative runs 1, 2 (3 complex) and many
-# column blocks, the right one 1, 1 and 4, the spatial term 1, 1 and 3
-# row blocks
+# (levels, points): the Caputo derivative runs 1, 2 (3 complex) and many
+# column blocks, the spatial term 1, 1 and 3 row blocks
 @pytest.mark.parametrize("shape", [(101, 8), (101, 120), (3001, 16)])
 @pytest.mark.parametrize("is_complex", [False, True])
 @pytest.mark.parametrize("beta", [0.3, 0.8, 1.0, 1.5, 2.0])
 def test_residual_streamed_matches_whole_arrays_bitwise(shape, is_complex, beta):
-    # g0 and g0' applied in place, the right derivative a column block at a
-    # time and no zero force added give the bits of the whole-array form
+    # g0 applied in place and no zero force added give the bits of the
+    # whole-array form
     state = _completed_state(*l1_history(shape, is_complex))
     for potential in (Potential.NONE, Potential.GINZBURG_LANDAU):
-        for g0_prime in ((0.0, -0.6) if beta <= 1.0 else (0.0,)):
-            model = ModelSpec(g0=1.7, g0_prime=g0_prime,
-                              spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
-                              potential=potential)
-            assert_same_bits(residual(model, state, beta),
-                             residual_whole(model, state, beta))
+        model = ModelSpec(g0=1.7, spatial_terms=((1.5, 0.5),), a=-1.0, b=1.0,
+                          potential=potential)
+        assert_same_bits(residual(model, state, beta),
+                         residual_whole(model, state, beta))
 
 
 @pytest.mark.parametrize("beta", [0.8, 1.5])

@@ -26,15 +26,14 @@ from fracdyn.fields import LevelRing, ModelSpec, Potential
 from fracdyn.fracops import (_FFT_BLOCK_BYTES, HISTORY_BLOCK, HistorySum,
                              _fast_len, _l1_output, _ml_integral_negative,
                              _ml_series, _series_ratios, _series_reciprocal,
-                             caputo_left_l1, caputo_right_l1, l1_apply,
-                             l1_weights, mittag_leffler,
-                             riemann_liouville_left, riesz_derivative_spectral)
+                             caputo_left_l1, l1_apply, l1_weights,
+                             mittag_leffler, riesz_derivative_spectral)
 from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (L1_BLOCK_SHAPES, assert_same_bits,
                      caputo_left_quadrature_oracle, caputo_left_whole,
                      l1_history, ml_integral_negative_scalar, ml_series_loop,
-                     ml_series_scalar, riemann_liouville_whole,
-                     riesz_quadrature_oracle, series_reciprocal_columns)
+                     ml_series_scalar, riesz_quadrature_oracle,
+                     series_reciprocal_columns)
 
 # ------------------------------------------------------------ L1 weights
 
@@ -284,6 +283,11 @@ _TEST_ONLY_NAMES = (
     "nls_step", "_riesz_apply",
     # deleted: the chain builds its ring symbol and state from ChainSpec alone
     "LatticeCoupling", "ChainState",
+    # deleted: no run reached them; the memory kernel's convolution was
+    # caputo_left_l1 scaled by g0, and the right derivative served only
+    # g0_prime, which only ever had the value 0 in stepping
+    "MemoryKernel", "memory_convolution", "riemann_liouville_left",
+    "caputo_right_l1", "interaction_sum_fft",
 )
 
 
@@ -387,6 +391,20 @@ def test_caputo_high_order_requires_velocity():
         caputo_left_l1(np.arange(5.0), 1.5, 0.1)
 
 
+@pytest.mark.parametrize("u, match", [
+    (3.0, "got a scalar"),
+    (np.array([True, False, True]), "numeric, got dtype bool"),
+    (np.array(["a", "b", "c"]), "numeric, got dtype <U1"),
+    (np.array([1.0, 2.0, None], dtype=object), "numeric, got dtype object"),
+], ids=["scalar", "bool", "str", "object"])
+def test_caputo_rejects_a_history_that_is_not_numeric_samples(u, match):
+    # rejected with a typed error before any arithmetic: before, a scalar
+    # raised IndexError, a boolean history NumPy's TypeError from subtract
+    # and a string one NumPy's TypeError from isfinite
+    with pytest.raises(DomainError, match=match):
+        caputo_left_l1(u, 0.5, 0.1)
+
+
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
 @settings(max_examples=25, deadline=None)
 def test_caputo_linearity(a, b):
@@ -425,38 +443,6 @@ def test_oracle_requires_derivative():
         caputo_left_quadrature_oracle(math.sin, 0.5, 1.0)
 
 
-# ------------------------------------------------------------ right Caputo
-
-
-def test_right_caputo_constant_zero():
-    out = caputo_right_l1(np.full(32, 1.23), 0.4, 0.05)
-    assert np.all(out == 0.0)
-    with pytest.raises(DomainError, match=r"\(0, 1\]"):
-        caputo_right_l1(np.full(32, 1.23), 1.5, 0.05)
-
-
-def test_right_caputo_linear_closed_form():
-    # right derivative of u = t on [0, 1], order 0.5:
-    # -(1/Gamma(0.5)) * int_t^1 (z-t)^(-1/2) dz = -2 sqrt(1-t) / sqrt(pi)
-    dt = 1e-3
-    t = np.arange(1001) * dt
-    out = caputo_right_l1(t, 0.5, dt)
-    exact = -2.0 * np.sqrt(1.0 - t) / math.sqrt(math.pi)
-    assert np.max(np.abs(out - exact)) < 1e-12  # exact on linear data
-    # independent quadrature of the defining integral at t = 0.3
-    q, _ = scipy.integrate.quad(lambda z: (z - 0.3) ** (-0.5), 0.3, 1.0)
-    assert out[300] == pytest.approx(-q / math.gamma(0.5), rel=1e-9)
-
-
-def test_right_is_reversed_left():
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal(50)
-    dt = 0.02
-    r = caputo_right_l1(u, 0.7, dt)
-    l = caputo_left_l1(u[::-1], 0.7, dt)[::-1]
-    assert np.array_equal(r, l)
-
-
 # ------------------------------------------------------------ streamed L1 operators
 
 @pytest.mark.parametrize("shape", L1_BLOCK_SHAPES)
@@ -472,52 +458,6 @@ def test_caputo_streamed_matches_whole_arrays_bitwise(shape, is_complex, beta):
                      caputo_left_whole(u, beta, dt, iv))
     assert_same_bits(caputo_left_l1(u[:, 0], beta, dt, iv0),
                      caputo_left_whole(u[:, 0], beta, dt, iv0))
-    if beta <= 1.0:
-        assert_same_bits(caputo_right_l1(u, beta, dt),
-                         caputo_left_whole(u[::-1], beta, dt)[::-1])
-    if beta < 1.0:
-        assert_same_bits(riemann_liouville_left(u, beta, dt),
-                         riemann_liouville_whole(u, beta, dt))
-
-
-# ------------------------------------------------------------ Riemann-Liouville
-
-
-@pytest.mark.parametrize("u0", [1.0, 1.0 + 0.5j, 0.0, -2.0j])
-def test_rl_single_history_matches_one_column(u0):
-    # a 1-D history, real or complex, gives the column of the same history
-    # passed as (n, 1); node 0 holds the singular limit, whose complex value
-    # depends on NumPy's complex sign, so it is compared, not spelled out
-    t = np.arange(101) * 0.01
-    u = (1.0 + t) * u0 + t ** 2
-    np.testing.assert_array_equal(riemann_liouville_left(u, 0.5, 0.01),
-                                  riemann_liouville_left(u[:, None], 0.5,
-                                                         0.01)[:, 0])
-
-
-def test_rl_equals_caputo_when_zero_start():
-    dt = 0.01
-    t = np.arange(101) * dt
-    u = t ** 2  # u(0) = 0
-    assert np.allclose(riemann_liouville_left(u, 0.5, dt),
-                       caputo_left_l1(u, 0.5, dt), rtol=0, atol=0)
-
-
-def test_rl_of_constant():
-    dt = 1e-3
-    t = np.arange(1001) * dt
-    out = riemann_liouville_left(np.ones(1001), 0.5, dt)
-    exact = t[1:] ** (-0.5) / math.gamma(0.5)
-    assert np.allclose(out[1:], exact, rtol=1e-12)
-    assert out[-1] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
-    assert np.isinf(out[0]) and out[0] > 0  # singular limit at the origin
-
-
-def test_rl_linear_same_as_caputo():
-    dt = 1e-2
-    t = np.arange(101) * dt
-    out = riemann_liouville_left(t, 0.5, dt)
-    assert out[-1] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
 
 
 # ------------------------------------------------------------ Riesz spectral

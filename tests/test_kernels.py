@@ -1,85 +1,16 @@
-"""Kernel and lattice-sum tests.  Oracles: scipy's zeta and gamma, the
-truncated lattice cosine sums of ``tests/oracles.py`` (direct high-cutoff
-summation), and the L1 operator identity.  The chain's ring symbol is
-tested against pair sums in ``test_chain.py``."""
+"""Lattice-sum and continuum-constant tests.  Oracles: scipy's zeta and
+gamma, and the truncated lattice cosine sums of ``tests/oracles.py``
+(direct high-cutoff summation).  The chain's ring symbol is tested against
+pair sums in ``test_chain.py``."""
 
 import math
 
-import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fracdyn.errors import DomainError
-from fracdyn.fracops import caputo_left_l1
-from fracdyn.kernels import (MemoryKernel, memory_convolution,
-                             renormalized_constant)
-from oracles import (L1_BLOCK_SHAPES, TailBoundError, assert_same_bits,
-                     cutoff_for_tolerance, l1_history, lattice_symbol,
-                     lattice_symbol_increment, memory_convolution_whole)
-
-# ------------------------------------------------------------ memory kernel
-
-
-@given(beta=st.floats(0.05, 0.95), t=st.floats(0.01, 100.0))
-@settings(max_examples=50, deadline=None)
-def test_memory_kernel_homogeneity(beta, t):
-    m = MemoryKernel(beta=beta, g0=1.0)
-    assert m(2.0 * t) / m(t) == pytest.approx(2.0 ** (-beta), rel=1e-13)
-
-
-def test_memory_kernel_positive():
-    m = MemoryKernel(beta=0.4, g0=2.0)
-    t = np.linspace(0.1, 10, 50)
-    assert np.all(m(t) > 0)
-    with pytest.raises(DomainError):
-        m(0.0)
-    with pytest.raises(DomainError):
-        MemoryKernel(beta=1.0)
-
-
-def test_memory_convolution_equals_scaled_caputo_bitwise():
-    # dt a power of two so the rate -> increment round trip is exact
-    rng = np.random.default_rng(42)
-    dt = 1.0 / 1024
-    for seed in range(5):
-        u = np.random.default_rng(seed).standard_normal(301)
-        kern = MemoryKernel(beta=0.6, g0=-2.5)
-        mc = memory_convolution(kern, np.diff(u) / dt, dt)
-        ca = -2.5 * caputo_left_l1(u, 0.6, dt)
-        assert np.array_equal(mc, ca)
-
-
-def test_memory_convolution_constant_zero():
-    out = memory_convolution(MemoryKernel(beta=0.3), np.zeros(50), 0.01)
-    assert np.all(out == 0.0)
-
-
-@pytest.mark.parametrize("shape", L1_BLOCK_SHAPES)
-@pytest.mark.parametrize("is_complex", [False, True])
-@pytest.mark.parametrize("beta", [0.3, 0.8])
-def test_memory_convolution_streamed_matches_whole_arrays_bitwise(
-        shape, is_complex, beta):
-    # the increments du_dt * dt formed a column block at a time, and g0
-    # applied in place, give the bits of the whole-array form
-    rates, _ = l1_history(shape, is_complex)
-    kern = MemoryKernel(beta=beta, g0=-2.5)
-    dt = 0.01
-    assert_same_bits(memory_convolution(kern, rates, dt),
-                     memory_convolution_whole(kern, rates, dt))
-    assert_same_bits(memory_convolution(kern, rates[:, 0], dt),
-                     memory_convolution_whole(kern, rates[:, 0], dt))
-
-
-def test_memory_convolution_empty_history():
-    # no steps yet: only the zero value at t_0
-    kern = MemoryKernel(beta=0.3)
-    out = memory_convolution(kern, np.empty((0, 4)), 0.01)
-    assert out.shape == (1, 4)
-    assert np.all(out == 0.0)
-    assert np.array_equal(memory_convolution(kern, np.empty(0), 0.01), [0.0])
-
+from fracdyn.kernels import renormalized_constant
+from oracles import (TailBoundError, cutoff_for_tolerance, lattice_symbol,
+                     lattice_symbol_increment)
 
 # ------------------------------------------------------------ lattice symbol
 
