@@ -8,8 +8,7 @@ from .fracops import (caputo_left_l1, l1_weights, mittag_leffler,
                       riesz_derivative_spectral)
 from .kernels import renormalized_constant
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
-                     StationaryResult, evolve_field, evolve_sine_gordon,
-                     field_mass, free_energy, free_energy_gradient,
+                     StationaryResult, evolve_field, field_mass, free_energy,
                      nls_evolve, nls_linear_mode_evolution, residual,
                      sine_gordon_energy, stationary_fgle_solve,
                      stationary_residual)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fracops import mittag_leffler
 from .grids import validate_temporal_order
 
@@ -59,7 +59,8 @@ def _phase_slope(times, series):
     coef, res = np.polyfit(times, phase, 1, full=True)[:2]
     resid = math.sqrt(res[0] / len(times)) if len(res) else 0.0
     if resid > 0.05:
-        raise DomainError(f"phase unwrapping failure (rms residual {resid:.3g} rad)")
+        raise ConvergenceError(f"phase unwrapping failure (rms residual "
+                               f"{resid:.3g} rad)", estimate=resid)
     return coef[0]
 
 
@@ -83,9 +84,10 @@ def _ml_rate(times, ratio, beta, guess):
     ``lam`` or of the resolution ``eps |ratio| / |J|`` of the data, or, once
     below ``sqrt(eps) |lam|``, no longer contracting, which is the rounding
     of the Mittag-Leffler values themselves (the alternating series loses
-    digits to cancellation at larger arguments).  It raises ``DomainError``
-    at a non-finite step, or if neither happens within
-    ``_RATE_FIT_MAX_ITER`` iterations.
+    digits to cancellation at larger arguments).  It raises
+    ``ConvergenceError`` at a non-finite step, or if neither happens within
+    ``_RATE_FIT_MAX_ITER`` iterations (then with the last step's size as
+    ``estimate``).
     """
     tb = np.asarray(times, dtype=float) ** beta
     ratio = np.asarray(ratio)
@@ -96,9 +98,9 @@ def _ml_rate(times, ratio, beta, guess):
         jj = np.vdot(jac, jac).real
         step = -np.vdot(jac, val - ratio) / jj
         if not np.isfinite(step):
-            raise DomainError(f"Mittag-Leffler rate fit from {guess} did not "
-                              f"converge: iteration {it} gave the non-finite "
-                              f"Gauss-Newton step {step}")
+            raise ConvergenceError(
+                f"Mittag-Leffler rate fit from {guess} did not converge: "
+                f"iteration {it} gave the non-finite Gauss-Newton step {step}")
         lam = lam + step
         size = abs(step)
         if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(ratio)
@@ -107,8 +109,9 @@ def _ml_rate(times, ratio, beta, guess):
             log.debug("rate fit: %d Mittag-Leffler passes, rate %s", it, lam)
             return lam
         prev = size
-    raise DomainError(f"Mittag-Leffler rate fit from {guess} did not converge "
-                      f"within {_RATE_FIT_MAX_ITER} iterations")
+    raise ConvergenceError(f"Mittag-Leffler rate fit from {guess} did not "
+                           f"converge within {_RATE_FIT_MAX_ITER} iterations",
+                           estimate=size)
 
 
 def dispersion_check(source, *, alpha, beta, g, a, b=0.0):

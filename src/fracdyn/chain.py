@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _fit_exponent, _ml_rate
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
                      _evolve_linear_implicit)
 from .grids import (GridSpec, TimeGrid, validate_spatial_order,
@@ -263,7 +263,7 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
                          .astype(int).tolist()))
         amps = np.abs(levels[sel, i])
         if np.any(amps == 0):
-            raise DomainError(f"mode {m} amplitude vanished; cannot fit a rate")
+            raise ConvergenceError(f"mode {m} amplitude vanished; cannot fit a rate")
         lam_meas = _fit_mode_rate(t[sel], amps, beta, lam_latt)
         meas.append(lam_meas)
         latt.append(lam_latt)

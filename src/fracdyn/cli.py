@@ -44,8 +44,7 @@ from .chain import (ChainSpec, _check_compare, continuum_limit_compare,
 from .errors import (BlowUpError, ConfigError, ConvergenceError, DomainError,
                      FracdynError)
 from .fields import (FieldState, Interaction, ModelSpec, Potential,
-                     _check_evolve_field, _check_sine_gordon,
-                     _check_stationary, evolve_field, evolve_sine_gordon,
+                     _check_evolve_field, _check_stationary, evolve_field,
                      field_mass, nls_evolve, sine_gordon_energy,
                      stationary_fgle_solve)
 from .fracops import (caputo_left_l1, mittag_leffler,
@@ -119,7 +118,9 @@ _SCHEMA = {
                 "phase": (float, 0.0)},
     "nls": {"alpha": (float, REQUIRED), "g": (float, 1.0), "a": (float, 0.0),
             "b": (float, 0.0)},
-    "sine_gordon": {"alpha": (float, 2.0), "beta_plus_one": (float, 2.0),
+    "sine_gordon": {"alpha": (float, 2.0), "beta_plus_one": (float, 2.0, (
+                        lambda v: 1.0 < v <= 2.0,
+                        "sine-Gordon stepping needs temporal order in (1, 2]")),
                     "velocity": (float, 0.2, (
                         lambda v: abs(v) < 1.0,
                         "kink velocity must satisfy |v| < 1"))},
@@ -216,7 +217,7 @@ def _build(cfg: ExperimentConfig):
     check the runner's rules that join several keys (a rule on one key is
     its ``_SCHEMA`` entry's, checked as the section is resolved).  Returns
     the ``GridSpec``, ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run
-    has, by section."""
+    has, by section; ``[sine_gordon]``'s equation is the ``"model"``."""
     s = cfg.sections
     specs = {}
     if "grid" in s:
@@ -232,6 +233,11 @@ def _build(cfg: ExperimentConfig):
             spatial_terms=tuple(map(tuple, m["spatial_terms"])))
         _checked(cfg, "model", "beta", _check_evolve_field, specs["model"],
                  m["beta"])
+    if "sine_gordon" in s:
+        specs["model"] = _checked(
+            cfg, "sine_gordon", "alpha", ModelSpec, g0=1.0,
+            spatial_terms=((s["sine_gordon"]["alpha"], 1.0),),
+            potential=Potential.SINE_GORDON)
     if "chain" in s:
         c = s["chain"]
         specs["chain"] = _checked(
@@ -252,12 +258,8 @@ def _build(cfg: ExperimentConfig):
             raise _invalid(name, "beta", s[name]["beta"],
                            "orders in (1, 2] need an initial velocity, which "
                            f"kind '{cfg.kind}' does not set")
-    for name in ("nls", "sine_gordon"):
-        if name in s:
-            _checked(cfg, name, "alpha", validate_spatial_order, s[name]["alpha"])
-    if "sine_gordon" in s:
-        _checked(cfg, "sine_gordon", "beta_plus_one", _check_sine_gordon,
-                 s["sine_gordon"]["beta_plus_one"])
+    if "nls" in s:
+        _checked(cfg, "nls", "alpha", validate_spatial_order, s["nls"]["alpha"])
     if "stationary" in s:
         st = s["stationary"]
         _checked(cfg, "stationary", "alpha", _check_stationary, st["alpha"],
@@ -471,12 +473,14 @@ def _run_sine_gordon(cfg, specs, outdir, rng):
         if j == 1:   # the ring still holds level 0
             energy[0] = sine_gordon_energy(state, 0)
 
-    evolve_sine_gordon(state, alpha, bp1, observe)
+    evolve_field(specs["model"], state, bp1, observe)
     e0 = energy[0]
     e1 = sine_gordon_energy(state, state.n_completed - 1)
     drift = abs(e1 - e0) / abs(e0)
+    # below order 2 the memory term drains the energy: only growth is an error
+    change = drift if bp1 == 2.0 else (e1 - e0) / abs(e0)
     summary = {"energy_initial": e0, "energy_final": e1, "energy_drift": drift,
-               "passed": drift < cfg.section("tolerances")["energy_drift"]}
+               "passed": change < cfg.section("tolerances")["energy_drift"]}
     if alpha == 2.0 and bp1 == 2.0:
         shape_err = float(np.max(np.abs(state.current() - pair(time.t_final))))
         summary["kink_shape_error"] = shape_err

@@ -15,10 +15,14 @@ A single linear term therefore obeys the per-mode law
 
     u_k(t) = u_k(0) * E_beta(-(g_s |k|^s / g0) t^beta).
 
+Sine-Gordon, ``D^beta_t u - Riesz_alpha u + sin u = 0``, is ``g0 = 1``,
+the one term ``(alpha, 1)`` and the sine potential.
+
 The stationary solver works instead with the equation in its conventional
 written form ``g * Riesz_alpha u + a u + b u^3 = 0`` (Riesz multiplier
-``-|k|^alpha``); the free-energy gradient connects the two conventions:
-``dF/du = -g * Riesz_alpha u + a u + b u^3`` for interaction weight ``g``.
+``-|k|^alpha``); with ``g = -g_s`` its residual, ``stationary_residual``,
+is the gradient of ``free_energy`` over ``dx`` for the one term
+``(alpha, g_s)``: ``g_s (-Lap)^(alpha/2) u + a u + b u^3``.
 
 Time stepping is semi-implicit: the full memory sum is evaluated explicitly
 except its newest-level weight, linear spatial terms are solved implicitly in
@@ -106,14 +110,12 @@ __all__ = [
     "ModelSpec",
     "FieldState",
     "evolve_field",
-    "evolve_sine_gordon",
     "nls_evolve",
     "nls_linear_mode_evolution",
     "stationary_residual",
     "stationary_fgle_solve",
     "StationaryResult",
     "free_energy",
-    "free_energy_gradient",
     "residual",
     "sine_gordon_energy",
     "field_mass",
@@ -181,12 +183,6 @@ class ModelSpec:
         for order, coeff in self.spatial_terms:
             sym += coeff * np.abs(wavenumbers) ** order
         return sym
-
-    @classmethod
-    def sine_gordon_model(cls, alpha):
-        """``D^(beta+1) u - Riesz_alpha u + sin u = 0`` (unit coefficients)."""
-        return cls(g0=1.0, spatial_terms=((alpha, 1.0),),
-                   potential=Potential.SINE_GORDON)
 
 
 def _identity(v):
@@ -512,26 +508,6 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     return None
 
 
-def evolve_sine_gordon(state: FieldState, alpha, beta_plus_one, observe=None):
-    """Fractional sine-Gordon evolution ``D^(b+1) u - Riesz_a u + sin u = 0``.
-
-    Requires both initial displacement and initial velocity.  At
-    ``beta_plus_one = 2`` and ``alpha = 2`` the scheme is a standard
-    second-order implicit wave stepper.  ``observe`` is passed to
-    :func:`evolve_field`.
-    """
-    _check_sine_gordon(beta_plus_one)
-    return evolve_field(ModelSpec.sine_gordon_model(alpha), state, beta_plus_one,
-                        observe)
-
-
-def _check_sine_gordon(beta_plus_one):
-    """Reject a temporal order ``evolve_sine_gordon`` cannot step."""
-    if not 1.0 < beta_plus_one <= 2.0:
-        raise DomainError("sine-Gordon stepping needs temporal order in (1, 2]",
-                          key="beta_plus_one")
-
-
 def nls_evolve(state: FieldState, alpha, g, a, b, observe=None):
     """Advance ``i du/dt = -g (-Lap)^(alpha/2) u + a u + b |u|^2 u`` from the
     last completed level to the end of the time grid by Strang splitting.
@@ -760,18 +736,6 @@ def free_energy(u, model: ModelSpec, grid: GridSpec):
     f_pot = grid.dx * float(np.sum(0.5 * model.a * np.abs(u) ** 2
                                    + 0.25 * model.b * np.abs(u) ** 4))
     return f_int + f_pot
-
-
-def free_energy_gradient(u, model: ModelSpec, grid: GridSpec):
-    """Functional gradient ``dF/du = sum_s g_s (-Lap)^(s/2) u + a u + b u^3``.
-
-    The derivative of :func:`free_energy` with respect to node ``i`` equals
-    this field times ``dx``; with a single term of weight ``g`` it reads
-    ``-g * Riesz_alpha u + a u + b u^3``.
-    """
-    k = grid.wavenumbers_real
-    lap = np.fft.irfft(model.spatial_symbol(k) * np.fft.rfft(u), n=grid.n_points)
-    return lap + model.a * u + model.b * u ** 3
 
 
 def residual(model: ModelSpec, state: FieldState, beta):

@@ -134,7 +134,7 @@ def test_rate_fit_names_a_non_finite_step(bad):
     times = np.linspace(0.1, 3.0, 24)
     ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
     ratio[5] = bad
-    with pytest.raises(DomainError, match=r"iteration 1 gave the non-finite "
+    with pytest.raises(ConvergenceError, match=r"iteration 1 gave the non-finite "
                        r"Gauss-Newton step (nan|-?inf)"):
         analysis._ml_rate(times, ratio, 0.9, -0.4)
 

@@ -11,7 +11,7 @@ import pytest
 
 from fracdyn import analysis, chain, fields
 from fracdyn.chain import ChainSpec, continuum_limit_compare, evolve_chain
-from fracdyn.errors import BlowUpError, DomainError
+from fracdyn.errors import BlowUpError, ConvergenceError, DomainError
 from fracdyn.fields import (FieldState, Interaction, LevelRing, ModelSpec,
                             Potential)
 from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
@@ -515,11 +515,13 @@ def test_rate_fit_failure_raises(monkeypatch):
     ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
     assert analysis._ml_rate(times, ratio, 0.9, -0.4) == pytest.approx(
         -0.5, rel=1e-13)
-    with pytest.raises(DomainError, match="did not converge"):
+    with pytest.raises(ConvergenceError, match="did not converge"):
         analysis._ml_rate(times, np.full(24, np.nan), 0.9, -0.4)
     monkeypatch.setattr(analysis, "_RATE_FIT_MAX_ITER", 1)
-    with pytest.raises(DomainError, match="did not converge"):
+    with pytest.raises(ConvergenceError, match="did not converge") as budget:
         analysis._ml_rate(times, ratio, 0.9, -0.4)
+    # the estimate is the last step's size: one step from -0.4 towards -0.5
+    assert budget.value.estimate == pytest.approx(0.1, rel=0.2)
 
 
 def test_continuum_compare_guard_sees_mode_coefficients():

@@ -13,13 +13,11 @@ import pytest
 from fracdyn import fields, fracops
 from fracdyn.errors import BlowUpError, ConvergenceError, DomainError
 from fracdyn.fields import (FieldState, Interaction, ModelSpec, Potential,
-                            evolve_field, evolve_sine_gordon, field_mass,
-                            free_energy, free_energy_gradient, nls_evolve,
+                            evolve_field, field_mass, free_energy, nls_evolve,
                             nls_linear_mode_evolution, residual,
                             sine_gordon_energy, stationary_fgle_solve,
                             stationary_residual)
-from fracdyn.fracops import (HISTORY_BLOCK, mittag_leffler,
-                             riesz_derivative_spectral)
+from fracdyn.fracops import HISTORY_BLOCK, mittag_leffler
 from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (EXTENDED_PRECISION, assert_same_bits,
                      evolve_linear_implicit_direct,
@@ -27,6 +25,12 @@ from oracles import (EXTENDED_PRECISION, assert_same_bits,
                      residual_whole, stationary_jacobian_three_fft)
 
 TWO_PI = 2 * np.pi
+
+
+def _sine_gordon(alpha):
+    """``D^beta u - Riesz_alpha u + sin u = 0``, as the runner builds it."""
+    return ModelSpec(g0=1.0, spatial_terms=((alpha, 1.0),),
+                     potential=Potential.SINE_GORDON)
 
 
 # ------------------------------------------------------------ model spec
@@ -275,8 +279,8 @@ def test_second_order_stepper_keeps_its_digits_over_a_long_run():
     v0 = -v * np.fft.irfft(1j * kr * np.fft.rfft(u0), n=n)
     state = FieldState.from_initial(grid, TimeGrid(steps, dt), u0,
                                     initial_velocity=v0)
-    evolve_sine_gordon(state, 2.0, 2.0)
-    model = ModelSpec.sine_gordon_model(2.0)
+    model = _sine_gordon(2.0)
+    evolve_field(model, state, 2.0)
     ref = evolve_linear_implicit_extended(state, 2.0, model,
                                           model.spatial_symbol(kr))
     assert np.max(np.abs(state.history - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -714,11 +718,11 @@ def test_sine_gordon_zero_and_pi_equilibria():
     tg = TimeGrid(20, 0.05)
     z = FieldState.from_initial(grid, tg, np.zeros(32),
                                 initial_velocity=np.zeros(32))
-    evolve_sine_gordon(z, 2.0, 2.0)
+    evolve_field(_sine_gordon(2.0), z, 2.0)
     assert np.max(np.abs(z.history)) < 1e-14
     p = FieldState.from_initial(grid, tg, np.full(32, np.pi),
                                 initial_velocity=np.zeros(32))
-    evolve_sine_gordon(p, 2.0, 2.0)
+    evolve_field(_sine_gordon(2.0), p, 2.0)
     assert np.max(np.abs(p.current() - np.pi)) < 1e-10
 
 
@@ -743,7 +747,7 @@ def test_sine_gordon_reference_leapfrog_and_kink():
         u_new = 2 * u_cur - u_prev + dt_ref ** 2 * (lap(u_cur) - np.sin(u_cur))
         u_prev, u_cur = u_cur, u_new
 
-    evolve_sine_gordon(state, 2.0, 2.0)  # dt = 0.02, t = 20
+    evolve_field(_sine_gordon(2.0), state, 2.0)  # dt = 0.02, t = 20
     assert np.max(np.abs(state.current() - u_cur)) < 5e-3
     assert np.max(np.abs(state.current() - pair(20.0))) < 5e-3
 
@@ -755,7 +759,7 @@ def test_fractional_sine_gordon_runs_and_preserves_parity():
     u0 = 0.5 * np.sin(TWO_PI * x / 40.0)  # odd about x = 0 on the ring
     state = FieldState.from_initial(grid, tg, u0,
                                     initial_velocity=np.zeros(128))
-    evolve_sine_gordon(state, 1.5, 1.7)
+    evolve_field(_sine_gordon(1.5), state, 1.7)
     u = state.current()
     assert np.all(np.isfinite(u))
     assert np.allclose(u, -np.roll(u[::-1], 1), atol=1e-10)
@@ -765,7 +769,7 @@ def test_sine_gordon_requires_velocity():
     grid = GridSpec(16, 10.0)
     state = FieldState.from_initial(grid, TimeGrid(5, 0.01), np.zeros(16))
     with pytest.raises(DomainError):
-        evolve_sine_gordon(state, 2.0, 2.0)
+        evolve_field(_sine_gordon(2.0), state, 2.0)
 
 
 # ------------------------------------------------------------ NLS
@@ -1116,23 +1120,6 @@ def test_free_energy_zero_and_uniform():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_free_energy_gradient_is_negated_riesz_plus_force():
-    grid = GridSpec(128, TWO_PI)
-    rng = np.random.default_rng(8)
-    coef = rng.standard_normal(7)
-    u = sum(coef[j] * np.cos(j * grid.x + 0.2 * j) for j in range(7))
-    g, a, b, alpha = 0.7, -0.4, 0.9, 1.5
-    model = ModelSpec(spatial_terms=((alpha, g),), a=a, b=b,
-                      potential=Potential.GINZBURG_LANDAU)
-    grad = free_energy_gradient(u, model, grid)
-    expected = -g * riesz_derivative_spectral(u, alpha, grid) + a * u + b * u ** 3
-    assert np.allclose(grad, expected, rtol=1e-12, atol=1e-12)
-    # and the same object is the stationary residual with the spatial
-    # coefficient negated
-    assert np.allclose(grad, stationary_residual(u, grid, alpha, -g, a, b),
-                       rtol=1e-12, atol=1e-12)
-
-
 def test_free_energy_finite_difference_gradient():
     grid = GridSpec(128, TWO_PI)
     rng = np.random.default_rng(9)
@@ -1140,7 +1127,7 @@ def test_free_energy_finite_difference_gradient():
     u = sum(coef[j] * np.cos(j * grid.x + 0.3 * j) for j in range(9))
     model = ModelSpec(spatial_terms=((1.5, 0.7),), a=-0.4, b=0.9,
                       potential=Potential.GINZBURG_LANDAU)
-    grad = free_energy_gradient(u, model, grid) * grid.dx
+    grad = stationary_residual(u, grid, 1.5, -0.7, -0.4, 0.9) * grid.dx
     eps = 1e-6
     for i in (0, 17, 64, 100):
         up, um = u.copy(), u.copy()
@@ -1335,7 +1322,7 @@ def test_l1_operators_hold_their_output_plus_one_block(beta):
 
 def test_sine_gordon_energy_positive_and_stable():
     grid, state, pair = _kink_pair_state(256, 80.0, 0.2, 400, 0.02)
-    evolve_sine_gordon(state, 2.0, 2.0)
+    evolve_field(_sine_gordon(2.0), state, 2.0)
     e_start = sine_gordon_energy(state, 0)
     e_end = sine_gordon_energy(state, 399)
     assert e_start > 0
@@ -1347,8 +1334,8 @@ def test_sine_gordon_energy_on_a_ring():
     ring = FieldState.from_initial(grid, full.time, full.level(0),
                                    initial_velocity=full.initial_velocity,
                                    rows=2)
-    evolve_sine_gordon(full, 2.0, 2.0)
-    evolve_sine_gordon(ring, 2.0, 2.0)
+    evolve_field(_sine_gordon(2.0), full, 2.0)
+    evolve_field(_sine_gordon(2.0), ring, 2.0)
     assert sine_gordon_energy(ring, 49) == sine_gordon_energy(full, 49)
     with pytest.raises(DomainError, match="level 0 is not held"):
         sine_gordon_energy(ring, 0)
