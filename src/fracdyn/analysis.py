@@ -69,49 +69,75 @@ _RATE_FIT_STEP_TOL = 64 * np.finfo(float).eps
 _RATE_FIT_STALL_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _ml_rate(times, ratio, beta, guess):
-    """The ``lam`` whose ``E_beta(lam t^beta)`` is nearest ``ratio`` at
-    ``times`` in least squares, by Gauss-Newton from ``guess``.
+def _ml_rates(times, ratios, beta, guesses):
+    """For each fit ``i``, the ``lam`` whose ``E_beta(lam t^beta)`` is
+    nearest ``ratios[i]`` at ``times[i]`` in least squares, by Gauss-Newton
+    from ``guesses[i]``; returns them as a list.
 
-    Real ``guess`` and ``ratio`` fit a real rate; a complex ``guess`` fits a
-    complex one.  The model is holomorphic in ``lam``, so its Jacobian is
-    ``J = t^beta E_beta'(lam t^beta)`` in either case, and the Gauss-Newton
-    step ``-J^H r / |J|^2`` is the real two-parameter step in complex form.
-    Each iteration makes one Mittag-Leffler pass returning both ``E_beta``
-    and ``E_beta'``; a converged fit logs its passes and rate at DEBUG.
+    Real guesses and ratios fit real rates; complex ones fit complex rates,
+    and the fits of one call are all of one kind.  The model is holomorphic
+    in ``lam``, so its Jacobian is ``J = t^beta E_beta'(lam t^beta)`` in
+    either case, and the Gauss-Newton step ``-J^H r / |J|^2`` is the real
+    two-parameter step in complex form.
 
-    The fit stops once the step is at rounding level: within a few ulps of
-    ``lam`` or of the resolution ``eps |ratio| / |J|`` of the data, or, once
-    below ``sqrt(eps) |lam|``, no longer contracting, which is the rounding
-    of the Mittag-Leffler values themselves (the alternating series loses
-    digits to cancellation at larger arguments).  It raises
-    ``ConvergenceError`` at a non-finite step, or if neither happens within
-    ``_RATE_FIT_MAX_ITER`` iterations (then with the last step's size as
-    ``estimate``).
+    The fits run in lockstep: each round makes one Mittag-Leffler pass,
+    returning both ``E_beta`` and ``E_beta'``, over the arguments of every
+    fit still running, and each fit takes its step from its own slice of
+    it, exactly as it would alone.  A fit stops once its step is at
+    rounding level: within a few ulps of ``lam`` or of the resolution
+    ``eps |ratio| / |J|`` of its data, or, once below ``sqrt(eps) |lam|``,
+    no longer contracting, which is the rounding of the Mittag-Leffler
+    values themselves (the alternating series loses digits to cancellation
+    at larger arguments).  Once every fit has stopped, each logs its passes
+    and rate at DEBUG, in fit order.
+
+    Raises ``ConvergenceError`` at a non-finite step, or for a fit that has
+    not stopped within ``_RATE_FIT_MAX_ITER`` rounds (then with its last
+    step's size as ``estimate``).  Of several failing fits the error names
+    the first in (round, fit) order: the earliest round, and in that round
+    the first fit in order; an error of the shared pass itself surfaces in
+    its round.
     """
-    tb = np.asarray(times, dtype=float) ** beta
-    ratio = np.asarray(ratio)
-    lam, prev = guess, math.inf
+    tbs = [np.asarray(t, dtype=float) ** beta for t in times]
+    ratios = [np.asarray(r) for r in ratios]
+    lams, passes = list(guesses), [0] * len(tbs)
+    prev = [math.inf] * len(tbs)
+    running = list(range(len(tbs)))
     for it in range(1, _RATE_FIT_MAX_ITER + 1):
-        val, der = mittag_leffler(beta, lam * tb, derivative=True)
-        jac = tb * der
-        jj = np.vdot(jac, jac).real
-        step = -np.vdot(jac, val - ratio) / jj
-        if not np.isfinite(step):
-            raise ConvergenceError(
-                f"Mittag-Leffler rate fit from {guess} did not converge: "
-                f"iteration {it} gave the non-finite Gauss-Newton step {step}")
-        lam = lam + step
-        size = abs(step)
-        if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(ratio)
-                                          / math.sqrt(jj))
-                or prev / 2 <= size <= _RATE_FIT_STALL_TOL * abs(lam)):
-            log.debug("rate fit: %d Mittag-Leffler passes, rate %s", it, lam)
-            return lam
-        prev = size
-    raise ConvergenceError(f"Mittag-Leffler rate fit from {guess} did not "
-                           f"converge within {_RATE_FIT_MAX_ITER} iterations",
-                           estimate=size)
+        if not running:
+            break
+        val, der = mittag_leffler(
+            beta, np.concatenate([lams[i] * tbs[i] for i in running]),
+            derivative=True)
+        still, end = [], 0
+        for i in running:
+            start, end = end, end + tbs[i].size
+            jac = tbs[i] * der[start:end]
+            jj = np.vdot(jac, jac).real
+            step = -np.vdot(jac, val[start:end] - ratios[i]) / jj
+            if not np.isfinite(step):
+                raise ConvergenceError(
+                    f"Mittag-Leffler rate fit from {guesses[i]} did not "
+                    f"converge: iteration {it} gave the non-finite "
+                    f"Gauss-Newton step {step}")
+            lams[i] = lam = lams[i] + step
+            size = abs(step)
+            if (size <= _RATE_FIT_STEP_TOL * (abs(lam) + np.linalg.norm(
+                    ratios[i]) / math.sqrt(jj))
+                    or prev[i] / 2 <= size <= _RATE_FIT_STALL_TOL * abs(lam)):
+                passes[i] = it
+            else:
+                prev[i] = size
+                still.append(i)
+        running = still
+    if running:
+        i = running[0]
+        raise ConvergenceError(f"Mittag-Leffler rate fit from {guesses[i]} "
+                               f"did not converge within {_RATE_FIT_MAX_ITER} "
+                               f"iterations", estimate=prev[i])
+    for n, lam in zip(passes, lams):
+        log.debug("rate fit: %d Mittag-Leffler passes, rate %s", n, lam)
+    return lams
 
 
 def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
@@ -137,17 +163,21 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
         raise DomainError("fractional-mode source requires b = 0")
     times, mode_dict = source
     times = np.asarray(times, dtype=float)
+    series_all = [np.asarray(series) for series in mode_dict.values()]
+    if beta != 1.0:   # every mode's rate fit in one lockstep loop
+        guesses = [1j * (-g * abs(k) ** alpha + a) for k in mode_dict]
+        rates = _ml_rates([times] * len(series_all),
+                          [series / series[0] for series in series_all],
+                          beta, guesses)
     meas, pred, rel, kv, disp = [], [], [], [], []
-    for k, series in mode_dict.items():
-        series = np.asarray(series)
+    for i, (k, series) in enumerate(zip(mode_dict, series_all)):
         if beta == 1.0:
             amp = float(np.abs(series[0]))
             m = -_phase_slope(times, series)
             p = -g * abs(k) ** alpha + a + b * amp ** 2
             d = (a + b * amp ** 2 - m) / g if g != 0 else np.nan
         else:
-            p = 1j * (-g * abs(k) ** alpha + a)
-            m = complex(_ml_rate(times, series / series[0], beta, p))
+            p, m = guesses[i], complex(rates[i])
             d = a - (m / 1j).real if g == 0 else (a - (m / 1j).real) / g
         meas.append(m)
         pred.append(p)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _fit_exponent, _ml_rate
+from .analysis import _fit_exponent, _ml_rates
 from .errors import ConvergenceError, DomainError
 from .fields import (FieldState, Interaction, LevelRing, ModelSpec, Potential,
                      _evolve_linear_implicit)
@@ -171,14 +171,18 @@ class ChainContinuumReport:
     fitted_exponent: float
 
 
-def _fit_mode_rate(times, amps, beta, rate_guess):
-    """Rate ``lam`` of ``A(t) = A(0) E_beta(lam t^beta)`` from an amplitude
-    series.  Exponential ratio for ``beta = 1``; least squares against the
-    Mittag-Leffler law otherwise."""
-    a0 = amps[0]
+def _fit_mode_rate(times, amps, beta, rate_guesses):
+    """Rates ``lam`` of ``A(t) = A(0) E_beta(lam t^beta)`` from every
+    mode's amplitude series, one per mode, each at its own times.
+    Exponential ratio for ``beta = 1``; least squares against the
+    Mittag-Leffler law otherwise, every mode's fit in one lockstep loop
+    (``analysis._ml_rates``)."""
     if beta == 1.0:
-        return float(np.log(amps[-1] / a0) / times[-1])
-    return float(_ml_rate(times[1:], amps[1:] / a0, beta, rate_guess))
+        return [float(np.log(a[-1] / a[0]) / t[-1])
+                for t, a in zip(times, amps)]
+    return list(map(float, _ml_rates([t[1:] for t in times],
+                                     [a[1:] / a[0] for a in amps],
+                                     beta, rate_guesses)))
 
 
 def _check_compare(spec: ChainSpec, modes, fit_horizon):
@@ -252,24 +256,22 @@ def continuum_limit_compare(spec: ChainSpec, modes, dt, n_steps,
     levels = _evolve_linear_implicit(ring, beta, loc,
                                      spec.g0 * ring_sym[modes]).history
     t = time.t
-    meas, latt, cont, devc, devl = [], [], [], [], []
+    latt = [float(rates_lattice_all[m]) for m in modes]
+    times, amps = [], []
     for i, m in enumerate(modes):
-        lam_latt = float(rates_lattice_all[m])
-        lam_cont = -g_alpha * abs(kvals[i]) ** spec.alpha - a_lin
-        horizon = fit_horizon / max(abs(lam_latt), 1e-300)
+        horizon = fit_horizon / max(abs(latt[i]), 1e-300)
         jmax = min(n_steps, max(2, int(round(horizon / dt))))
         # sorted(set()) rather than np.unique, which loads numpy.ma on first use
         sel = sorted(set(np.linspace(0, jmax, min(_FIT_LEVELS, jmax + 1))
                          .astype(int).tolist()))
-        amps = np.abs(levels[sel, i])
-        if np.any(amps == 0):
+        amps.append(np.abs(levels[sel, i]))
+        if np.any(amps[-1] == 0):
             raise ConvergenceError(f"mode {m} amplitude vanished; cannot fit a rate")
-        lam_meas = _fit_mode_rate(t[sel], amps, beta, lam_latt)
-        meas.append(lam_meas)
-        latt.append(lam_latt)
-        cont.append(lam_cont)
-        devc.append(abs(lam_meas - lam_cont) / abs(lam_cont))
-        devl.append(abs(lam_meas - lam_latt) / abs(lam_latt))
+        times.append(t[sel])
+    meas = _fit_mode_rate(times, amps, beta, latt)
+    cont = [-g_alpha * abs(k) ** spec.alpha - a_lin for k in kvals]
+    devc = [abs(lm - lc) / abs(lc) for lm, lc in zip(meas, cont)]
+    devl = [abs(lm - ll) / abs(ll) for lm, ll in zip(meas, latt)]
 
     slope = _fit_exponent(kvals, np.abs(np.array(meas) + a_lin))
     return ChainContinuumReport(

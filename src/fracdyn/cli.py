@@ -1,12 +1,12 @@
 """Experiment runner.
 
 Configs are INI files (``configparser`` syntax): named sections of
-``key = value`` pairs.  Unknown sections or keys are rejected.  A rule on
-one key is that key's ``_SCHEMA`` entry, checked as its section is
-resolved; sections are resolved in schema order, so a missing section is
-reported by its first required key.  A rule that joins keys is in
-``_build``, and a library rule is the library's own, reached through
-``_checked``.
+``key = value`` pairs.  Unknown sections or keys are rejected.  Sections
+are resolved in schema order, so a missing section is reported by its
+first required key.  A rule on one key is that key's ``_SCHEMA`` entry, a
+rule that joins keys is in ``_build``, and a library rule is the library's
+own, reached through ``_checked``; ``_build`` checks all three, for both
+``load_config`` and ``run``.
 
 Every run writes ``metadata.json`` (the fully resolved configuration plus
 the library version; it re-parses into an equal configuration), one or
@@ -85,8 +85,8 @@ def _one_of(*choices):
 
 
 # (section, key) -> (converter, default[, rule]); REQUIRED means no default.
-# A rule, (test, reason), is the key's own: it is checked on the converted
-# value alone.  Rules that join keys are checked in ``_build``.
+# A rule, (test, reason), is the key's own: ``_build`` checks it on the
+# converted value alone.  Rules that join keys are checked there too.
 REQUIRED = object()
 _MODES = (lambda m: len(m) > 0 and len(set(m)) == len(m),
           "needs at least one mode and no mode twice")
@@ -183,10 +183,21 @@ def _resolve_section(name, raw):
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
         else:
             out[key] = default
-        for test, reason in rule:
-            if not test(out[key]):
-                raise _invalid(name, key, out[key], reason)
     return out
+
+
+def _check_rules(cfg):
+    """Check each key's own ``_SCHEMA`` rule on ``cfg``'s values, section by
+    section in schema order."""
+    given = {"experiment": {"kind": cfg.kind, "seed": cfg.seed},
+             **cfg.sections}
+    for name in _SCHEMA:
+        if name not in given:
+            continue
+        for key, (_, _, *rule) in _SCHEMA[name].items():
+            for test, reason in rule:
+                if not test(given[name][key]):
+                    raise _invalid(name, key, given[name][key], reason)
 
 
 def _checked(cfg, section, key, make, *args, **kwargs):
@@ -213,11 +224,12 @@ def _local_model(sec, **kw):
 
 
 def _build(cfg: ExperimentConfig):
-    """Build what ``cfg``'s run uses through the library's own checks, and
-    check the runner's rules that join several keys (a rule on one key is
-    its ``_SCHEMA`` entry's, checked as the section is resolved).  Returns
-    the ``GridSpec``, ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run
-    has, by section; ``[sine_gordon]``'s equation is the ``"model"``."""
+    """Check each key's own rule (its ``_SCHEMA`` entry's), build what
+    ``cfg``'s run uses through the library's own checks, and check the
+    runner's rules that join several keys.  Returns the ``GridSpec``,
+    ``TimeGrid``, ``ModelSpec`` and ``ChainSpec`` the run has, by section;
+    ``[sine_gordon]``'s equation is the ``"model"``."""
+    _check_rules(cfg)
     s = cfg.sections
     specs = {}
     if "grid" in s:
@@ -634,10 +646,10 @@ _KINDS = {
 
 
 def run(cfg: ExperimentConfig, outdir):
-    """Execute an experiment; returns the summary dict.  ``cfg``'s library
-    rules and the rules that join its keys are checked again, as
-    ``load_config`` checks them, before any file is written; the rules on
-    single keys were checked as ``load_config`` resolved each section."""
+    """Execute an experiment; returns the summary dict.  Every rule of
+    ``cfg`` (on one key, joining keys, or the library's) is checked again,
+    by the ``_build`` that ``load_config`` calls, before any file is
+    written, so an edited or replayed config cannot run past one."""
     specs = _build(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

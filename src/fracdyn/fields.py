@@ -85,9 +85,11 @@ caller that does not need the trajectory asks for 2 rows and collects what
 it keeps through the steppers' ``observe(j, u)`` callback.  Reading a level
 the ring no longer holds raises ``DomainError``.  ``LevelRing.place`` is the
 one place a level is made: the L1 stepper, the whole-run solve and the NLS
-splitting only compute levels, and ``place`` passes each one's sup-norm
-through the blow-up guard against the newest level's, and only then writes
-it to its ring row, counts it in ``n_completed`` and calls ``observe``.
+splitting only compute levels, and ``place`` passes the sup-norms of the
+levels it is handed through the blow-up guard (``_guard``) in one pass,
+each against the level before it, and only then writes each level that
+passes to its ring row, counts it in ``n_completed`` and calls
+``observe``, in step order, up to the first level that fails.
 """
 
 import enum
@@ -261,23 +263,35 @@ class LevelRing:
 
     def place(self, levels, observe=None):
         """Make levels ``n_completed + 1, ...`` from the rows of ``levels``,
-        the one place levels are made: each in turn passes the blow-up guard
-        with its sup-norm against the newest level's, and only then is
-        written to its ring row, counted and passed to ``observe(j, row)``.
-        Rows no level holds yet take the levels in one slice, as a NumPy
-        write per level costs the whole-run solve more than its guards."""
+        the one place levels are made.  The blow-up guard takes the block's
+        sup-norms in one pass, each against the level before it; every
+        level before the first that fails is then written to its ring row,
+        counted and passed to ``observe(j, row)``, in step order, and that
+        level's ``BlowUpError`` is raised.  Without ``observe`` a block
+        goes in one slice write, of only the newest ``len(history)`` levels
+        on a ring they wrap; with it each level is written just before its
+        call, as an observer may read other held levels."""
         first, rows = self.n_completed + 1, self.history
-        at_once = first + len(levels) <= len(rows)   # the ring has not wrapped
-        if at_once:
-            rows[first:first + len(levels)] = levels
-        for j, norm in enumerate(np.abs(levels).max(axis=1).tolist(), first):
-            self._newest_norm = _guard(norm, j, self._newest_norm)
-            i = j % len(rows)
-            if not at_once:
+        norms = np.abs(levels).max(axis=1)
+        passed, error = _guard(norms, first, self._newest_norm)
+        if observe is None and passed > 1:
+            lo = max(0, passed - len(rows))   # levels lo.. stay held
+            i = (first + lo) % len(rows)
+            head = min(passed - lo, len(rows) - i)
+            rows[i:i + head] = levels[lo:lo + head]
+            rows[:passed - lo - head] = levels[lo + head:passed]
+            self.n_completed = first + passed - 1
+            self._newest_norm = float(norms[passed - 1])
+        else:
+            for j in range(first, first + passed):
+                i = j % len(rows)
                 rows[i] = levels[j - first]
-            self.n_completed = j
-            if observe is not None:
-                observe(j, rows[i])
+                self.n_completed = j
+                self._newest_norm = float(norms[j - first])
+                if observe is not None:
+                    observe(j, rows[i])
+        if error is not None:
+            raise error
 
     def transforms(self):
         """Forward and inverse transform between a level and the modes the
@@ -314,16 +328,35 @@ class FieldState(LevelRing):
         return np.fft.rfft, lambda v: np.fft.irfft(v, n=n)
 
 
-def _guard(norm, step, prev_norm):
-    """Check a new level's sup-norm ``norm`` against the previous level's;
-    returns ``norm`` for the next call."""
+def _guard(norms, step, prev_norm):
+    """The blow-up rule over the sup-norms ``norms`` of new levels ``step,
+    step + 1, ...``: each must be finite and at most ``GROWTH_LIMIT`` times
+    the one before it, the first ``prev_norm`` (no growth limit after a
+    zero level).  One level takes scalar arithmetic, a block one vector
+    pass.  Returns how many levels pass before the first that fails, and
+    that level's ``BlowUpError``, or None if every level passes."""
+    if len(norms) == 1:
+        norm, passed = float(norms[0]), 0
+        if math.isfinite(norm) and not (prev_norm > 0
+                                        and norm > GROWTH_LIMIT * prev_norm):
+            return 1, None
+    else:
+        prev = np.empty_like(norms)
+        prev[0], prev[1:] = prev_norm, norms[:-1]
+        with np.errstate(over="ignore"):   # as Python's float product does
+            bad = ~np.isfinite(norms) | ((prev > 0)
+                                         & (norms > GROWTH_LIMIT * prev))
+        passed = int(bad.argmax())
+        if not bad[passed]:
+            return len(norms), None
+        norm, prev_norm = float(norms[passed]), float(prev[passed])
+    step += passed
     if not math.isfinite(norm):
-        raise BlowUpError(f"non-finite field at step {step}", step=step, norm=norm)
-    if prev_norm > 0 and norm > GROWTH_LIMIT * prev_norm:
-        raise BlowUpError(
-            f"sup-norm grew by {norm / prev_norm:.3g} in one step at step {step}",
-            step=step, norm=norm)
-    return norm
+        return passed, BlowUpError(f"non-finite field at step {step}",
+                                   step=step, norm=norm)
+    return passed, BlowUpError(
+        f"sup-norm grew by {norm / prev_norm:.3g} in one step at step {step}",
+        step=step, norm=norm)
 
 
 def _explicit_terms(model, u, sym, fwd, inv):
@@ -477,9 +510,9 @@ def _solve_linear_implicit(state, beta, model, a, sym, observe):
     stepper to run the whole run.  Else the solve logs that it solved the
     run and places each level once: levels are formed and
     inverse-transformed in the row blocks of ``fracops._blocks``, and each
-    block is made by :meth:`LevelRing.place` level by level, as the stepper
-    makes its levels, so a ``BlowUpError`` leaves the state and ``observe``
-    where the stepper's would.  Returns None.
+    block is made by one :meth:`LevelRing.place`, which guards its levels
+    in step order as the stepper's are guarded, so a ``BlowUpError`` leaves
+    the state and ``observe`` where the stepper's would.  Returns None.
     """
     n, dt = state.time.n_steps, state.time.dt
     fwd, inv = state.transforms()

@@ -13,9 +13,10 @@ mode equations by forward substitution in extended precision, the power
 series reciprocal with every column's whole series held and transformed, the
 Mittag-Leffler series one term at a time over the argument array, the
 Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
-rate fit by SciPy's trust-region least squares, the preconditioned
-stationary Jacobian with its two terms transformed apart, and the CSV
-writer that formats one value at a time.
+rate fit by SciPy's trust-region least squares and by Gauss-Newton one fit
+at a time, the preconditioned stationary Jacobian with its two terms
+transformed apart, the CSV writer that formats one value at a time, and
+the placing of a block of levels with one blow-up guard call per level.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.  One
 helper is the path under test instead: ``ring_coupling_sum`` forms the
@@ -31,9 +32,10 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from fracdyn import chain, fracops
+from fracdyn import analysis, chain, fields, fracops
 from fracdyn.chain import ChainSpec
-from fracdyn.errors import ConvergenceError, DomainError, FracdynError
+from fracdyn.errors import (BlowUpError, ConvergenceError, DomainError,
+                            FracdynError)
 from fracdyn.fields import Interaction, Potential
 from fracdyn.fracops import _series_ratios, l1_weights, mittag_leffler
 from fracdyn.grids import GridSpec, validate_temporal_order
@@ -676,6 +678,72 @@ def ml_rate_least_squares(times, ratio, beta, guess):
     if not sol.success:
         raise DomainError("least-squares rate fit failed")
     return complex(*sol.x) if is_complex else float(sol.x[0])
+
+
+def ml_rate_one_fit(times, ratio, beta, guess):
+    """``(lam, passes)``: one Mittag-Leffler rate fit by Gauss-Newton from
+    ``guess``, alone, with a Mittag-Leffler pass of its own per iteration,
+    and the number of those passes.  This is the per-fit loop that
+    ``analysis._ml_rates`` runs in lockstep with the other fits of a call;
+    every fit there must return this ``lam`` bit for bit.  It reads the
+    fit's iteration budget and tolerances from ``analysis`` at each call."""
+    tb = np.asarray(times, dtype=float) ** beta
+    ratio = np.asarray(ratio)
+    lam, prev = guess, math.inf
+    for it in range(1, analysis._RATE_FIT_MAX_ITER + 1):
+        val, der = mittag_leffler(beta, lam * tb, derivative=True)
+        jac = tb * der
+        jj = np.vdot(jac, jac).real
+        step = -np.vdot(jac, val - ratio) / jj
+        if not np.isfinite(step):
+            raise ConvergenceError(
+                f"Mittag-Leffler rate fit from {guess} did not converge: "
+                f"iteration {it} gave the non-finite Gauss-Newton step {step}")
+        lam = lam + step
+        size = abs(step)
+        if (size <= analysis._RATE_FIT_STEP_TOL * (
+                abs(lam) + np.linalg.norm(ratio) / math.sqrt(jj))
+                or prev / 2 <= size
+                <= analysis._RATE_FIT_STALL_TOL * abs(lam)):
+            return lam, it
+        prev = size
+    raise ConvergenceError(f"Mittag-Leffler rate fit from {guess} did not "
+                           f"converge within {analysis._RATE_FIT_MAX_ITER} "
+                           f"iterations", estimate=size)
+
+
+def _guard_one_level(norm, step, prev_norm):
+    """The blow-up rule on one level's sup-norm ``norm`` against the
+    previous level's; returns ``norm`` for the next call."""
+    if not math.isfinite(norm):
+        raise BlowUpError(f"non-finite field at step {step}", step=step, norm=norm)
+    if prev_norm > 0 and norm > fields.GROWTH_LIMIT * prev_norm:
+        raise BlowUpError(
+            f"sup-norm grew by {norm / prev_norm:.3g} in one step at step {step}",
+            step=step, norm=norm)
+    return norm
+
+
+def place_per_level(ring, levels, observe=None):
+    """``LevelRing.place`` one level at a time: each level in turn passes
+    the blow-up guard with its sup-norm against the newest level's, and
+    only then is written to its ring row, counted and passed to
+    ``observe(j, row)``.  Rows no level holds yet take the block in one
+    slice first.  ``LevelRing.place``, which guards the whole block in one
+    pass, must leave every held level, ``n_completed``, the newest norm,
+    the ``observe`` calls and the ``BlowUpError`` as this loop does."""
+    first, rows = ring.n_completed + 1, ring.history
+    at_once = first + len(levels) <= len(rows)   # the ring has not wrapped
+    if at_once:
+        rows[first:first + len(levels)] = levels
+    for j, norm in enumerate(np.abs(levels).max(axis=1).tolist(), first):
+        ring._newest_norm = _guard_one_level(norm, j, ring._newest_norm)
+        i = j % len(rows)
+        if not at_once:
+            rows[i] = levels[j - first]
+        ring.n_completed = j
+        if observe is not None:
+            observe(j, rows[i])
 
 
 def cutoff_for_tolerance(alpha, tol):

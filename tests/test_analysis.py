@@ -13,7 +13,7 @@ from fracdyn.fields import FieldState, nls_evolve, nls_linear_mode_evolution
 from fracdyn.fracops import mittag_leffler
 from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (convergence_order, laplace_symbol_check,
-                     ml_rate_least_squares, mode_series)
+                     ml_rate_least_squares, ml_rate_one_fit, mode_series)
 
 TWO_PI = 2 * np.pi
 
@@ -105,7 +105,7 @@ def test_dispersion_rate_fit_matches_least_squares(beta, k):
     # complex rates: the holomorphic Gauss-Newton fit against SciPy's least
     # squares over the real and imaginary parts
     times, series, guess = _perturbed_mode_law(beta, k)
-    lam = analysis._ml_rate(times, series, beta, guess)
+    lam = analysis._ml_rates([times], [series], beta, [guess])[0]
     assert isinstance(lam, complex)
     assert lam == pytest.approx(
         ml_rate_least_squares(times, series, beta, guess), rel=1e-9)
@@ -119,7 +119,7 @@ def test_dispersion_rate_fit_where_the_series_cancels():
     # least squares with a finite-difference Jacobian stops about 1.5e-7
     # away; the fit's misfit is the smaller and its gradient the nearer 0
     times, series, guess = _perturbed_mode_law(0.5, 2.0)
-    lam = analysis._ml_rate(times, series, 0.5, guess)
+    lam = analysis._ml_rates([times], [series], 0.5, [guess])[0]
     ref = ml_rate_least_squares(times, series, 0.5, guess)
     cost, grad = _misfit(times, series, 0.5, lam)
     ref_cost, ref_grad = _misfit(times, series, 0.5, ref)
@@ -136,7 +136,40 @@ def test_rate_fit_names_a_non_finite_step(bad):
     ratio[5] = bad
     with pytest.raises(ConvergenceError, match=r"iteration 1 gave the non-finite "
                        r"Gauss-Newton step (nan|-?inf)"):
-        analysis._ml_rate(times, ratio, 0.9, -0.4)
+        analysis._ml_rates([times], [ratio], 0.9, [-0.4])
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8])
+def test_lockstep_dispersion_fits_equal_one_fit_at_a_time(beta):
+    # the complex rate fits of dispersion_check, in one lockstep loop,
+    # against each fit alone, bit for bit; at beta = 1/2, k = 2 the series
+    # cancels and that fit stops on its stall rule
+    laws = {k: _perturbed_mode_law(beta, k) for k in (0.5, 1.0, 2.0)}
+    times = laws[0.5][0]
+    report = dispersion_check((times, {k: law[1] for k, law in laws.items()}),
+                              alpha=1.5, beta=beta, g=1.0, a=0.2)
+    alone = [ml_rate_one_fit(times, series / series[0], beta, guess)[0]
+             for _, series, guess in laws.values()]
+    assert report.measured == [complex(lam) for lam in alone]
+
+
+def test_lockstep_rate_fit_error_order(monkeypatch):
+    # of two failing fits the error is the first in (round, fit) order: a
+    # later fit that fails in round 1 before an earlier one whose budget
+    # runs out in round 2, and the earlier of two that fail in one round
+    times = np.linspace(0.1, 3.0, 24)
+    ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
+    broken = np.full(24, np.nan)
+    monkeypatch.setattr(analysis, "_RATE_FIT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"from -0\.3 did not converge: "
+                       r"iteration 1 gave the non-finite"):
+        analysis._ml_rates([times, times], [ratio, broken], 0.9, [-0.1, -0.3])
+    with pytest.raises(ConvergenceError, match=r"from -0\.1 did not converge "
+                       r"within 2 iterations"):
+        analysis._ml_rates([times, times], [ratio, ratio], 0.9, [-0.1, -0.3])
+    with pytest.raises(ConvergenceError, match=r"from -0\.2 did not converge: "
+                       r"iteration 1"):
+        analysis._ml_rates([times, times], [broken, broken], 0.9, [-0.2, -0.3])
 
 
 def test_dispersion_rejects_beta_mismatch():

@@ -19,7 +19,7 @@ from fracdyn.grids import TimeGrid
 from oracles import (EXTENDED_PRECISION, evolve_linear_implicit_direct,
                      evolve_linear_implicit_extended, interaction_sum_direct,
                      l1_mode_levels_extended, ml_rate_least_squares,
-                     ring_coupling_sum)
+                     ml_rate_one_fit, ring_coupling_sum)
 
 
 def _spec(n=128, alpha=1.5, g0=-1.0, beta=1.0, cutoff=0, **local_kw):
@@ -459,26 +459,28 @@ def test_rate_fit_matches_least_squares(monkeypatch, modes):
     # chain_fit-sized compares (4,096 particles, beta = 0.9, dt = 0.1, fit
     # horizon 4): the Gauss-Newton rate against SciPy's least squares on the
     # same amplitudes, the normal equation J^T r = 0 at rounding level, and
-    # at most 6 Mittag-Leffler passes per fit
-    fits, passes = [], []
+    # at most 6 Mittag-Leffler passes per fit: the lockstep loop of all
+    # three fits makes one pass per round, as many as its longest fit
+    fits, calls = [], []
     fit, ml = chain._fit_mode_rate, analysis.mittag_leffler
 
-    def spy_fit(times, amps, beta, guess):
-        passes.append(0)
-        lam = fit(times, amps, beta, guess)
-        fits.append((times[1:], amps[1:] / amps[0], beta, guess, lam))
-        return lam
+    def spy_fit(times, amps, beta, guesses):
+        lams = fit(times, amps, beta, guesses)
+        fits.extend((t[1:], a[1:] / a[0], beta, guess, lam)
+                    for t, a, guess, lam in zip(times, amps, guesses, lams))
+        return lams
 
     def counted_ml(*args, **kwargs):
-        passes[-1] += 1
+        calls.append(1)
         return ml(*args, **kwargs)
 
     monkeypatch.setattr(chain, "_fit_mode_rate", spy_fit)
     monkeypatch.setattr(analysis, "mittag_leffler", counted_ml)
     continuum_limit_compare(_spec(n=4096, beta=0.9), modes, 0.1, 3000,
                             fit_horizon=4.0)
-    assert len(fits) == 3 and max(passes) <= 6
+    assert len(fits) == 3 and len(calls) <= 6
     for times, ratio, beta, guess, lam in fits:
+        assert ml_rate_one_fit(times, ratio, beta, guess)[1] <= 6
         assert lam == pytest.approx(
             ml_rate_least_squares(times, ratio, beta, guess), rel=1e-9)
         tb = times ** beta
@@ -489,9 +491,11 @@ def test_rate_fit_matches_least_squares(monkeypatch, modes):
 
 
 def test_rate_fit_logs_its_passes(monkeypatch, caplog):
-    # one DEBUG record per rate fit with its Mittag-Leffler passes and its
-    # rate; the chain_fit-shaped compare (4,096 particles, beta = 0.9,
-    # dt = 0.1, modes 20/30/60, fit horizon 4) makes 14 passes over 3 fits
+    # one DEBUG record per rate fit, in mode order, with its own
+    # Mittag-Leffler passes and its rate; the chain_fit-shaped compare
+    # (4,096 particles, beta = 0.9, dt = 0.1, modes 20/30/60, fit horizon
+    # 4) logs 14 passes over 3 fits, and the lockstep loop makes them in 5
+    # shared passes, the most any one fit takes
     calls, ml = [], analysis.mittag_leffler
 
     def counted_ml(*args, **kwargs):
@@ -507,19 +511,54 @@ def test_rate_fit_logs_its_passes(monkeypatch, caplog):
                for r in fits)
     assert [r.args[1] for r in fits] == report.rate_measured
     passes = [r.args[0] for r in fits]
-    assert len(passes) == 3 and sum(passes) == len(calls) == 14
+    assert len(passes) == 3 and sum(passes) == 14
+    assert len(calls) == max(passes) == 5
+
+
+@pytest.mark.parametrize("beta, modes, horizon", [
+    (0.9, [16, 44, 62], 4.0), (0.9, [11, 23, 27], 4.0),
+    (0.9, [20, 30, 60], 4.0), (0.8, [30, 60, 120], 20.0)],
+    ids=["chain_fit-a", "chain_fit-b", "chain_fit-c", "quadrature"])
+def test_lockstep_rate_fits_equal_one_fit_at_a_time(monkeypatch, caplog,
+                                                    beta, modes, horizon):
+    # the lockstep loop against each fit alone (4,096 particles, dt = 0.1,
+    # 3,000 steps), bit for bit: rates, and each fit's logged passes.  At
+    # fit horizon 20 the fastest mode's arguments reach |z| = 8.1, past the
+    # series radius 5, so its shared passes take the quadrature fallback
+    inputs, largest, ml = [], [], analysis.mittag_leffler
+    fit = chain._fit_mode_rate
+
+    def spy_fit(times, amps, beta, guesses):
+        inputs.extend(zip(times, amps, guesses))
+        return fit(times, amps, beta, guesses)
+
+    def spy_ml(beta, z, **kwargs):
+        largest.append(np.max(np.abs(z)))
+        return ml(beta, z, **kwargs)
+
+    monkeypatch.setattr(chain, "_fit_mode_rate", spy_fit)
+    monkeypatch.setattr(analysis, "mittag_leffler", spy_ml)
+    caplog.set_level(logging.DEBUG, logger="fracdyn")
+    report = continuum_limit_compare(_spec(n=4096, beta=beta), modes, 0.1,
+                                     3000, fit_horizon=horizon)
+    alone = [ml_rate_one_fit(t[1:], a[1:] / a[0], beta, guess)
+             for t, a, guess in inputs]
+    assert report.rate_measured == [float(lam) for lam, _ in alone]
+    assert [r.args for r in caplog.records
+            if r.msg.startswith("rate fit:")] == [(n, lam) for lam, n in alone]
+    assert (max(largest) > 5.0) == (horizon > 4.0)
 
 
 def test_rate_fit_failure_raises(monkeypatch):
     times = np.linspace(0.1, 3.0, 24)
     ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
-    assert analysis._ml_rate(times, ratio, 0.9, -0.4) == pytest.approx(
-        -0.5, rel=1e-13)
+    assert analysis._ml_rates([times], [ratio], 0.9, [-0.4])[0] == \
+        pytest.approx(-0.5, rel=1e-13)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        analysis._ml_rate(times, np.full(24, np.nan), 0.9, -0.4)
+        analysis._ml_rates([times], [np.full(24, np.nan)], 0.9, [-0.4])
     monkeypatch.setattr(analysis, "_RATE_FIT_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="did not converge") as budget:
-        analysis._ml_rate(times, ratio, 0.9, -0.4)
+        analysis._ml_rates([times], [ratio], 0.9, [-0.4])
     # the estimate is the last step's size: one step from -0.4 towards -0.5
     assert budget.value.estimate == pytest.approx(0.1, rel=0.2)
 

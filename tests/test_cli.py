@@ -318,6 +318,26 @@ def test_run_checks_before_writing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("velocity", 1.0, r"kink velocity must satisfy \|v\| < 1"),
+    ("beta_plus_one", 1.0, r"temporal order in \(1, 2\]")],
+    ids=["velocity", "beta_plus_one"])
+def test_run_checks_single_key_rules_before_writing(tmp_path, key, value,
+                                                    reason):
+    # a replayed kink config edited past the rule of one key fails in run()
+    # before the output directory is made: velocity 1 divided by zero in
+    # the kink's Lorentz factor, and order 1 stepped at first order and
+    # passed
+    write_metadata(tmp_path, load_config(_write(tmp_path, SINE_GORDON_CONFIG)))
+    cfg = read_metadata(tmp_path / "metadata.json")
+    cfg.sections["sine_gordon"][key] = value
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=rf"invalid '{key}': '{value}' in "
+                       rf"\[sine_gordon\]: .*{reason}"):
+        run(cfg, out)
+    assert not out.exists()
+
+
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 

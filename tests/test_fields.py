@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn import fields, fracops
 from fracdyn.errors import BlowUpError, ConvergenceError, DomainError
@@ -22,7 +24,8 @@ from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (EXTENDED_PRECISION, assert_same_bits,
                      evolve_linear_implicit_direct,
                      evolve_linear_implicit_extended, l1_history,
-                     residual_whole, stationary_jacobian_three_fft)
+                     place_per_level, residual_whole,
+                     stationary_jacobian_three_fft)
 
 TWO_PI = 2 * np.pi
 
@@ -660,6 +663,83 @@ def test_rejected_level_leaves_a_wrapped_ring_as_it_was():
     assert ring.n_completed == 2
     assert np.array_equal(ring.level(1), np.full(3, 2.0))
     assert np.array_equal(ring.level(2), np.full(3, 3.0))
+
+
+def _placed(place, rows, before, block, observe):
+    """Start a ring of ``rows`` rows at ones, make ``before`` with ``place``
+    a level at a time, then ``block`` in one call.  Returns the ring, the
+    ``observe`` calls of the block (each level and the one before it, as
+    the observer read them) and its error, or None."""
+    ring = fields.LevelRing.start(TimeGrid(40, 0.1), np.ones(block.shape[1]),
+                           rows=rows)
+    for level in before:
+        place(ring, level[None])
+    calls = []
+
+    def record(j, u):
+        calls.append((j, u.copy(), ring.level(j - 1).copy()))
+
+    try:
+        place(ring, block, record if observe else None)
+    except BlowUpError as exc:
+        return ring, calls, exc
+    return ring, calls, None
+
+
+@given(rows=st.integers(2, 6), n_before=st.integers(0, 8),
+       length=st.integers(1, 12), width=st.integers(1, 3),
+       observe=st.booleans(),
+       scales=st.lists(st.floats(0.5, 2.0), min_size=20, max_size=20),
+       zero=st.integers(-1, 19),
+       fail=st.sampled_from([None, "nan", "growth", "limit"]),
+       where=st.sampled_from(["first", "middle", "last"]))
+@settings(max_examples=200, deadline=None)
+def test_block_place_matches_per_level_place(rows, n_before, length, width,
+                                             observe, scales, zero, fail,
+                                             where):
+    # the one-pass guard of a block against the per-level loop it replaced:
+    # every held level, n_completed, the newest norm, the observe calls
+    # (with the level before each, read from the ring) and the error.  The
+    # level at ``where`` in the block is made NaN, or its norm one ulp
+    # above the growth limit or exactly at it (which passes).  A zero level
+    # lifts the growth rule from the level after it
+    levels = np.asarray(scales)[:, None] * np.linspace(1.0, -0.5, width)
+    if zero >= 0:
+        levels[zero] = 0.0
+    before = levels[:n_before]
+    block = levels[n_before:n_before + length].copy()
+    if fail is not None:
+        k = {"first": 0, "middle": length // 2, "last": length - 1}[where]
+        prev = block[k - 1] if k else levels[n_before - 1] if n_before \
+            else np.ones(width)
+        limit = fields.GROWTH_LIMIT * np.abs(prev).max()
+        block[k] = 0.0
+        block[k, -1] = {"nan": np.nan, "limit": limit,
+                        "growth": np.nextafter(limit, np.inf)}[fail]
+    new = _placed(fields.LevelRing.place, rows, before, block, observe)
+    old = _placed(place_per_level, rows, before, block, observe)
+    (ring, calls, err), (ref, ref_calls, ref_err) = new, old
+    assert ring.n_completed == ref.n_completed
+    assert ring._newest_norm == ref._newest_norm
+    held = range(max(0, ref.n_completed - rows + 1), ref.n_completed + 1)
+    for j in held:
+        assert np.array_equal(ring.level(j), ref.level(j))
+    if ref_err is None:
+        # with no failure, the per-level loop writes no row no level holds
+        assert np.array_equal(ring.history, ref.history)
+    assert len(calls) == len(ref_calls)
+    for call, ref_call in zip(calls, ref_calls):
+        assert call[0] == ref_call[0]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(call[1:], ref_call[1:]))
+    assert (err is None) == (ref_err is None)
+    if err is not None:
+        assert (str(err), err.step) == (str(ref_err), ref_err.step)
+        assert np.array_equal(err.norm, ref_err.norm, equal_nan=True)
+    if fail in ("nan", "growth") and where == "first" and not (
+            n_before and zero == n_before - 1):
+        # the failing level is the block's first: nothing is placed
+        assert err is not None and ring.n_completed == n_before
 
 
 @pytest.mark.parametrize("beta,coeff,match", [
