@@ -126,15 +126,15 @@ def _ml_rates(times, ratios, beta, guesses):
                     ratios[i]) / math.sqrt(jj))
                     or prev[i] / 2 <= size <= _RATE_FIT_STALL_TOL * abs(lam)):
                 passes[i] = it
+            elif it == _RATE_FIT_MAX_ITER:
+                raise ConvergenceError(
+                    f"Mittag-Leffler rate fit from {guesses[i]} did not "
+                    f"converge within {_RATE_FIT_MAX_ITER} iterations",
+                    estimate=size)
             else:
                 prev[i] = size
                 still.append(i)
         running = still
-    if running:
-        i = running[0]
-        raise ConvergenceError(f"Mittag-Leffler rate fit from {guesses[i]} "
-                               f"did not converge within {_RATE_FIT_MAX_ITER} "
-                               f"iterations", estimate=prev[i])
     for n, lam in zip(passes, lams):
         log.debug("rate fit: %d Mittag-Leffler passes, rate %s", n, lam)
     return lams

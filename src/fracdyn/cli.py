@@ -6,7 +6,8 @@ are resolved in schema order, so a missing section is reported by its
 first required key.  A rule on one key is that key's ``_SCHEMA`` entry, a
 rule that joins keys is in ``_build``, and a library rule is the library's
 own, reached through ``_checked``; ``_build`` checks all three, for both
-``load_config`` and ``run``.
+``load_config`` and ``run``, after every section has been resolved, so a
+missing or unconvertible key is reported before any rule's failure.
 
 Every run writes ``metadata.json`` (the fully resolved configuration plus
 the library version; it re-parses into an equal configuration), one or

@@ -267,19 +267,15 @@ class LevelRing:
         sup-norms in one pass, each against the level before it; every
         level before the first that fails is then written to its ring row,
         counted and passed to ``observe(j, row)``, in step order, and that
-        level's ``BlowUpError`` is raised.  Without ``observe`` a block
-        goes in one slice write, of only the newest ``len(history)`` levels
-        on a ring they wrap; with it each level is written just before its
-        call, as an observer may read other held levels."""
+        level's ``BlowUpError`` is raised.  Without ``observe`` a block that
+        fits the ring without wrapping goes in one slice write; otherwise
+        each level is written in turn, just before its call, as an observer
+        may read other held levels."""
         first, rows = self.n_completed + 1, self.history
         norms = np.abs(levels).max(axis=1)
         passed, error = _guard(norms, first, self._newest_norm)
-        if observe is None and passed > 1:
-            lo = max(0, passed - len(rows))   # levels lo.. stay held
-            i = (first + lo) % len(rows)
-            head = min(passed - lo, len(rows) - i)
-            rows[i:i + head] = levels[lo:lo + head]
-            rows[:passed - lo - head] = levels[lo + head:passed]
+        if observe is None and passed > 1 and first + passed <= len(rows):
+            rows[first:first + passed] = levels[:passed]
             self.n_completed = first + passed - 1
             self._newest_norm = float(norms[passed - 1])
         else:

@@ -156,7 +156,9 @@ def test_lockstep_dispersion_fits_equal_one_fit_at_a_time(beta):
 def test_lockstep_rate_fit_error_order(monkeypatch):
     # of two failing fits the error is the first in (round, fit) order: a
     # later fit that fails in round 1 before an earlier one whose budget
-    # runs out in round 2, and the earlier of two that fail in one round
+    # runs out in round 2, and the earlier of two that fail in one round,
+    # whether both steps are non-finite or the earlier fit's budget runs
+    # out in the round where the later one's step is non-finite
     times = np.linspace(0.1, 3.0, 24)
     ratio = mittag_leffler(0.9, -0.5 * times ** 0.9)
     broken = np.full(24, np.nan)
@@ -170,6 +172,10 @@ def test_lockstep_rate_fit_error_order(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"from -0\.2 did not converge: "
                        r"iteration 1"):
         analysis._ml_rates([times, times], [broken, broken], 0.9, [-0.2, -0.3])
+    monkeypatch.setattr(analysis, "_RATE_FIT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"from -0\.1 did not converge "
+                       r"within 1 iterations"):
+        analysis._ml_rates([times, times], [ratio, broken], 0.9, [-0.1, -0.3])
 
 
 def test_dispersion_rejects_beta_mismatch():

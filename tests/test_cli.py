@@ -882,6 +882,24 @@ def test_sine_gordon_bad_keys_reported_in_schema_order(tmp_path):
     load_config(_write(tmp_path, text))
 
 
+def test_key_rules_reported_after_every_section_resolves(tmp_path):
+    # every section is resolved (unknown and missing keys, conversions)
+    # before any key's own rule is checked, so a missing key in [time] is
+    # reported before the broken rule on [experiment] seed
+    text = SINE_GORDON_CONFIG.replace("kind = sine_gordon",
+                                      "kind = sine_gordon\nseed = -1")
+    with pytest.raises(ConfigError, match=r"missing required key 'dt' in "
+                       r"section \[time\]"):
+        load_config(_write(tmp_path, text.replace("dt = 0.05\n", "")))
+    with pytest.raises(ConfigError, match=r"bad value for 'n_steps' in "
+                       r"\[time\]"):
+        load_config(_write(tmp_path, text.replace("n_steps = 20",
+                                                  "n_steps = x")))
+    with pytest.raises(ConfigError, match=r"invalid 'seed': '-1' in "
+                       r"\[experiment\]"):
+        load_config(_write(tmp_path, text))
+
+
 def test_stationary_cli(tmp_path):
     text = """
 [experiment]
