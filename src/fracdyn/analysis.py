@@ -156,7 +156,9 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
       ``(i omega)^beta = -g |k|^alpha + a`` of the transform-side law.
 
     The dispersive part ``(a (+ b A^2) - omega)`` or ``Im(lam)/i``-shift is
-    also fit for its ``|k|`` exponent (expected: ``alpha``).
+    also fit for its ``|k|`` exponent (expected: ``alpha``).  A mode whose
+    series holds a zero coefficient raises ``ConvergenceError`` before any
+    fit.
     """
     beta = validate_temporal_order(beta, allow_high=False)
     if beta != 1.0 and b != 0.0:
@@ -164,6 +166,11 @@ def dispersion_check(source, *, alpha, beta, g, a, b=0.0):
     times, mode_dict = source
     times = np.asarray(times, dtype=float)
     series_all = [np.asarray(series) for series in mode_dict.values()]
+    for k, series in zip(mode_dict, series_all):
+        if np.any(series == 0):
+            raise ConvergenceError(
+                f"mode k = {k} amplitude vanished; cannot fit a "
+                f"{'frequency' if beta == 1.0 else 'rate'}")
     if beta != 1.0:   # every mode's rate fit in one lockstep loop
         guesses = [1j * (-g * abs(k) ** alpha + a) for k in mode_dict]
         rates = _ml_rates([times] * len(series_all),

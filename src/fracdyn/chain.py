@@ -86,8 +86,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_particles < 8:
             raise DomainError("need at least 8 particles", key="n_particles")
-        if self.dx <= 0:
-            raise DomainError("dx must be positive", key="dx")
+        if not math.isfinite(self.dx) or self.dx <= 0:
+            raise DomainError("dx must be positive and finite", key="dx")
         validate_spatial_order(self.alpha)
         validate_temporal_order(self.beta)
         if not 1 <= self.cutoff <= self.n_particles // 2:

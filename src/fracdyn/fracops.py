@@ -20,8 +20,8 @@ difference quotients led by the initial velocity), so beside its
 output an operator holds one block, never a whole-history temporary.  The
 FFTs take a block as lanes contiguous in time, one per real column: the
 differences are formed in that layout, and other increments are transposed
-once.  ``_blocks`` is the one rule that sizes a block of FFT work, here and
-in ``fields``: ``_FFT_BLOCK_BYTES`` of spectrum per block.
+once.  ``_blocks`` is the one rule that sizes a block of FFT or series
+work, here and in ``fields``: ``_FFT_BLOCK_BYTES`` per block.
 
 Where the L1 equations of a linear mode are solved for a whole run at once
 (``fields``, for linear first-order runs without a growing mode), the
@@ -32,10 +32,9 @@ rest is held and transformed once per Newton round, not once per mode.  The
 rounds are the outer loop, and each round takes the modes in blocks sized
 by its own FFT length, its coefficients held contiguous in time.
 
-The Mittag-Leffler function sums its series over the whole argument array,
-a block of terms at a time and bit for bit as a loop over single terms
-(every block as long as the largest argument's sums need to stop in the
-first, unless the array is too wide for that), under one cancellation
+The Mittag-Leffler function sums its series in the argument blocks of
+``_blocks``, every block over all the terms the largest argument's sums need
+to stop, bit for bit as a loop over single terms, under one cancellation
 guard, with an integral form as fallback, itself evaluated for all fallback
 arguments at once.
 
@@ -83,8 +82,9 @@ _FFT_BLOCK_BYTES = 1 << 18
 
 def _blocks(n, item_bytes):
     """Slices that cover ``range(n)`` in blocks of ``_FFT_BLOCK_BYTES``, an
-    item (a row or column) taking ``item_bytes`` of spectrum; at least one
-    item per block.  The one rule that sizes every block of FFT work."""
+    item (a row, column or Mittag-Leffler argument) taking ``item_bytes`` of
+    spectrum or series terms; at least one item per block.  The one rule
+    that sizes every block of FFT or series work."""
     size = max(1, _FFT_BLOCK_BYTES // item_bytes)
     return (slice(i, i + size) for i in range(0, n, size))
 
@@ -412,13 +412,13 @@ def _derivative_coefficients(beta):
 
 def _terms_to_stop(beta, z):
     """Terms a series pass over the 1-D ``z`` forms before both sums stop,
-    found from the largest ``|z|``, up to ``_MAX_TERMS + 2``: ``|z|^k /
-    Gamma(beta k + 1)`` bounds term ``k`` of ``E``, and ``k + 1`` times the
-    next coefficient ratio of it that of ``E'``.  Their logs are concave in
-    ``k``, so once both bounds are at most ``1e-17`` (at most ``1e-17
-    max(1, |sum|)``) they stay so, and both sums have stopped.  Two terms
-    more cover that bound and the rounding of the terms."""
-    r = float(np.max(np.abs(z), initial=0.0))
+    found from the largest non-NaN ``|z|``, up to ``_MAX_TERMS + 2``:
+    ``|z|^k / Gamma(beta k + 1)`` bounds term ``k`` of ``E``, and ``k + 1``
+    times the next coefficient ratio of it that of ``E'``.  Their logs are
+    concave in ``k``, so once both bounds are at most ``1e-17`` (at most
+    ``1e-17 max(1, |sum|)``) they stay so, and both sums have stopped.  Two
+    terms more cover that bound and the rounding of the terms."""
+    r = float(np.fmax.reduce(np.abs(z), initial=0.0))
     ratios = _series_ratios(beta)
     term, k = 1.0, 0
     while k < _MAX_TERMS and max(term, (k + 1) * ratios[k] * term) > 1e-17:
@@ -434,70 +434,59 @@ def _ml_series(beta, z):
     Each element stops on its own rule: ``E`` once its next term is at most
     ``1e-17 max(1, |sum|)``, ``E'`` once its current term is.  ``loss`` is
     the larger ratio ``largest term / max(1, |sum|)`` of the two, infinite
-    where a sum is not finite or has not stopped within ``_MAX_TERMS``.
+    where a sum is not finite or has not stopped within its ``n`` terms.
 
-    The terms ``term_{k+1} = term_k z r_k`` are formed one row at a time,
-    in blocks of one length: every term :func:`_terms_to_stop` finds the
-    largest ``|z|`` needs, so that the sums stop in the first block, capped
-    so that a block's work arrays (both series, complex) stay near
-    ``_FFT_BLOCK_BYTES``.  Only a capped pass forms later blocks.  Each
-    block then takes, for both series at once, the running sums
-    (``np.cumsum``, adding in term order), the stop tests, their running
-    ``and`` and the running peaks, and each element keeps its sums and
-    peaks at its own stops.  Every operation on an element is the one a
-    loop over single terms makes, in the same order, so the results are
-    bit for bit those of that loop (``tests/oracles.ml_series_loop``).
+    Every element takes the same ``n`` terms, at most ``_MAX_TERMS``: as
+    many as :func:`_terms_to_stop` finds the largest non-NaN ``|z|`` needs,
+    so every finite element's sums stop within them.  Each argument block of
+    :func:`_blocks` (``32 (n + 1)`` bytes an argument: both series, complex)
+    forms its terms ``term_{k+1} = term_k z r_k`` one row at a time, then
+    takes for both series at once the running sums (``np.cumsum``, adding
+    in term order), the stop tests, their running ``and`` and the running
+    peaks; each element keeps its sums and peaks at its own stops.  Every
+    operation on an element is the one a loop over single terms makes, in
+    the same order, so the results are bit for bit those of that loop
+    (``tests/oracles.ml_series_loop``).
     """
-    m = z.size
     ratios = _series_ratios(beta)
-    dcoef = _derivative_coefficients(beta)
-    widest = max(1, _FFT_BLOCK_BYTES // (32 * max(1, m)))
-    block = min(widest, _MAX_TERMS, _terms_to_stop(beta, z))
-    ends = [0, *range(block, _MAX_TERMS, block), _MAX_TERMS]
-    cols, pair = np.arange(m), np.arange(2)[:, None]
-    # per block, row 0 holds the sums so far of E and E', rows 1..n their
-    # terms k0..k0 + n - 1, E's row 1 carried over from the block before
-    work = np.empty((2, block + 1, m), z.dtype)
-    rows = list(work[0])
-    rows[1][:] = 1
-    sums = np.zeros((2, m), z.dtype)
-    peaks = np.zeros((2, m))
-    on = np.ones((2, m), bool)
+    n = min(_MAX_TERMS, _terms_to_stop(beta, z))
+    dcoef = _derivative_coefficients(beta)[:n, None]
+    pair = np.arange(2)[:, None]
+    s, ds, loss = np.empty_like(z), np.empty_like(z), np.empty(z.shape)
     # a diverging element may overflow to inf or nan; its loss is then inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in zip(ends, ends[1:]):
-            n = k1 - k0
+        for block in _blocks(z.size, 32 * (n + 1)):
+            zb = z[block]
+            cols = np.arange(zb.size)
+            # row 0 holds the 0 both sums start from, rows 1..n the terms
+            # 0..n - 1 of E and E'
+            w = np.empty((2, n + 1, zb.size), z.dtype)
+            w[:, 0] = 0
+            w[0, 1] = 1
             for i in range(1, n):
-                np.multiply(rows[i], z, out=rows[i + 1])
-                np.multiply(rows[i + 1], ratios[k0 + i - 1], out=rows[i + 1])
-            w = work[:, :n + 1]
-            np.multiply(dcoef[k0:k0 + n, None], w[0, 1:], out=w[1, 1:])
-            w[:, 0] = sums
-            size = np.abs(w[:, 1:])
+                np.multiply(w[0, i], zb, out=w[0, i + 1])
+                np.multiply(w[0, i + 1], ratios[i - 1], out=w[0, i + 1])
+            np.multiply(dcoef, w[0, 1:], out=w[1, 1:])
+            size = np.abs(w)
             part = np.cumsum(w, axis=1)
             # A term joins its sum while neither it nor an earlier one is at
             # most 1e-17 max(1, |sum before it|): E's next-term rule is this
             # rule on its next term, and its term 0 (= 1) never meets it.
-            go = on[:, None] & np.logical_and.accumulate(
-                ~(size <= 1e-17 * np.maximum(1.0, np.abs(part[:, :n]))),
+            go = np.logical_and.accumulate(
+                ~(size[:, 1:] <= 1e-17 * np.maximum(1.0, np.abs(part[:, :n]))),
                 axis=1)
             added = go.sum(axis=1)
             sums = part[pair, added, cols]
-            peaks = np.maximum.accumulate(
-                np.concatenate([peaks[:, None], size], axis=1),
-                axis=1)[pair, added, cols]
+            peaks = np.maximum.accumulate(size, axis=1)[pair, added, cols]
             on = go[:, -1]
-            np.multiply(rows[n], z, out=rows[1])
-            np.multiply(rows[1], ratios[k0 + n - 1], out=rows[1])
-            if not on.any():
-                break
-        else:
-            # E's rule also tests its term _MAX_TERMS, formed above
-            on[0] &= ~(np.abs(rows[1])
-                       <= 1e-17 * np.maximum(1.0, np.abs(sums[0])))
-        loss = np.max(peaks / np.maximum(1.0, np.abs(sums)), axis=0)
-    s, ds = sums
-    loss[on[0] | on[1] | ~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
+            if n == _MAX_TERMS:   # E's rule also tests its term _MAX_TERMS
+                last = w[0, n] * zb * ratios[n - 1]
+                on[0] &= ~(np.abs(last)
+                           <= 1e-17 * np.maximum(1.0, np.abs(sums[0])))
+            s[block], ds[block] = sums
+            loss[block] = np.where(on[0] | on[1], np.inf, np.max(
+                peaks / np.maximum(1.0, np.abs(sums)), axis=0))
+    loss[~np.isfinite(s) | ~np.isfinite(ds)] = np.inf
     return s, ds, loss
 
 
@@ -604,17 +593,17 @@ def mittag_leffler(beta, z, derivative=False):
     ``beta = 1`` is ``np.exp``.  Other orders sum the series of ``E_beta``
     and ``E_beta'`` over the whole argument array in one pass, and keep a
     sum only if it converged within ``_MAX_TERMS`` terms, none of them above
-    ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  The pass forms
-    the terms one at a time and takes sums, stop tests and peaks a block of
-    terms at a time, bit for bit as a loop over single terms would.  Real
-    negative arguments at ``beta < 1`` that fail this guard, or lie beyond
-    ``|z| = 5``, use tanh-sinh quadrature of the completely monotone
-    integral form (a Laplace transform of an explicit spectral density)
-    with its own error estimate; any other failure raises
-    ``ConvergenceError``.  A NaN argument, real or complex, raises
-    ``DomainError`` naming the first one, and so does an infinite argument
-    that would reach the series: any but a real ``-inf`` at ``beta < 1``,
-    which the integral form takes to 0.
+    ``_CANCELLATION_LIMIT`` (1e6) times ``max(1, |sum|)``.  The pass takes
+    the arguments in blocks; each forms its terms one at a time and takes
+    sums, stop tests and peaks over all of them at once, bit for bit as a
+    loop over single terms would.  Real negative arguments at ``beta < 1``
+    that fail this guard, or lie beyond ``|z| = 5``, use tanh-sinh
+    quadrature of the completely monotone integral form (a Laplace
+    transform of an explicit spectral density) with its own error
+    estimate; any other failure raises ``ConvergenceError``.  A NaN
+    argument, real or complex, raises ``DomainError`` naming the first one,
+    and so does an infinite argument that would reach the series: any but a
+    real ``-inf`` at ``beta < 1``, which the integral form takes to 0.
 
     ``derivative=True`` returns ``(E_beta(z), E_beta'(z))`` from that pass,
     the value being the one ``derivative=False`` gives.  A scalar argument

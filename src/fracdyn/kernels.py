@@ -34,6 +34,6 @@ def renormalized_constant(alpha, g0, dx):
     if not 1.0 < alpha < 2.0:
         raise DomainError("renormalized constant requires alpha in (1, 2), "
                           f"got {alpha}", key="alpha")
-    if dx <= 0:
-        raise DomainError("dx must be positive", key="dx")
+    if not math.isfinite(dx) or dx <= 0:
+        raise DomainError("dx must be positive and finite", key="dx")
     return 2.0 * g0 * dx ** alpha * math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)

@@ -611,8 +611,8 @@ def ml_series_loop(beta, z):
     the larger ratio ``largest term / max(1, |sum|)`` of the two, infinite
     where a sum is not finite or has not stopped within ``_MAX_TERMS``.
 
-    ``fracops._ml_series``, which takes its sums a block of terms at a
-    time, must match it bit for bit.
+    ``fracops._ml_series``, which takes the arguments in blocks and sums
+    each block over all its terms at once, must match it bit for bit.
     """
     term = np.ones_like(z)
     s, ds = np.zeros_like(z), np.zeros_like(z)

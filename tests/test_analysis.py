@@ -178,6 +178,20 @@ def test_lockstep_rate_fit_error_order(monkeypatch):
         analysis._ml_rates([times, times], [ratio, broken], 0.9, [-0.1, -0.3])
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_dispersion_rejects_a_vanished_mode(beta):
+    # an all-zero series has no rate or frequency: below beta = 1 its ratio
+    # divides by zero, at beta = 1 its phase slope reads -0.0; the mode is
+    # named before any fit
+    times = np.linspace(0.0, 2.0, 41)
+    good = nls_linear_mode_evolution(1.5, beta, 1.0, 0.2, 0.5, 1.0 + 0.0j,
+                                     times)
+    source = (times, {0.5: good, 2.0: np.zeros_like(good)})
+    with pytest.raises(ConvergenceError,
+                       match=r"mode k = 2\.0 amplitude vanished"):
+        dispersion_check(source, alpha=1.5, beta=beta, g=1.0, a=0.2)
+
+
 def test_dispersion_rejects_beta_mismatch():
     source = _nls_series([1], 1.5, 1.0, 0.0, 0.0, steps=10)
     # the Mittag-Leffler fit below beta = 1 has no nonlinear law

@@ -282,6 +282,16 @@ def test_chain_validation():
                                                    np.ones(16, dtype=complex)))
 
 
+@pytest.mark.parametrize("dx", [math.nan, math.inf])
+def test_chain_rejects_non_finite_spacing(dx):
+    # a non-finite spacing has no continuum constant: NaN would give a
+    # compare report of NaN rates, inf RuntimeWarnings
+    with pytest.raises(DomainError, match="dx must be positive and finite") \
+            as err:
+        ChainSpec(n_particles=64, dx=dx, alpha=1.5, g0=-1.0, beta=0.9)
+    assert err.value.key == "dx"
+
+
 # ------------------------------------------------------------ continuum limit
 
 

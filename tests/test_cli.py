@@ -14,7 +14,7 @@ import pytest
 
 import fracdyn
 
-from fracdyn import analysis, cli
+from fracdyn import analysis, cli, fracops
 from fracdyn.analysis import DispersionReport, dispersion_check
 from fracdyn.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config,
                          main, read_metadata, run, write_csv, write_json,
@@ -405,6 +405,28 @@ def test_configs_match_golden_outputs(tmp_path, cfgp):
         _assert_matches_golden(
             json.loads((out / fname).read_text()),
             json.loads((_GOLDEN / f"{cfgp.stem}.{fname}").read_text()), fname)
+
+
+@pytest.mark.parametrize("cfgp", sorted(
+    p for p in [*_CONFIGS.glob("*.ini"), *_CI_CONFIGS.glob("*.ini")]
+    # its path forms no block of _blocks, and it takes half this test's time
+    if p.stem != "sine_gordon_kink"), ids=lambda p: p.stem)
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cfgp):
+    # every blocked layer (l1_apply, the HistorySum products, the series
+    # reciprocal, the solve's level placement, residual, the Mittag-Leffler
+    # series) is bit for bit independent of its blocks: a run at 64 bytes a
+    # block, one row, column or argument in each, writes the bytes of a run
+    # at the default size
+    def write(name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([load_config(cfgp).kind, "--config", str(cfgp),
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+        return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+    default = write("default")
+    monkeypatch.setattr(fracops, "_FFT_BLOCK_BYTES", 64)
+    assert write("small") == default
 
 
 def test_cli_messages_go_through_the_fracdyn_logger(tmp_path, capsys,

@@ -784,8 +784,8 @@ def _terms_summed(beta, x):
 
 def test_ml_series_blocks_match_term_loop(monkeypatch):
     # the block series against the loop over single terms it replaced:
-    # E, E' and loss bit for bit, also where a sum stops at either side of
-    # a block's end, never stops, overflows or is NaN
+    # E, E' and loss bit for bit, also where a sum stops near the last term
+    # of its pass, never stops, overflows or is NaN
     def same(beta, z):
         got, want = _ml_series(beta, z), ml_series_loop(beta, z)
         for g, w in zip(got, want):
@@ -801,15 +801,15 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
             same(beta, rng.uniform(-4.0, 4.0, size)
                  + 1j * rng.uniform(-4.0, 4.0, size))
             same(beta, 1j * rng.uniform(-6.0, 6.0, size))
-    # an argument array this wide takes blocks of 2 terms
+    # an argument array this wide takes several argument blocks
     same(0.9, rng.uniform(-5.0, 5.0, 3000))
     same(0.9, rng.uniform(-3.0, 3.0, 3000)
          + 1j * rng.uniform(-3.0, 3.0, 3000))
     for dtype in (float, complex):
         same(0.5, np.array([], dtype))
-    # sums of 31 to 34 terms: the first block, sized from the largest |z|,
-    # holds them all; 3,000 arguments take blocks of 2 terms, which end on
-    # either side of every stop
+    # sums of 31 to 34 terms: the pass, sized from the largest |z|, holds
+    # them all; 3,000 arguments take several argument blocks, each over all
+    # of those terms
     edge = {}
     for beta in (0.5, 0.9):
         for x in np.linspace(-5.0, 0.0, 1001):
@@ -827,10 +827,11 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
     # a largest argument whose sum stops just past 32 terms, as chain_fit's
     # do: its pass forms one block of terms (one cumsum per block), not a
     # second one for a term or two
-    cumsum, blocks = np.cumsum, []
+    cumsum, blocks, widths = np.cumsum, [], []
 
     def counted(*args, **kwargs):
         blocks.append(args[0].shape[1] - 1)
+        widths.append(args[0].shape[2])
         return cumsum(*args, **kwargs)
 
     for beta in (0.5, 0.9):
@@ -842,18 +843,21 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
                 _ml_series(beta, z)
             assert len(blocks) == 1 and blocks[0] > 32
             same(beta, z)
-    # a first block capped by the width of the argument array: at beta =
-    # 0.3 the sum of 5^k never stops, so blocks run to _MAX_TERMS, every
-    # one but the last (which ends there) as long as the first
+    # a pass of n terms takes the arguments in the blocks of _blocks at
+    # 32 (n + 1) bytes an argument, one cumsum of n + 1 rows per block: at
+    # beta = 0.3 the sum of 5^k never stops, so n is _MAX_TERMS, and a
+    # block holds 13 arguments
+    n = fracops._MAX_TERMS
     for size in (24, 200):
         z = np.linspace(-5.0, 5.0, size)
         blocks.clear()
+        widths.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np, "cumsum", counted)
             _ml_series(0.3, z)
-        assert (blocks[0] == fracops._FFT_BLOCK_BYTES // (32 * size)
-                < fracops._MAX_TERMS == sum(blocks))
-        assert set(blocks[:-1]) == {blocks[0]}
+        assert widths == [len(range(size)[b])
+                          for b in fracops._blocks(size, 32 * (n + 1))]
+        assert len(widths) > 1 and blocks == [n] * len(widths)
         same(0.3, z)
     # still summing after the last term: at beta = 0.3 the term of 5^k
     # reaches 1e90 at k = 600, finite but not small, so its loss is infinite
@@ -867,6 +871,7 @@ def test_ml_series_blocks_match_term_loop(monkeypatch):
         assert np.all(loss[[0, 1, 4, 5, 6]] == np.inf)
         same(beta, wild * (1 + 1j))
         same(beta, np.array([complex(0.5, v) for v in wild]))
+        same(beta, np.resize(wild, 3000))   # a NaN in a later argument block
 
 
 def test_ml_large_negative_arguments_do_not_overflow():

@@ -8,6 +8,7 @@ import math
 import pytest
 import scipy.special
 
+from fracdyn.errors import DomainError
 from fracdyn.kernels import renormalized_constant
 from oracles import (TailBoundError, cutoff_for_tolerance, lattice_symbol,
                      lattice_symbol_increment)
@@ -91,3 +92,11 @@ def test_renormalized_constant_matches_lattice_limit():
     inc = lattice_symbol_increment(alpha, theta, 1.0, cutoff, tol=1e-10)
     g_a = renormalized_constant(alpha, 1.0, 1.0)
     assert inc / (g_a * theta ** alpha) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("dx", [math.nan, math.inf])
+def test_renormalized_constant_rejects_non_finite_spacing(dx):
+    with pytest.raises(DomainError, match="dx must be positive and finite") \
+            as err:
+        renormalized_constant(1.5, 1.0, dx)
+    assert err.value.key == "dx"
