@@ -45,23 +45,35 @@ class DispersionReport:
     fitted_exponent: float
 
 
+def _line_fit(x, y):
+    """Slope of the least-squares line through the points ``(x, y)`` and
+    the rms of its residuals, in closed form about the centroid.  It calls
+    no LAPACK routine, so a run maps no LAPACK workspace.  ``x`` and ``y``
+    are float arrays."""
+    xc, yc = x - x.mean(), y - y.mean()
+    slope = (xc @ yc) / (xc @ xc)
+    resid = yc - slope * xc
+    return float(slope), math.sqrt((resid @ resid) / x.size)
+
+
 def _fit_exponent(kvals, dispersive):
+    """The least-squares power of ``|k|`` in ``dispersive``, over the
+    positive pairs; NaN below two distinct ``|k|``, where no line is
+    defined (a single mode, or modes ``m`` and ``-m``)."""
     kvals = np.asarray(kvals, dtype=float)
     disp = np.asarray(dispersive, dtype=float)
     good = (kvals > 0) & (disp > 0)
-    if good.sum() < 2:
-        return float("nan")  # exponent undefined for a single mode
-    return float(np.polyfit(np.log(kvals[good]), np.log(disp[good]), 1)[0])
+    if len(set(kvals[good].tolist())) < 2:
+        return float("nan")
+    return _line_fit(np.log(kvals[good]), np.log(disp[good]))[0]
 
 
 def _phase_slope(times, series):
-    phase = np.unwrap(np.angle(series))
-    coef, res = np.polyfit(times, phase, 1, full=True)[:2]
-    resid = math.sqrt(res[0] / len(times)) if len(res) else 0.0
+    slope, resid = _line_fit(times, np.unwrap(np.angle(series)))
     if resid > 0.05:
         raise ConvergenceError(f"phase unwrapping failure (rms residual "
                                f"{resid:.3g} rad)", estimate=resid)
-    return coef[0]
+    return slope
 
 
 _RATE_FIT_MAX_ITER = 50

@@ -27,13 +27,12 @@ Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (blow-up or non-convergence), 3 I/O error.
 """
 
-import argparse
 import configparser
 import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +363,7 @@ def _jsonable(o):
     ``None``: JSON has no complex numbers, NaN or infinity, so these are
     written as pairs and ``null``."""
     if is_dataclass(o):
-        return _jsonable(asdict(o))
+        return {f.name: _jsonable(getattr(o, f.name)) for f in fields(o)}
     if isinstance(o, dict):
         return {k: _jsonable(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
@@ -438,12 +437,14 @@ def _snapshot_observer(cfg, state):
 
 def _write_snapshots(path, state, kept):
     """The kept levels as rows ``t, x, u``, or ``t, x, u_re, u_im`` for a
-    complex field, one block of rows per level."""
-    t, x = state.times, state.grid.x
+    complex field, one block of rows per level.  Level ``j``'s time is made
+    alone as ``j dt``, bit for bit ``state.times[j]``, so the ``n_steps +
+    1`` times of the whole grid are never held."""
+    x, dt = state.grid.x, state.time.dt
     cols = ("t", "x", "u_re", "u_im") if state.is_complex else ("t", "x", "u")
     # a complex row viewed as float64 holds re, im pairs
     write_csv(path, cols, (np.column_stack((
-        np.full(len(x), t[j]), x, kept[j].view(np.float64).reshape(len(x), -1)))
+        np.full(len(x), j * dt), x, kept[j].view(np.float64).reshape(len(x), -1)))
         for j in sorted(kept)))
 
 
@@ -578,7 +579,7 @@ def _run_dispersion(cfg, specs, outdir, rng):
     report = dispersion_check(source, alpha=p["alpha"], beta=1.0, g=p["g"],
                               a=p["a"], b=p["b"])
     write_json(outdir / "report.json", report)
-    # the exponent is NaN, and not checked, below two dispersive modes
+    # the exponent is NaN, and not checked, below two distinct |k|
     slope = report.fitted_exponent
     return {"max_rel_err": max(report.rel_err),
             "fitted_exponent": slope,
@@ -663,6 +664,10 @@ def run(cfg: ExperimentConfig, outdir):
 
 
 def _make_parser():
+    # imported here, not at the top: only main parses arguments, and every
+    # other user of this module would pay argparse's import for nothing
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fracdyn",
         description="fractional field and chain experiment runner")

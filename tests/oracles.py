@@ -15,8 +15,9 @@ Mittag-Leffler series one term at a time over the argument array, the
 Mittag-Leffler quadrature one argument at a time, the Mittag-Leffler
 rate fit by SciPy's trust-region least squares and by Gauss-Newton one fit
 at a time, the preconditioned stationary Jacobian with its two terms
-transformed apart, the CSV writer that formats one value at a time, and
-the placing of a block of levels with one blow-up guard call per level.
+transformed apart, the CSV writer that formats one value at a time, the
+placing of a block of levels with one blow-up guard call per level, and
+the least-squares line by ``np.polyfit``.
 Nothing in ``fracdyn`` calls them; they exist so that every operator is
 checked against a path written separately from the one under test.  One
 helper is the path under test instead: ``ring_coupling_sum`` forms the
@@ -242,6 +243,15 @@ def convergence_order(errors):
     if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-6:
         raise DomainError("step sizes must form a geometric progression")
     return float(np.polyfit(np.log(hs), np.log(es), 1)[0])
+
+
+def line_fit_polyfit(x, y):
+    """``(slope, rms residual)`` of the least-squares line through the
+    points ``(x, y)`` by ``np.polyfit`` (LAPACK's SVD least squares), the
+    fit the library made before its closed-form one."""
+    x = np.asarray(x, dtype=float)
+    coef, res = np.polyfit(x, y, 1, full=True)[:2]
+    return float(coef[0]), math.sqrt(res[0] / x.size) if len(res) else 0.0
 
 
 def interaction_sum_direct(spec: ChainSpec, u):

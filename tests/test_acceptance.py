@@ -18,7 +18,8 @@ from fracdyn.chain import ChainSpec, continuum_limit_compare
 from fracdyn.cli import main as cli_main
 from fracdyn.fields import (FieldState, ModelSpec, Potential, evolve_field,
                             field_mass, free_energy, nls_evolve,
-                            sine_gordon_energy, stationary_residual)
+                            sine_gordon_energy, stationary_fgle_solve,
+                            stationary_residual)
 from fracdyn.fracops import (caputo_left_l1, l1_weights, mittag_leffler,
                              riesz_derivative_spectral)
 from fracdyn.grids import GridSpec, TimeGrid
@@ -448,3 +449,37 @@ def test_15_cli_determinism(tmp_path):
             f"exit codes {rc1}/{rc2}, byte-identical outputs: {identical}")
     assert rc1 == 0 and rc2 == 0
     assert identical
+
+
+# measured max errors at dt = 2e-2 ... 2.5e-3: 4.79e-3 ... 7.50e-5 at
+# alpha = 1.5, 1.73e-2 ... 2.71e-4 at alpha = 1.2; the bound is C dt^2
+@pytest.mark.parametrize("alpha, const", [(1.5, 12.5), (1.2, 45.0)])
+def test_16_nls_ground_state_standing_wave(alpha, const):
+    # the stationary solve's ground state Q of (-Lap)^(alpha/2) Q + Q - Q^3
+    # = 0 (g = 1, a = -1, b = 1, so omega = 1) on pulse.ini's grid; the NLS
+    # with a = 0 carries it as the standing wave Q exp(-i t), the Strang
+    # splitting's error on a nonlinear profile, second order in dt
+    t0 = time.time()
+    grid = GridSpec(1536, 60.0)
+    res = stationary_fgle_solve(grid, alpha, 1.0, -1.0, 1.0,
+                                1.0 / np.cosh(grid.x - 30.0))
+    assert res.converged and res.u.max() > 1.5  # the pulse, not a uniform root
+    dts = (2e-2, 1e-2, 5e-3, 2.5e-3)
+    errors = []
+    for dt in dts:
+        state = FieldState.from_initial(grid, TimeGrid(round(5.0 / dt), dt),
+                                        res.u.astype(complex), rows=2)
+        nls_evolve(state, alpha, 1.0, 0.0, 1.0)
+        errors.append(float(np.max(np.abs(
+            state.current() - res.u * np.exp(-5.0j)))))
+    order = convergence_order(zip(dts, errors))
+    elapsed = time.time() - t0
+    bounded = all(e <= const * dt ** 2 for dt, e in zip(dts, errors))
+    ok = abs(order - 2.0) < 0.05 and bounded and elapsed < 30.0
+    _report(f"16 nls-standing-wave alpha={alpha}", ok,
+            f"max errors {', '.join(f'{e:.2e}' for e in errors)} at t = 5 "
+            f"(each <= {const} dt^2), order {order:.3f} within 0.05 of 2, "
+            f"{elapsed:.1f}s < 30s")
+    assert bounded
+    assert abs(order - 2.0) < 0.05
+    assert elapsed < 30.0

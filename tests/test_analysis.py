@@ -2,18 +2,21 @@
 and convergence-order fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracdyn import analysis
 from fracdyn.analysis import dispersion_check
+from fracdyn.chain import ChainSpec, continuum_limit_compare
 from fracdyn.errors import ConvergenceError, DomainError
 from fracdyn.fields import FieldState, nls_evolve, nls_linear_mode_evolution
 from fracdyn.fracops import mittag_leffler
 from fracdyn.grids import GridSpec, TimeGrid
 from oracles import (convergence_order, laplace_symbol_check,
-                     ml_rate_least_squares, ml_rate_one_fit, mode_series)
+                     line_fit_polyfit, ml_rate_least_squares, ml_rate_one_fit,
+                     mode_series)
 
 TWO_PI = 2 * np.pi
 
@@ -199,6 +202,54 @@ def test_dispersion_rejects_beta_mismatch():
         dispersion_check(source, alpha=1.5, beta=0.5, g=1.0, a=0.0, b=0.7)
     with pytest.raises(DomainError, match="temporal order"):
         dispersion_check(source, alpha=1.5, beta=1.5, g=1.0, a=0.0)
+
+
+def test_dispersion_exponent_needs_two_distinct_wavenumbers():
+    # modes 3 and -3 share |k| = 3, and no line passes through one abscissa:
+    # the exponent is NaN, with no warning, and each frequency is measured
+    source = _nls_series([3, -3], 1.5, 1.0, 0.0, 0.0, steps=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = dispersion_check(source, alpha=1.5, beta=1.0, g=1.0, a=0.0)
+    assert math.isnan(report.fitted_exponent)
+    assert report.k == [3.0, 3.0]
+    assert max(report.rel_err) < 1e-12
+
+
+# ------------------------------------------------------------ line fits
+
+
+@pytest.mark.parametrize("n", [3, 500])
+def test_line_fit_matches_polyfit(n):
+    # the closed-form centred fit against LAPACK's least squares, on lines
+    # with random slope, offset, spread and noise
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        x = rng.uniform(-5, 5) + rng.uniform(0.1, 10) * rng.standard_normal(n)
+        y = (rng.standard_normal() * x + rng.uniform(-5, 5)
+             + rng.uniform(1e-3, 1) * rng.standard_normal(n))
+        slope, resid = analysis._line_fit(x, y)
+        ref_slope, ref_resid = line_fit_polyfit(x, y)
+        assert abs(slope - ref_slope) <= 1e-13 * np.std(y) / np.std(x)
+        assert resid == pytest.approx(ref_resid, rel=1e-10)
+
+
+def test_fits_need_no_lapack_least_squares(monkeypatch):
+    # the phase slopes and exponent of dispersion_check and the exponent of
+    # continuum_limit_compare are closed-form fits; np.polyfit holds its
+    # own reference to lstsq, so both are refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    source = _nls_series([1, 2, 5], 1.5, 1.0, 0.0, 0.0, steps=500)
+    spec = ChainSpec(n_particles=256, dx=1.0, alpha=1.5, g0=-1.0, beta=0.9)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    report = dispersion_check(source, alpha=1.5, beta=1.0, g=1.0, a=0.0)
+    assert max(report.rel_err) < 1e-12
+    assert report.fitted_exponent == pytest.approx(1.5, abs=1e-12)
+    compare = continuum_limit_compare(spec, [2, 3, 4], dt=0.1, n_steps=300)
+    assert compare.fitted_exponent == pytest.approx(1.5, abs=0.05)
 
 
 # ------------------------------------------------------------ Laplace identity

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +676,19 @@ def test_cli_usage_errors_exit_config(tmp_path, capsys):
     assert "--config" in capsys.readouterr().out
 
 
+def test_importing_the_cli_loads_no_argparse(capsys):
+    # only main parses arguments: a fresh interpreter's import of the CLI
+    # leaves argparse unloaded, and main still prints its help
+    src = str(Path(fracdyn.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracdyn.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: fracdyn" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind, template, modes", [
     ("continuum_compare", COMPARE_CONFIG, "-3,5"),
     ("continuum_compare", COMPARE_CONFIG, "0,5"),
@@ -826,6 +840,24 @@ def test_write_snapshots_memory_is_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < 12 * block_bytes
     assert (tmp_path / "snap.csv").read_text().count("\n") == 1 + 200 * 1024
+
+
+def test_write_snapshots_holds_no_time_grid(tmp_path):
+    # 2 levels kept of 400001: the writer makes their 2 times, not the
+    # 3.2 MB array of the whole time grid (measured: 20 kB traced)
+    grid = GridSpec(64, 10.0)
+    state = FieldState.from_initial(grid, TimeGrid(400_000, 0.1),
+                                    np.ones(64), rows=2)
+    tracemalloc.start()
+    try:
+        cli._write_snapshots(tmp_path / "snap.csv", state,
+                             {0: np.ones(64), 400_000: np.zeros(64)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 400_001 * 8
+    rows = (tmp_path / "snap.csv").read_text().splitlines()
+    assert rows[-1].startswith("%.17g," % (400_000 * 0.1))
 
 
 def test_sine_gordon_cli_summary(tmp_path):
@@ -1076,6 +1108,31 @@ def test_write_json_writes_a_report_by_its_fields(tmp_path):
         "beta": 0.5, "k": [1.0], "measured": [[0.25, -1.5]],
         "predicted": [[0.0, None]], "rel_err": [0.125],
         "fitted_exponent": None}
+
+
+class _NoDeepCopy:
+    def __deepcopy__(self, memo):
+        raise AssertionError("deep-copied")
+
+
+@dataclass
+class _Outer:
+    report: DispersionReport
+    token: _NoDeepCopy
+
+
+def test_jsonable_reads_dataclass_fields_in_place():
+    # a dataclass is read field by field, a nested one too, and nothing in
+    # it is deep-copied on the way
+    token = _NoDeepCopy()
+    report = DispersionReport(beta=1.0, k=[2.0], measured=[-2.5],
+                              predicted=[-2.5], rel_err=[0.0],
+                              fitted_exponent=float("nan"))
+    got = cli._jsonable(_Outer(report=report, token=token))
+    assert got["token"] is token
+    assert got["report"] == {"beta": 1.0, "k": [2.0], "measured": [-2.5],
+                             "predicted": [-2.5], "rel_err": [0.0],
+                             "fitted_exponent": None}
 
 
 CHAIN_RANDOM_CONFIG = """
